@@ -43,7 +43,7 @@ import sys
 import time
 from bisect import insort
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping
+from typing import IO, Callable, Iterable, Mapping
 
 from repro.obs.metrics import (
     CELL_DURATION_BUCKETS,
@@ -411,7 +411,9 @@ class ProgressRenderer:
     Writes carriage-return-refreshed lines to ``stream`` (default
     stderr).  ``min_interval_s`` bounds the redraw rate so rendering
     never becomes a measurable cost; :meth:`finish` draws one final
-    state and terminates the line.
+    state and terminates the line.  ``clock`` is the monotonic clock the
+    rate limit reads.  Its zero point is arbitrary (boot time on Linux),
+    so the limit counts from the first render, which always draws.
     """
 
     def __init__(
@@ -419,10 +421,12 @@ class ProgressRenderer:
         stream: IO[str] | None = None,
         *,
         min_interval_s: float = 0.1,
+        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.stream = stream if stream is not None else sys.stderr
         self.min_interval_s = min_interval_s
-        self._last_render = 0.0
+        self._clock = clock
+        self._last_render: float | None = None
         self._last_width = 0
 
     def line_for(self, monitor: CampaignMonitor) -> str:
@@ -449,8 +453,9 @@ class ProgressRenderer:
         return "  ".join(parts)
 
     def update(self, monitor: CampaignMonitor, *, force: bool = False) -> None:
-        now = time.monotonic()
-        if not force and now - self._last_render < self.min_interval_s:
+        now = self._clock()
+        last = self._last_render
+        if not force and last is not None and now - last < self.min_interval_s:
             return
         self._last_render = now
         line = self.line_for(monitor)
@@ -476,7 +481,9 @@ class CampaignTelemetry:
     durable the moment it is emitted — kill-safe whole lines), an
     existing sink, or ``None`` (monitor/progress only, nothing
     journaled).  Usable as a context manager; closing renders the final
-    progress state and closes an owned sink.
+    progress state and closes an owned sink.  ``clock`` is the monotonic
+    clock behind heartbeat rate limiting and the campaign duration; the
+    limit counts from the first heartbeat, which is always emitted.
     """
 
     def __init__(
@@ -487,6 +494,7 @@ class CampaignTelemetry:
         progress: ProgressRenderer | None = None,
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
         campaign_id: str | None = None,
+        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if heartbeat_s <= 0:
             raise ValueError(f"heartbeat_s must be positive, got {heartbeat_s}")
@@ -499,7 +507,8 @@ class CampaignTelemetry:
         if campaign_id is None:
             campaign_id = f"campaign-{os.getpid()}-{time.time_ns():x}"
         self.campaign_id = campaign_id
-        self._last_heartbeat = 0.0
+        self._clock = clock
+        self._last_heartbeat: float | None = None
         self._started_monotonic: float | None = None
 
     # -- plumbing ------------------------------------------------------
@@ -520,7 +529,7 @@ class CampaignTelemetry:
 
     # -- the event vocabulary (one method per type) --------------------
     def campaign_started(self, *, cells_total: int, max_workers: int) -> None:
-        self._started_monotonic = time.monotonic()
+        self._started_monotonic = self._clock()
         self._emit(
             "campaign_started",
             cells_total=cells_total,
@@ -566,7 +575,7 @@ class CampaignTelemetry:
 
     def campaign_finished(self) -> None:
         duration = (
-            time.monotonic() - self._started_monotonic
+            self._clock() - self._started_monotonic
             if self._started_monotonic is not None
             else 0.0
         )
@@ -579,8 +588,9 @@ class CampaignTelemetry:
 
     def heartbeat(self, *, running: int) -> None:
         """Rate-limited periodic status (journal + progress refresh)."""
-        now = time.monotonic()
-        if now - self._last_heartbeat < self.heartbeat_s:
+        now = self._clock()
+        last = self._last_heartbeat
+        if last is not None and now - last < self.heartbeat_s:
             return
         self._last_heartbeat = now
         self._emit(

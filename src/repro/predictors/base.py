@@ -230,8 +230,13 @@ class PointEstimator:
         return max(est, elapsed)
 
     def obs_stats(self) -> dict[str, int]:
-        """Fallback-chain counters, keyed for the metrics snapshot."""
-        return {
+        """Fallback-chain counters, keyed for the metrics snapshot.
+
+        A wrapped predictor defining ``obs_stats()`` (the Smith
+        predictor's elapsed-memo tallies) contributes its counters under
+        ``predictor.*``.
+        """
+        stats = {
             "predict_calls": self.predict_calls,
             "predicted": self.predicted,
             "fallback_max": self.fallback_max,
@@ -239,6 +244,11 @@ class PointEstimator:
             "fallback_default": self.fallback_default,
             "history_epoch_bumps": self._epoch,
         }
+        inner = getattr(self.predictor, "obs_stats", None)
+        if inner is not None:
+            for key, value in inner().items():
+                stats[f"predictor.{key}"] = value
+        return stats
 
     @property
     def elapsed_invariant(self) -> bool:

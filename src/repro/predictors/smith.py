@@ -9,6 +9,10 @@ smallest confidence interval wins** (§2.1 step 2(d)).  That selection
 rule is the heart of the technique: specific-but-sparse categories
 compete with generic-but-populous ones on the tightness of what they
 claim to know.
+
+A job's category keys are computed once: they are cached per job id,
+guarded by the identity of the :class:`Job` they were computed for, and
+evicted when the job finishes.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ class SmithPredictor(RuntimePredictor):
         # How often each template's category won the smallest-CI contest.
         self._wins: list[int] = [0] * len(self.templates)
         self._misses = 0
+        # job_id -> (job, its (template index, category key) pairs).
+        self._keys: dict[int, tuple[Job, tuple[tuple[int, tuple], ...]]] = {}
 
     @classmethod
     def for_trace(cls, trace: Trace, **kwargs) -> "SmithPredictor":
@@ -57,13 +63,25 @@ class SmithPredictor(RuntimePredictor):
         )
 
     # ------------------------------------------------------------------
-    def predict(self, job: Job, elapsed: float = 0.0, now: float = 0.0) -> Prediction | None:
-        best: tuple[float, float, int] | None = None  # (interval, estimate, idx)
+    def _category_keys(self, job: Job) -> tuple[tuple[int, tuple], ...]:
+        """``(template index, category key)`` for each template that applies."""
+        entry = self._keys.get(job.job_id)
+        if entry is not None and entry[0] is job:
+            return entry[1]
+        keys = []
         for idx, template in enumerate(self.templates):
             key = template.category_key(job)
-            if key is None:
-                continue
-            cat = self._categories.get((idx, key))
+            if key is not None:
+                keys.append((idx, key))
+        result = tuple(keys)
+        self._keys[job.job_id] = (job, result)
+        return result
+
+    def predict(self, job: Job, elapsed: float = 0.0, now: float = 0.0) -> Prediction | None:
+        best: tuple[float, float, int] | None = None  # (interval, estimate, idx)
+        categories = self._categories
+        for full_key in self._category_keys(job):
+            cat = categories.get(full_key)
             if cat is None:
                 continue
             result = cat.predict(job, elapsed, self.confidence)
@@ -71,7 +89,7 @@ class SmithPredictor(RuntimePredictor):
                 continue
             est, hw = result
             if best is None or hw < best[0]:
-                best = (hw, est, idx)
+                best = (hw, est, full_key[0])
         if best is None:
             self._misses += 1
             return None
@@ -82,15 +100,13 @@ class SmithPredictor(RuntimePredictor):
         )
 
     def on_finish(self, job: Job, now: float) -> None:
-        for idx, template in enumerate(self.templates):
-            key = template.category_key(job)
-            if key is None:
-                continue
-            cat = self._categories.get((idx, key))
+        for full_key in self._category_keys(job):
+            cat = self._categories.get(full_key)
             if cat is None:
-                cat = Category(template)
-                self._categories[(idx, key)] = cat
+                cat = Category(self.templates[full_key[0]])
+                self._categories[full_key] = cat
             cat.add(job)
+        del self._keys[job.job_id]
 
     # ------------------------------------------------------------------
     @property
@@ -109,6 +125,21 @@ class SmithPredictor(RuntimePredictor):
         }
         stats["(no prediction)"] = self._misses
         return stats
+
+    def obs_stats(self) -> dict[str, int]:
+        """Elapsed-memo tallies summed over the categories.
+
+        ``memo_hits``/``memo_misses`` count elapsed-conditioned lookups
+        of memoised category statistics; ``points_scanned`` counts the
+        history points the misses scanned.  Folded here, at snapshot
+        time, from plain ints the categories keep.
+        """
+        cats = self._categories.values()
+        return {
+            "memo_hits": sum(c.memo_hits for c in cats),
+            "memo_misses": sum(c.memo_misses for c in cats),
+            "points_scanned": sum(c.points_scanned for c in cats),
+        }
 
     def categories_for(self, job: Job) -> Sequence[Category]:
         """Existing categories this job falls into (for inspection/tests)."""

@@ -23,7 +23,11 @@ Two properties make repeated queries cheap:
   queries between events are O(1) dict hits, bit-identical to an
   uncached computation because the cache stores the computed float
   itself.  Estimators advertising ``history_epoch is None`` (volatile)
-  disable caching rather than risk staleness.
+  disable caching rather than risk staleness.  Across epochs, queued
+  jobs' frozen durations are carried by a
+  :class:`~repro.waitpred.predictor.FreezeCache` for as long as the
+  estimator's ``history_epoch`` stands still, through the same
+  ``_freeze`` :func:`~repro.waitpred.predict_wait` uses.
 
 Cache misses are answered in one queue walk where an analytic shortcut
 is exact (:func:`repro.waitpred.fast.fcfs_predicted_starts`,
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import math
 import time
+from typing import Callable
 
 from repro.obs import QUERY_LATENCY_BUCKETS, Instrumentation
 from repro.scheduler.policies import BackfillPolicy, FCFSPolicy
@@ -56,6 +61,7 @@ from repro.waitpred.fast import (
     fcfs_predicted_starts,
     predict_start_fast,
 )
+from repro.waitpred.predictor import FreezeCache, _freeze
 from repro.workloads.job import Job
 
 __all__ = ["PredictionService", "SimulatorFeed", "UnknownJobError"]
@@ -70,7 +76,8 @@ class PredictionService:
     ``scheduler_estimator`` optionally supplies the estimates the *real*
     scheduler decides by, when they differ (the paper's user-maxima
     setup).  Left ``None``, the imagined world is self-consistent and
-    the backfill shortcut stays exact.
+    the backfill shortcut stays exact.  ``clock`` times query latency
+    (injectable so tests can drive it).
 
     Thread-safety: none.  The TCP server (:mod:`repro.service.server`)
     serializes access with a lock; in-process users are expected to call
@@ -86,6 +93,7 @@ class PredictionService:
         scheduler_estimator: RuntimeEstimator | None = None,
         fast: bool = True,
         instrumentation: Instrumentation | None = None,
+        clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         self.policy = policy
         self.estimator = estimator
@@ -108,6 +116,10 @@ class PredictionService:
         self._durations: dict[int, float] | None = None
         self._estimates: dict[int, float] | None = None
         self._starts: dict[int, float] = {}
+        # Queued-job freezes carried across epochs while each
+        # estimator's history_epoch stands still.
+        self._duration_cache = FreezeCache()
+        self._estimate_cache = FreezeCache()
         obs = instrumentation if instrumentation is not None else Instrumentation()
         self.obs = obs
         self._n_events = 0
@@ -115,6 +127,7 @@ class PredictionService:
         self._n_hits = 0
         self._n_misses = 0
         self._n_fallback = 0
+        self._clock = clock
         self._h_latency = obs.registry.histogram(
             "service.query_latency_seconds", QUERY_LATENCY_BUCKETS
         )
@@ -209,18 +222,6 @@ class PredictionService:
     # ------------------------------------------------------------------
     # prediction
     # ------------------------------------------------------------------
-    def _freeze(self, estimator: RuntimeEstimator) -> dict[int, float]:
-        # Must mirror repro.waitpred.predictor._freeze exactly: cached
-        # answers are only bit-identical to predict_wait if the frozen
-        # inputs are.
-        now = self.now
-        out: dict[int, float] = {}
-        for rj in self._running.values():
-            out[rj.job_id] = estimator.predict(rj.job, rj.elapsed(now), now)
-        for qj in self._queued.values():
-            out[qj.job_id] = estimator.predict(qj.job, 0.0, now)
-        return out
-
     def _sync_cache(self) -> bool:
         """Freeze durations for this epoch; return whether caching is on.
 
@@ -233,9 +234,10 @@ class PredictionService:
         key = (self.epoch, hist) if cacheable else None
         if not cacheable or key != self._cache_key:
             self._cache_key = key
-            self._durations = self._freeze(self.estimator)
+            snap = self.snapshot()
+            self._durations = _freeze(snap, self.estimator, self._duration_cache)
             self._estimates = (
-                self._freeze(self.scheduler_estimator)
+                _freeze(snap, self.scheduler_estimator, self._estimate_cache)
                 if self.scheduler_estimator is not None
                 else None
             )
@@ -292,7 +294,7 @@ class PredictionService:
         Running and finished jobs answer 0.0 — their wait is over.
         Never-submitted ids raise :class:`UnknownJobError`.
         """
-        t0 = time.perf_counter()
+        t0 = self._clock()
         self._n_queries += 1
         try:
             if job_id in self._running or job_id in self._finished:
@@ -303,7 +305,7 @@ class PredictionService:
             self._sync_cache()
             return self._start_of(job_id) - self.now
         finally:
-            self._h_latency.observe(time.perf_counter() - t0)
+            self._h_latency.observe(self._clock() - t0)
 
     def predict_batch(
         self, job_ids: list[int] | None = None
@@ -314,7 +316,7 @@ class PredictionService:
         epoch, the batch answer for a job is bit-identical to a single
         :meth:`predict` for it.
         """
-        t0 = time.perf_counter()
+        t0 = self._clock()
         try:
             ids = list(self._queued) if job_ids is None else list(job_ids)
             self._n_queries += len(ids)
@@ -333,7 +335,7 @@ class PredictionService:
                 out[jid] = self._start_of(jid) - self.now
             return out
         finally:
-            self._h_latency.observe(time.perf_counter() - t0)
+            self._h_latency.observe(self._clock() - t0)
 
     # ------------------------------------------------------------------
     # observability

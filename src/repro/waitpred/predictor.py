@@ -19,6 +19,13 @@ when the new job would start in that predicted future.  Keeping the two
 separate is what gives the paper its tiny built-in backfill error
 (Table 4): with perfect durations the imagined schedule replays the real
 scheduler's decisions exactly, later arrivals aside.
+
+A queued job's frozen prediction (elapsed 0) cannot change while the
+estimator's ``history_epoch`` stands still — the contract
+:mod:`repro.predictors.base` defines — so :class:`FreezeCache` keeps
+those predictions from one submission to the next and re-predicts only
+after the epoch moves.  Running jobs are conditioned on their age and
+are predicted afresh at every freeze.
 """
 
 from __future__ import annotations
@@ -35,19 +42,54 @@ from repro.scheduler.simulator import (
 from repro.waitpred.fast import UnknownJobError
 from repro.workloads.job import Job
 
-__all__ = ["WaitTimePredictor", "predict_wait"]
+__all__ = ["FreezeCache", "WaitTimePredictor", "predict_wait"]
+
+
+class FreezeCache:
+    """One estimator's queued-job predictions, valid for one history epoch.
+
+    Holds the predictions of the jobs queued at the last freeze; a freeze
+    under a different epoch starts it afresh.
+    """
+
+    __slots__ = ("epoch", "queued")
+
+    def __init__(self) -> None:
+        self.epoch: object = None
+        self.queued: dict[int, float] = {}
 
 
 def _freeze(
-    snapshot: SystemSnapshot, estimator: RuntimeEstimator
+    snapshot: SystemSnapshot,
+    estimator: RuntimeEstimator,
+    cache: FreezeCache | None = None,
 ) -> dict[int, float]:
-    """One prediction per job in the snapshot (running conditioned on age)."""
+    """One prediction per job in the snapshot (running conditioned on age).
+
+    With a ``cache``, queued jobs already predicted under the estimator's
+    current ``history_epoch`` reuse that float; estimators without an
+    epoch (or volatile ones advertising ``None``) are re-predicted on
+    every call.
+    """
     now = snapshot.now
     out: dict[int, float] = {}
     for rj in snapshot.running:
         out[rj.job_id] = estimator.predict(rj.job, rj.elapsed(now), now)
+    epoch = None if cache is None else getattr(estimator, "history_epoch", None)
+    if epoch is None:
+        for qj in snapshot.queued:
+            out[qj.job_id] = estimator.predict(qj.job, 0.0, now)
+        return out
+    known = cache.queued if epoch == cache.epoch else {}
+    queued: dict[int, float] = {}
     for qj in snapshot.queued:
-        out[qj.job_id] = estimator.predict(qj.job, 0.0, now)
+        jid = qj.job_id
+        value = known.get(jid)
+        if value is None:
+            value = estimator.predict(qj.job, 0.0, now)
+        queued[jid] = out[jid] = value
+    cache.epoch = epoch
+    cache.queued = queued
     return out
 
 
@@ -59,6 +101,8 @@ def predict_wait(
     *,
     scheduler_estimator: RuntimeEstimator | None = None,
     fast: bool = True,
+    duration_cache: FreezeCache | None = None,
+    estimate_cache: FreezeCache | None = None,
 ) -> float:
     """Predicted wait (seconds) of ``target_job_id`` from ``snapshot``.
 
@@ -66,7 +110,10 @@ def predict_wait(
     (default: the same) supplies the estimates the simulated scheduler
     decides by.  ``fast`` routes through the analytic shortcuts of
     :mod:`repro.waitpred.fast` where they are exact (identical results,
-    much cheaper for long FCFS queues).
+    much cheaper for long FCFS queues).  ``duration_cache`` and
+    ``estimate_cache`` carry the two estimators' queued-job freezes
+    across calls (see :class:`FreezeCache`); answers are identical with
+    and without them.
 
     Raises :class:`repro.waitpred.fast.UnknownJobError` when
     ``target_job_id`` is not in the snapshot's queue — already running,
@@ -76,9 +123,9 @@ def predict_wait(
     """
     if all(qj.job_id != target_job_id for qj in snapshot.queued):
         raise UnknownJobError(target_job_id)
-    durations = _freeze(snapshot, estimator)
+    durations = _freeze(snapshot, estimator, duration_cache)
     estimates = (
-        _freeze(snapshot, scheduler_estimator)
+        _freeze(snapshot, scheduler_estimator, estimate_cache)
         if scheduler_estimator is not None
         else None
     )
@@ -115,6 +162,8 @@ class WaitTimePredictor:
         )
         self.scheduler_estimator = scheduler_estimator
         self.fast = fast
+        self._duration_cache = FreezeCache()
+        self._estimate_cache = FreezeCache()
         #: job_id -> predicted wait in seconds, recorded at submission.
         self.predicted_waits: dict[int, float] = {}
         # Prediction audit (see repro.obs.audit): record each wait
@@ -137,6 +186,8 @@ class WaitTimePredictor:
             qj.job_id,
             scheduler_estimator=self.scheduler_estimator,
             fast=self.fast,
+            duration_cache=self._duration_cache,
+            estimate_cache=self._estimate_cache,
         )
         self.predicted_waits[qj.job_id] = predicted
         if self._audit is not None:

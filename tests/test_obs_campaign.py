@@ -213,7 +213,7 @@ class TestProgress:
         stream = io.StringIO()
         r = ProgressRenderer(stream, min_interval_s=3600.0)
         m = CampaignMonitor.from_events(_simple_feed())
-        r.update(m)  # first render always goes through after construction?
+        r.update(m)  # the first render always goes through
         first = stream.getvalue()
         r.update(m)  # inside the interval: dropped
         assert stream.getvalue() == first
@@ -288,6 +288,29 @@ class TestTelemetry:
             if e["type"] == "cell_heartbeat"
         ]
         assert len(beats) == 1  # only the first slips through
+
+    def test_first_heartbeat_on_a_just_booted_clock(self, tmp_path):
+        """A monotonic clock near its zero point (a host booted ~5 s ago)
+        must not swallow the first heartbeat or the first render."""
+        now = [5.0]
+        stream = io.StringIO()
+        progress = ProgressRenderer(stream, min_interval_s=3600.0, clock=lambda: now[0])
+        path = tmp_path / "c.jsonl"
+        with CampaignTelemetry(
+            str(path), heartbeat_s=3600.0, clock=lambda: now[0]
+        ) as t:
+            t.campaign_started(cells_total=1, max_workers=1)
+            for _ in range(3):
+                t.heartbeat(running=1)
+                now[0] += 1.0
+            now[0] += 3600.0
+            t.heartbeat(running=1)  # a full interval later: the second beat
+            t.campaign_finished()
+        events = read_campaign_journal(str(path))
+        assert [e["type"] for e in events].count("cell_heartbeat") == 2
+        assert events[-1]["duration_s"] == 3603.0  # read from the same clock
+        progress.update(CampaignMonitor.from_events(_simple_feed()))
+        assert stream.getvalue()  # the first render is drawn
 
     def test_campaign_ids_are_unique(self):
         assert CampaignTelemetry().campaign_id != CampaignTelemetry().campaign_id

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import struct
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.predictors.base import PointEstimator, warm_start
+from repro.predictors.category import Category, DataPoint
 from repro.predictors.downey import DowneyPredictor
 from repro.predictors.gibbons import GibbonsPredictor
+from repro.predictors.simple import MaxRuntimePredictor
 from repro.predictors.smith import SmithPredictor
-from repro.predictors.templates import Template
+from repro.predictors.templates import ESTIMATOR_KINDS, Template
+from repro.stats.ci import RunningMoments, mean_confidence_interval
+from repro.stats.regression import fit_inverse, fit_linear, fit_logarithmic
 from repro.workloads.job import Job, Trace
 from repro.workloads.swf import job_to_swf_line, parse_swf_lines
 
@@ -140,3 +147,233 @@ def test_property_history_cap_keeps_newest(history, cap):
         assert pred.estimate == pytest.approx(
             max(float(np.mean(manual)), 0.0), rel=1e-9, abs=1e-6
         )
+
+
+# ---------------------------------------------------------------------
+# memoised category statistics == filter-and-fit, to the bit
+# ---------------------------------------------------------------------
+class _FilterAndFitCategory:
+    """Reference oracle: a category that filters its history on every call.
+
+    This is the straightforward reading of §2.1 — keep the points whose
+    run time is at least ``elapsed``, fit them with NumPy — against which
+    :class:`Category`'s memoised statistics must agree bit for bit.
+    """
+
+    _fitters = {"linear": fit_linear, "inverse": fit_inverse, "log": fit_logarithmic}
+
+    def __init__(self, template: Template) -> None:
+        self.template = template
+        self._points: deque[DataPoint] = deque()
+        self._moments = RunningMoments()
+
+    def add(self, job: Job) -> None:
+        if self.template.relative:
+            value = job.run_time / job.max_run_time
+        else:
+            value = job.run_time
+        limit = self.template.max_history
+        if limit is not None and len(self._points) >= limit:
+            old = self._points.popleft()
+            self._moments.remove(old.value)
+        self._points.append(DataPoint(run_time=job.run_time, nodes=job.nodes, value=value))
+        self._moments.add(value)
+
+    def predict(self, job: Job, elapsed: float, confidence: float):
+        if self.template.relative and job.max_run_time is None:
+            return None
+        if elapsed > 0.0:
+            pts = [p for p in self._points if p.run_time >= elapsed]
+        else:
+            pts = None
+        kind = self.template.estimator
+        if kind == "mean":
+            if pts is None:
+                if self._moments.count < 2:
+                    return None
+                est, hw = self._moments.interval(confidence)
+            else:
+                if len(pts) < 2:
+                    return None
+                est, hw = mean_confidence_interval([p.value for p in pts], confidence)
+        else:
+            sample = list(self._points) if pts is None else pts
+            if len(sample) < 3:
+                return None
+            xs = np.array([p.nodes for p in sample], dtype=float)
+            ys = np.array([p.value for p in sample], dtype=float)
+            try:
+                fit = self._fitters[kind](xs, ys)
+            except ValueError:
+                return None
+            est, hw = fit.prediction_interval(job.nodes, confidence)
+        if self.template.relative:
+            est *= job.max_run_time
+            hw *= job.max_run_time
+        est = max(est, elapsed)
+        return est, max(hw, 0.0)
+
+
+def _bits(result):
+    """A prediction as raw float64 bytes (distinguishes -0.0, keeps None)."""
+    if result is None:
+        return None
+    return tuple(struct.pack("<d", float(v)) for v in result)
+
+
+# Few distinct run times and node counts, so duplicates, ties at the
+# ``>=`` boundary and degenerate regression designs all occur.
+_run_times = st.one_of(
+    st.sampled_from([0.0, 1.0, 30.0, 30.0, 120.5, 600.0, 3600.0]),
+    st.floats(0.0, 1e5, allow_nan=False),
+)
+_elapsed = st.one_of(
+    st.tuples(st.just("zero"), st.just(0)),
+    st.tuples(st.just("stored"), st.integers(0, 40)),  # == a stored run time
+    st.tuples(st.just("above"), st.just(0)),  # above every stored run time
+    st.tuples(st.just("free"), st.floats(0.0, 2e5, allow_nan=False)),
+)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"), _run_times, st.sampled_from([1, 2, 4, 4, 16, 64]),
+            st.floats(1.0, 2e5),
+        ),
+        st.tuples(
+            st.just("predict"), _elapsed, st.integers(1, 64),
+            st.one_of(st.none(), st.floats(1.0, 2e5)),
+            st.sampled_from([0.90, 0.95]),
+        ),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@given(
+    kind=st.sampled_from(ESTIMATOR_KINDS),
+    relative=st.booleans(),
+    max_history=st.one_of(st.none(), st.integers(1, 8)),
+    ops=_ops,
+)
+@settings(max_examples=300, deadline=None)
+def test_property_memoised_category_matches_filter_and_fit(
+    kind, relative, max_history, ops
+):
+    template = Template(
+        characteristics=("u",), max_history=max_history,
+        relative=relative, estimator=kind,
+    )
+    cat = Category(template)
+    ref = _FilterAndFitCategory(template)
+    stored: list[float] = []
+    for op in ops:
+        if op[0] == "add":
+            _, run_time, nodes, max_rt = op
+            job = Job(job_id=len(stored) + 1, submit_time=0.0, run_time=run_time,
+                      nodes=nodes, user="alice", max_run_time=max_rt)
+            cat.add(job)
+            ref.add(job)
+            stored.append(run_time)
+            continue
+        _, (mode, arg), nodes, max_rt, confidence = op
+        window = [p.run_time for p in ref._points]
+        if mode == "zero" or not window:
+            elapsed = 0.0
+        elif mode == "stored":
+            elapsed = window[arg % len(window)]
+        elif mode == "above":
+            elapsed = max(window) + 1.0
+        else:
+            elapsed = arg
+        job = Job(job_id=10_000, submit_time=0.0, run_time=1.0, nodes=nodes,
+                  user="alice", max_run_time=max_rt)
+        # Twice: the second call is served from the memo.
+        want = _bits(ref.predict(job, elapsed, confidence))
+        assert _bits(cat.predict(job, elapsed, confidence)) == want
+        assert _bits(cat.predict(job, elapsed, confidence)) == want
+
+
+def test_memo_counts_hits_misses_and_scanned_points():
+    cat = Category(Template(characteristics=("u",)))
+    for rt in (10.0, 20.0, 30.0, 40.0):
+        cat.add(Job(job_id=int(rt), submit_time=0.0, run_time=rt, nodes=1, user="u"))
+    job = Job(job_id=99, submit_time=0.0, run_time=1.0, nodes=1, user="u")
+    cat.predict(job, 5.0)   # k=4: miss, scans the 4 points
+    cat.predict(job, 10.0)  # k=4 again (10.0 qualifies): hit
+    cat.predict(job, 15.0)  # k=3: miss
+    cat.predict(job, 0.0)   # elapsed 0 reads the running moments: no lookup
+    assert (cat.memo_hits, cat.memo_misses, cat.points_scanned) == (1, 2, 8)
+    cat.add(Job(job_id=50, submit_time=0.0, run_time=50.0, nodes=1, user="u"))
+    cat.predict(job, 10.0)  # the add cleared the memo
+    assert (cat.memo_hits, cat.memo_misses) == (1, 3)
+    # Unconditioned regression lookups (the audit's re-derivation) are
+    # memoised but not counted.
+    reg = Category(Template(characteristics=("u",), estimator="linear"))
+    for rt in (10.0, 20.0, 30.0):
+        reg.add(Job(job_id=int(rt), submit_time=0.0, run_time=rt, nodes=int(rt), user="u"))
+    reg.predict(job, 0.0)
+    reg.predict(job, 0.0)
+    assert (reg.memo_hits, reg.memo_misses, reg.points_scanned) == (0, 0, 0)
+
+
+# ---------------------------------------------------------------------
+# Smith's per-job category-key cache
+# ---------------------------------------------------------------------
+def _smith_with_history():
+    pred = SmithPredictor(
+        [Template(characteristics=("u",)), Template(characteristics=("e",))]
+    )
+    for i, (user, exe, rt) in enumerate(
+        [("alice", "sim", 100.0), ("alice", "sim", 120.0), ("alice", "sim", 110.0),
+         ("bob", "solver", 5000.0), ("bob", "solver", 5200.0), ("bob", "solver", 4900.0)]
+    ):
+        pred.on_finish(
+            Job(job_id=i + 1, submit_time=0.0, run_time=rt, nodes=4, user=user,
+                executable=exe),
+            0.0,
+        )
+    return pred
+
+
+def test_smith_job_id_reuse_with_a_different_job_is_not_served_stale_keys():
+    pred = _smith_with_history()
+    first = Job(job_id=77, submit_time=0.0, run_time=1.0, nodes=4, user="alice",
+                executable="sim")
+    second = first.with_(user="bob", executable="solver")
+    p1 = pred.predict(first)
+    p2 = pred.predict(second)
+    assert p1.estimate < 200.0
+    assert p2 == _smith_with_history().predict(second)
+    assert p2.estimate > 4000.0
+
+
+@given(history=job_batches(min_size=3, max_size=20))
+@settings(max_examples=40, deadline=None)
+def test_property_smith_key_cache_empty_after_every_job_finishes(history):
+    pred = SmithPredictor(
+        [Template(characteristics=("u",)), Template(characteristics=("u", "e")),
+         Template(characteristics=(), relative=True)]
+    )
+    for job in history:
+        pred.predict(job)
+        pred.predict(job, elapsed=job.run_time / 2)
+    for job in history:
+        pred.on_finish(job, job.submit_time + job.run_time)
+    assert pred._keys == {}
+
+
+def test_point_estimator_surfaces_smith_memo_counters():
+    est = PointEstimator(_smith_with_history())
+    job = Job(job_id=77, submit_time=0.0, run_time=1.0, nodes=4, user="alice",
+              executable="sim")
+    est.predict(job, 105.0, 0.0)
+    est.predict(job, 105.0, 0.0)
+    stats = est.obs_stats()
+    assert stats["predictor.memo_misses"] == 2  # one per template
+    assert stats["predictor.memo_hits"] == 2
+    assert stats["predictor.points_scanned"] == 6
+    assert not any(
+        k.startswith("predictor.")
+        for k in PointEstimator(MaxRuntimePredictor()).obs_stats()
+    )

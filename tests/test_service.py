@@ -253,6 +253,17 @@ class TestPredictions:
             == 2
         )
 
+    def test_latency_read_from_the_injected_clock(self):
+        ticks = iter([100.0, 100.25, 200.0, 200.5])
+        svc = _service(BackfillPolicy(), clock=lambda: next(ticks))
+        svc.submit(make_job(job_id=1, nodes=4, run_time=50.0,
+                            max_run_time=100.0), 0.0)
+        svc.predict(1)
+        svc.predict_batch()
+        hist = svc.stats()["histograms"]["service.query_latency_seconds"]
+        assert hist["count"] == 2
+        assert hist["sum"] == 0.75
+
 
 class TestWireFormat:
     def test_job_round_trip(self):
