@@ -38,11 +38,19 @@ Every simulator carries an :class:`repro.obs.Instrumentation`, but the
 replay loop itself stays observability-free: job life-cycle counts and
 the wait-time histogram are *derived* from state the engine keeps anyway
 (``_started``, ``_records``, ``running``) when :meth:`metrics_snapshot`
-folds them into the registry, and the traced variants of the event
-handlers/scheduling pass are bound over the plain ones in ``__init__``
-only when tracing, detail mode or pass timing is requested.  See the
-Observability section of ``docs/architecture.md`` for the event taxonomy
-and the overhead budget.
+folds them into the registry.  Each job event handler (submit, start,
+finish) ends by calling its kind's subscriber tuple, resolved once in
+``__init__`` and again by :meth:`~Simulator.add_observer`, in this
+order: the ``job_submitted``/``job_finished`` emitter (tracing); the
+estimator's hook (the audited one emits ``runtime_predicted`` on
+submit); one view, built whenever any observer (the time series is
+one) is attached, handed to each observer's hook; the audit's
+``resolve_wait`` (start) / ``resolve_runtime`` (finish); on start, the
+backfill-depth tally (detail or tracing), then ``job_started`` /
+``job_backfilled`` (tracing).  The scheduling pass runs inside a
+``schedule_pass`` span only when pass timing is on.  See the
+Observability section of ``docs/architecture.md`` for the event
+taxonomy and the overhead budget.
 """
 
 from __future__ import annotations
@@ -437,7 +445,6 @@ class Simulator:
         self.obs = obs
         self._tracer = obs.tracer
         self._trace_enabled = obs.tracer.enabled
-        self._time_passes = obs.time_passes
         self._provenance = bool(obs.provenance) and self._trace_enabled
         self._view_cls = InstrumentedSchedulerView if obs.detail else SchedulerView
         self._policy_name = policy.name
@@ -452,27 +459,16 @@ class Simulator:
         #: Backfill-depth tracking walks the queue once per selecting pass;
         #: the default mode skips it to stay inside the overhead budget.
         self._track_depth = obs.detail or obs.tracer.enabled
-        if self._trace_enabled:
-            # Shadow the plain handlers with the event-emitting variants;
-            # the untraced replay keeps handlers with zero obs code.
-            self._handle_submit = self._handle_submit_traced
-            self._handle_finish = self._handle_finish_traced
+        #: job_id -> queue depth of each job the current pass selected.
+        self._depths: dict[int, int] = {}
         self._audit = obs.audit
-        if self._audit is not None:
-            # Wrap whatever finish/start paths the modes above bound —
-            # composing with tracing instead of multiplying variants.
-            # The default replay keeps the plain methods untouched.
-            self._inner_handle_finish = self._handle_finish
-            self._handle_finish = self._handle_finish_audited
-            self._inner_start = self._start
-            self._start = self._start_audited
-        if self._time_passes:
+        #: Pass-duration histogram; ``None`` leaves the pass unwrapped.
+        self._h_pass = None
+        if obs.time_passes:
             self._h_pass = obs.registry.histogram(
                 "sim.pass_duration_seconds", PASS_DURATION_BUCKETS
             )
-            # Shadow the plain pass with the span-wrapped variant; the
-            # default path keeps the unwrapped method (zero extra frames).
-            self._schedule_pass = self._schedule_pass_timed
+        self._bind_subscribers()
         if obs.timeseries is not None:
             self.add_observer(obs.timeseries)
 
@@ -538,6 +534,56 @@ class Simulator:
     def add_observer(self, observer: object) -> None:
         """Attach an observer receiving on_submit/on_start/on_finish hooks."""
         self._observers.append(observer)
+        self._bind_subscribers()
+
+    def _bind_subscribers(self) -> None:
+        """Resolve each event kind's subscribers in the module docstring's
+        order.  A subscriber is called as ``fn(sim, payload)``, the payload
+        being the :class:`QueuedJob` of a submit or start and the
+        :class:`RunningJob` of a finish.  None of the subscribers built
+        here refers to the simulator, so no reference cycle keeps a
+        finished replay alive."""
+        cls = type(self)
+        submit, start, finish = [], [], []
+        if self._trace_enabled:
+            submit.append(cls._emit_submitted)
+            finish.append(cls._emit_finished)
+        est = self.estimator
+        for name, subs in (("on_submit", submit), ("on_start", start), ("on_finish", finish)):
+            hook = getattr(est, name, None)
+            if hook is not None:
+                subs.append(lambda sim, p, hook=hook: hook(p.job, sim.now))
+        if self._observers:
+            submit.append(self._observer_fan_out("on_submit", False))
+            start.append(self._observer_fan_out("on_start", True))
+            finish.append(self._observer_fan_out("on_finish", True))
+        if self._audit is not None:
+            start.append(cls._resolve_wait)
+            finish.append(cls._resolve_runtime)
+        if self._track_depth:
+            start.append(cls._tally_depth)
+        if self._trace_enabled:
+            start.append(cls._emit_started)
+        self._on_submit = tuple(submit)
+        self._on_start = tuple(start)
+        self._on_finish = tuple(finish)
+
+    def _observer_fan_out(self, name: str, pass_job: bool):
+        """A subscriber passing one new view and the payload (or its job)
+        to every observer hook called ``name``.  The view is built even
+        when no observer has the hook: building it may flush the estimate
+        cache."""
+        found = (getattr(o, name, None) for o in self._observers)
+        hooks = tuple(hook for hook in found if hook is not None)
+        view_cls = self._view_cls
+
+        def notify(sim: "Simulator", payload) -> None:
+            view = view_cls(sim)
+            arg = payload.job if pass_job else payload
+            for hook in hooks:
+                hook(view, arg)
+
+        return notify
 
     def load_trace(self, trace: Trace) -> None:
         if self.pool.total != trace.total_nodes:
@@ -728,13 +774,8 @@ class Simulator:
         qj = QueuedJob(job)
         self.queued.append(qj)
         self.state_epoch += 1
-        self._notify_estimator("on_submit", job)
-        if self._observers:
-            view = self._view_cls(self)
-            for obs in self._observers:
-                hook = getattr(obs, "on_submit", None)
-                if hook is not None:
-                    hook(view, qj)
+        for notify in self._on_submit:
+            notify(self, qj)
 
     def _handle_finish(self, rj: RunningJob) -> None:
         try:
@@ -752,54 +793,8 @@ class Simulator:
                 nodes=rj.job.nodes,
             )
         )
-        self._notify_estimator("on_finish", rj.job)
-        if self._observers:
-            view = self._view_cls(self)
-            for obs in self._observers:
-                hook = getattr(obs, "on_finish", None)
-                if hook is not None:
-                    hook(view, rj.job)
-
-    def _handle_submit_traced(self, job: Job) -> None:
-        """:meth:`_handle_submit` plus the ``job_submitted`` event — bound
-        over the plain handler in ``__init__`` when tracing is on."""
-        self._tracer.emit(
-            "job_submitted",
-            sim_time=self.now,
-            job_id=job.job_id,
-            policy=self._policy_name,
-            nodes=job.nodes,
-        )
-        type(self)._handle_submit(self, job)
-
-    def _handle_finish_traced(self, rj: RunningJob) -> None:
-        """:meth:`_handle_finish` plus the ``job_finished`` event."""
-        self._tracer.emit(
-            "job_finished",
-            sim_time=self.now,
-            job_id=rj.job_id,
-            policy=self._policy_name,
-            run_s=self.now - rj.start_time,
-        )
-        type(self)._handle_finish(self, rj)
-
-    def _handle_finish_audited(self, rj: RunningJob) -> None:
-        """Run the finish path the other modes bound (plain or traced),
-        then resolve the job's run-time predictions against the actual."""
-        self._inner_handle_finish(rj)
-        self._audit.resolve_runtime(
-            rj.job_id, self.now, self.now - rj.start_time,
-            policy=self._policy_name,
-        )
-
-    def _start_audited(self, qj: QueuedJob) -> None:
-        """Run the bound start path, then resolve the job's wait-time
-        predictions against the realized wait."""
-        wait_s = self.now - qj.job.submit_time
-        self._inner_start(qj)
-        self._audit.resolve_wait(
-            qj.job_id, self.now, wait_s, policy=self._policy_name
-        )
+        for notify in self._on_finish:
+            notify(self, rj)
 
     def _handle_reservation_start(self, res: Reservation) -> None:
         self.pending_reservations.remove(res)
@@ -844,42 +839,12 @@ class Simulator:
         self.waiting_reservations = still_waiting
 
     def _schedule_pass(self) -> list[QueuedJob]:
-        if not self.queued:
-            return []
-        if self.pool.free == 0:
+        if not self.queued or self.pool.free == 0:
             # Every job needs >= 1 node, so no policy can start anything;
             # reservations are recomputed from scratch next pass anyway.
             return []
-        self._n_passes += 1
-        view = self._view_cls(self)
-        selections = list(self.policy.select(view))
-        selected_ids = {qj.job_id for qj in selections}
-        if len(selected_ids) != len(selections):
-            raise RuntimeError(f"{self.policy.name} selected a job twice")
-        if self._track_depth and selections:
-            depths = self._selection_depths(selected_ids)
-            for qj in selections:
-                if qj not in self.queued:
-                    raise RuntimeError(
-                        f"{self.policy.name} selected job {qj.job_id} not in queue"
-                    )
-                self._start_tracked(qj, depths.get(qj.job_id, 0))
-            return selections
-        for qj in selections:
-            if qj not in self.queued:
-                raise RuntimeError(
-                    f"{self.policy.name} selected job {qj.job_id} not in queue"
-                )
-            self._start(qj)
-        return selections
-
-    def _schedule_pass_timed(self) -> list[QueuedJob]:
-        """Span-wrapped pass, bound over :meth:`_schedule_pass` in
-        ``__init__`` when pass timing is on — the default replay keeps the
-        plain method and never sees this frame.  The early exits mirror the
-        plain pass so spans map one-to-one onto counted passes."""
-        if not self.queued or self.pool.free == 0:
-            return []
+        if self._h_pass is None:
+            return self._select_and_start()
         with self._tracer.span(
             "schedule_pass",
             histogram=self._h_pass,
@@ -887,8 +852,24 @@ class Simulator:
             policy=self._policy_name,
             queued=len(self.queued),
         ) as span:
-            selections = type(self)._schedule_pass(self)
+            selections = self._select_and_start()
             span.annotate(started=len(selections))
+        return selections
+
+    def _select_and_start(self) -> list[QueuedJob]:
+        self._n_passes += 1
+        selections = list(self.policy.select(self._view_cls(self)))
+        selected_ids = {qj.job_id for qj in selections}
+        if len(selected_ids) != len(selections):
+            raise RuntimeError(f"{self.policy.name} selected a job twice")
+        if self._track_depth and selections:
+            self._depths = self._selection_depths(selected_ids)
+        for qj in selections:
+            if qj not in self.queued:
+                raise RuntimeError(
+                    f"{self.policy.name} selected job {qj.job_id} not in queue"
+                )
+            self._start(qj)
         return selections
 
     def _selection_depths(self, selected_ids: set[int]) -> dict[int, int]:
@@ -919,45 +900,55 @@ class Simulator:
         self.running.append(rj)
         self._started[qj.job_id] = self.now
         self._events.push(self.now + max(qj.job.run_time, 0.0), FINISH, rj)
-        self._notify_estimator("on_start", qj.job)
-        if self._observers:
-            view = self._view_cls(self)
-            for obs in self._observers:
-                hook = getattr(obs, "on_start", None)
-                if hook is not None:
-                    hook(view, qj.job)
+        for notify in self._on_start:
+            notify(self, qj)
 
-    def _start_tracked(self, qj: QueuedJob, depth: int) -> None:
-        """:meth:`_start` plus depth accounting and life-cycle events —
-        the detail/tracing start path (see ``_track_depth``)."""
-        self._start(qj)
+    # ------------------------------------------------------------------
+    # instrumentation subscribers (bound by _bind_subscribers)
+    # ------------------------------------------------------------------
+    def _emit_submitted(self, qj: QueuedJob) -> None:
+        self._tracer.emit(
+            "job_submitted", sim_time=self.now, job_id=qj.job_id,
+            policy=self._policy_name, nodes=qj.job.nodes,
+        )
+
+    def _emit_finished(self, rj: RunningJob) -> None:
+        self._tracer.emit(
+            "job_finished", sim_time=self.now, job_id=rj.job_id,
+            policy=self._policy_name, run_s=self.now - rj.start_time,
+        )
+
+    def _resolve_wait(self, qj: QueuedJob) -> None:
+        self._audit.resolve_wait(
+            qj.job_id, self.now, self.now - qj.job.submit_time,
+            policy=self._policy_name,
+        )
+
+    def _resolve_runtime(self, rj: RunningJob) -> None:
+        self._audit.resolve_runtime(
+            rj.job_id, self.now, self.now - rj.start_time,
+            policy=self._policy_name,
+        )
+
+    def _tally_depth(self, qj: QueuedJob) -> None:
+        depth = self._depths.get(qj.job_id, 0)
         self._depth_samples.append(depth)
         if depth > 0:
             self._n_backfilled += 1
-        if self._trace_enabled:
+
+    def _emit_started(self, qj: QueuedJob) -> None:
+        depth = self._depths.get(qj.job_id, 0)
+        self._tracer.emit(
+            "job_started", sim_time=self.now, job_id=qj.job_id,
+            policy=self._policy_name, wait_s=self.now - qj.job.submit_time,
+            nodes=qj.job.nodes, depth=depth,
+        )
+        if depth > 0:
             self._tracer.emit(
-                "job_started",
-                sim_time=self.now,
-                job_id=qj.job_id,
-                policy=self._policy_name,
-                wait_s=self.now - qj.job.submit_time,
-                nodes=qj.job.nodes,
+                "job_backfilled", sim_time=self.now, job_id=qj.job_id,
+                policy=self._policy_name, cause="out_of_order_start",
                 depth=depth,
             )
-            if depth > 0:
-                self._tracer.emit(
-                    "job_backfilled",
-                    sim_time=self.now,
-                    job_id=qj.job_id,
-                    policy=self._policy_name,
-                    cause="out_of_order_start",
-                    depth=depth,
-                )
-
-    def _notify_estimator(self, hook_name: str, job: Job) -> None:
-        hook = getattr(self.estimator, hook_name, None)
-        if hook is not None:
-            hook(job, self.now)
 
 
 class FrozenEstimator:

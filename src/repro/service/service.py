@@ -41,12 +41,10 @@ backfill with a divergent scheduler estimator) fall back to per-job
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Callable
 
 from repro.obs import QUERY_LATENCY_BUCKETS, Instrumentation
-from repro.scheduler.policies import BackfillPolicy, FCFSPolicy
 from repro.scheduler.policies.base import Policy
 from repro.scheduler.simulator import (
     QueuedJob,
@@ -58,6 +56,7 @@ from repro.scheduler.simulator import (
 from repro.waitpred.fast import (
     UnknownJobError,
     backfill_predicted_starts,
+    exact_shortcut,
     fcfs_predicted_starts,
     predict_start_fast,
 )
@@ -246,18 +245,13 @@ class PredictionService:
 
     def _shortcut_starts(self) -> dict[int, float] | None:
         """All queued starts in one walk, or ``None`` when inexact."""
-        snap = self.snapshot()
         durations = self._durations
         assert durations is not None
-        if isinstance(self.policy, FCFSPolicy):
-            return fcfs_predicted_starts(snap, durations)
-        estimates = self._estimates
-        self_consistent = estimates is None or all(
-            math.isclose(estimates.get(jid, float("nan")), d, rel_tol=1e-12)
-            for jid, d in durations.items()
-        )
-        if isinstance(self.policy, BackfillPolicy) and self_consistent:
-            return backfill_predicted_starts(snap, durations)
+        walk = exact_shortcut(self.policy, durations, self._estimates)
+        if walk == "fcfs":
+            return fcfs_predicted_starts(self.snapshot(), durations)
+        if walk == "backfill":
+            return backfill_predicted_starts(self.snapshot(), durations)
         return None
 
     def _start_of(self, job_id: int) -> float:

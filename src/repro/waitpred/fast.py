@@ -19,8 +19,8 @@ Greedy LWF has no such shortcut (a lower-priority job that starts in a
 gap may genuinely delay a higher-priority one, which replanning
 captures and a one-shot plan does not), and neither does backfill with
 ``durations != estimates`` (finish events trigger replans that shift
-reservations).  :func:`predict_start_fast` dispatches: shortcut when
-exact, reference simulation otherwise.
+reservations).  :func:`exact_shortcut` is that rule; every planner
+dispatches on it and simulates when no shortcut is exact.
 
 The equivalence of shortcut and reference is property-tested in
 ``tests/test_waitpred_fast.py``.
@@ -37,6 +37,7 @@ from repro.scheduler.simulator import SystemSnapshot, forward_simulate
 
 __all__ = [
     "UnknownJobError",
+    "exact_shortcut",
     "fcfs_predicted_start",
     "fcfs_predicted_starts",
     "backfill_predicted_start",
@@ -167,6 +168,26 @@ def backfill_predicted_starts(
     return out
 
 
+def exact_shortcut(
+    policy: Policy, durations: dict[int, float], estimates: dict[int, float] | None = None
+) -> str | None:
+    """The analytic walk that replays ``policy`` exactly, if any.
+
+    ``"fcfs"`` always under FCFS, which never consults estimates;
+    ``"backfill"`` under conservative backfill when the scheduler's
+    ``estimates`` are omitted or equal ``durations`` to a relative
+    1e-12; else ``None``.
+    """
+    if isinstance(policy, FCFSPolicy):
+        return "fcfs"
+    if isinstance(policy, BackfillPolicy) and (estimates is None or all(
+        math.isclose(estimates.get(jid, float("nan")), d, rel_tol=1e-12)
+        for jid, d in durations.items()
+    )):
+        return "backfill"
+    return None
+
+
 def predict_start_fast(
     snapshot: SystemSnapshot,
     policy: Policy,
@@ -181,14 +202,10 @@ def predict_start_fast(
     :func:`repro.scheduler.simulator.forward_simulate` with identical
     semantics and results (bit-equal up to float associativity).
     """
-    if isinstance(policy, FCFSPolicy):
-        # FCFS never consults estimates; the shortcut is always exact.
+    walk = exact_shortcut(policy, durations, estimates)
+    if walk == "fcfs":
         return fcfs_predicted_start(snapshot, durations, target_job_id)
-    self_consistent = estimates is None or all(
-        math.isclose(estimates.get(jid, float("nan")), d, rel_tol=1e-12)
-        for jid, d in durations.items()
-    )
-    if isinstance(policy, BackfillPolicy) and self_consistent:
+    if walk == "backfill":
         return backfill_predicted_start(snapshot, durations, target_job_id)
     return forward_simulate(
         snapshot, policy, durations, target_job_id, estimates=estimates

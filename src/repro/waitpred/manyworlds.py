@@ -46,12 +46,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.predictors.base import PointEstimator
-from repro.scheduler.policies import BackfillPolicy, FCFSPolicy
+from repro.scheduler.policies import BackfillPolicy
 from repro.scheduler.policies.backfill import BatchAvailabilityProfile
 from repro.scheduler.policies.base import Policy
 from repro.scheduler.simulator import SystemSnapshot
 from repro.utils.rng import rng_from_seed
-from repro.waitpred.fast import predict_start_fast
+from repro.waitpred.fast import UnknownJobError, exact_shortcut, predict_start_fast
 
 __all__ = [
     "EncodedSnapshot",
@@ -219,19 +219,12 @@ def _seed_profile_batch(
     )
 
 
-def _target_pos(enc: EncodedSnapshot, target_job_id: int) -> int:
-    try:
-        return enc.queued_ids.index(target_job_id)
-    except ValueError:
-        raise KeyError(f"job {target_job_id} not in snapshot queue") from None
-
-
 def fcfs_starts_batch(
     enc: EncodedSnapshot, durations: np.ndarray, target_job_id: int
 ) -> np.ndarray:
     """Per-world FCFS predicted starts — ``fcfs_predicted_start`` with a
     sample axis (monotone in-order planning via per-world floors)."""
-    target = _target_pos(enc, target_job_id)
+    target = enc.queued_ids.index(target_job_id)
     profile = _seed_profile_batch(enc, durations, target + 1)
     n_run = enc.n_running
     prev_start = np.full(durations.shape[0], enc.now)
@@ -252,7 +245,7 @@ def backfill_starts_batch(
 ) -> np.ndarray:
     """Per-world conservative-backfill starts in the self-consistent
     imagined world — ``backfill_predicted_start`` with a sample axis."""
-    target = _target_pos(enc, target_job_id)
+    target = enc.queued_ids.index(target_job_id)
     profile = _seed_profile_batch(enc, durations, target + 1)
     n_run = enc.n_running
     for pos in range(target):
@@ -297,15 +290,19 @@ def predict_starts_batch(
 ) -> np.ndarray:
     """Per-world predicted starts, vectorized where a shortcut is exact.
 
-    Mirrors the dispatch of :func:`repro.waitpred.fast.predict_start_fast`
-    for the self-consistent worlds the Monte-Carlo engine simulates
-    (believed durations double as the scheduler's estimates): FCFS and
+    Dispatches on :func:`repro.waitpred.fast.exact_shortcut` for the
+    self-consistent worlds the Monte-Carlo engine simulates (believed
+    durations double as the scheduler's estimates): FCFS and
     conservative backfill run through the batched profile; any other
-    policy falls back to the scalar per-world loop.
+    policy falls back to the scalar per-world loop.  An unqueued target
+    raises :class:`~repro.waitpred.fast.UnknownJobError` up front.
     """
-    if isinstance(policy, FCFSPolicy):
+    if target_job_id not in enc.queued_ids:
+        raise UnknownJobError(target_job_id)
+    walk = exact_shortcut(policy, {})  # each world's durations are its estimates
+    if walk == "fcfs":
         return fcfs_starts_batch(enc, durations, target_job_id)
-    if isinstance(policy, BackfillPolicy):
+    if walk == "backfill":
         return backfill_starts_batch(enc, durations, target_job_id)
     return scalar_starts(snapshot, policy, enc, durations, target_job_id)
 

@@ -7,8 +7,8 @@ Three properties the report pipeline stands on:
    ``evaluate_wait_predictions`` for waits) within float tolerance;
 2. attaching the audit never changes the schedule or the estimator's
    fallback tallies;
-3. the disabled path binds zero audit machinery (no shadowed methods,
-   no per-instance handlers) — the hot path is untouched, not merely
+3. the disabled path subscribes zero audit or tracing machinery to the
+   simulator's job events — the hot path is untouched, not merely
    guarded.
 """
 
@@ -23,7 +23,7 @@ from repro.predictors.smith import SmithPredictor
 from repro.predictors.replay import replay_prediction_error
 from repro.predictors.templates import Template
 from repro.scheduler.policies import BackfillPolicy, FCFSPolicy
-from repro.scheduler.simulator import Simulator
+from repro.scheduler.simulator import FrozenEstimator, Simulator
 from repro.waitpred.evaluation import evaluate_wait_predictions
 from repro.waitpred.predictor import WaitTimePredictor
 from repro.workloads.job import Trace
@@ -155,15 +155,31 @@ class TestAuditNeutrality:
 
 
 class TestZeroCostWhenDisabled:
+    #: The simulator's tracing and audit subscribers.
+    OBS_SUBSCRIBERS = {
+        Simulator._emit_submitted,
+        Simulator._emit_started,
+        Simulator._emit_finished,
+        Simulator._resolve_wait,
+        Simulator._resolve_runtime,
+        Simulator._tally_depth,
+    }
+
+    @staticmethod
+    def subscribers(sim):
+        return sim._on_submit + sim._on_start + sim._on_finish
+
     def test_plain_simulator_binds_no_audit_handlers(self):
+        # A hook-less estimator (a forward simulation's) subscribes nothing.
+        bare = Simulator(FCFSPolicy(), FrozenEstimator({}), 10)
+        assert bare._on_submit == bare._on_start == bare._on_finish == ()
         sim = Simulator(
             FCFSPolicy(), PointEstimator(ActualRuntimePredictor()), 10
         )
         assert sim._audit is None
-        assert "_handle_finish" not in vars(sim)
-        assert "_start" not in vars(sim)
-        assert not hasattr(sim, "_inner_handle_finish")
-        assert not hasattr(sim, "_inner_start")
+        # One subscriber per kind: the estimator's life-cycle hook.
+        assert len(sim._on_submit) == len(sim._on_start) == len(sim._on_finish) == 1
+        assert not self.OBS_SUBSCRIBERS & set(self.subscribers(sim))
 
     def test_plain_estimator_binds_no_audit_hook(self):
         est = PointEstimator(ActualRuntimePredictor())
@@ -179,14 +195,48 @@ class TestZeroCostWhenDisabled:
             instrumentation=inst,
         )
         assert sim._audit is None
-        assert not hasattr(sim, "_inner_handle_finish")
+        subscribed = set(self.subscribers(sim))
+        assert Simulator._emit_submitted in subscribed
+        assert Simulator._resolve_wait not in subscribed
+        assert Simulator._resolve_runtime not in subscribed
 
-    def test_audit_composes_with_tracing(self):
-        inst = Instrumentation(tracer=Tracer(ListSink()), audit=True)
+    def test_audit_composes_with_tracing(self, small_trace):
+        sink = ListSink()
+        inst = Instrumentation(tracer=Tracer(sink), audit=True)
         sim = Simulator(
-            FCFSPolicy(), PointEstimator(ActualRuntimePredictor()), 10,
+            FCFSPolicy(),
+            PointEstimator(ActualRuntimePredictor(), instrumentation=inst),
+            small_trace.total_nodes,
             instrumentation=inst,
         )
-        # The audited wrapper delegates to the traced handler it shadowed.
-        assert sim._handle_finish.__func__ is Simulator._handle_finish_audited
-        assert sim._inner_handle_finish.__func__ is Simulator._handle_finish_traced
+        sim.add_observer(
+            WaitTimePredictor(
+                FCFSPolicy(), ActualRuntimePredictor(), instrumentation=inst
+            )
+        )
+        sim.run(small_trace)
+        lifecycle = {"job_submitted", "job_started", "job_finished"}
+
+        def neighbour(i, job_id, step):
+            """The nearest life-cycle event of ``job_id`` from ``i``."""
+            i += step
+            while 0 <= i < len(sink.events):
+                e = sink.events[i]
+                if e["type"] in lifecycle and e["job_id"] == job_id:
+                    return e["type"]
+                i += step
+            return None
+
+        resolved = {"run_time": 0, "wait_time": 0}
+        for i, e in enumerate(sink.events):
+            if e["type"] != "prediction_resolved":
+                continue
+            resolved[e["kind"]] += 1
+            if e["kind"] == "run_time":
+                # Resolved by the finish, after its job_finished.
+                assert neighbour(i, e["job_id"], -1) == "job_finished"
+            else:
+                # Resolved by the start, before its job_started closes it.
+                assert neighbour(i, e["job_id"], -1) == "job_submitted"
+                assert neighbour(i, e["job_id"], +1) == "job_started"
+        assert resolved == {"run_time": len(small_trace), "wait_time": len(small_trace)}

@@ -5,6 +5,9 @@ every scheduler decision shows up as an event, and the registry counters
 agree with the result records.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.registry import make_predictor
@@ -162,3 +165,21 @@ def test_statebased_observer_metrics_and_events(trace):
     predicted = [e for e in sink.events if e["type"] == "wait_predicted"]
     assert len(predicted) == JOBS
     validate_events(predicted)
+
+
+def test_instrumented_replay_freed_by_reference_counting(trace):
+    """No event subscriber holds the simulator, so dropping the last
+    reference frees a fully instrumented replay without the cycle
+    collector."""
+    inst = Instrumentation(
+        tracer=Tracer(ListSink()), detail=True, audit=True, timeseries=True
+    )
+    gc.disable()
+    try:
+        _, sim = _replay(trace, BackfillPolicy, instrumentation=inst)
+        sim.add_observer(StateBasedWaitPredictor(PointEstimator(make_predictor("max", trace))))
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -9,9 +9,17 @@ from repro.predictors.base import PointEstimator, warm_start
 from repro.predictors.simple import ActualRuntimePredictor
 from repro.predictors.smith import SmithPredictor
 from repro.predictors.templates import Template
-from repro.scheduler.policies import BackfillPolicy, FCFSPolicy
+from repro.scheduler.policies import (
+    BackfillPolicy,
+    EASYBackfillPolicy,
+    FCFSPolicy,
+    LWFPolicy,
+)
 from repro.scheduler.simulator import QueuedJob, RunningJob, SystemSnapshot
 from repro.utils.rng import rng_from_seed
+from repro.waitpred.fast import UnknownJobError
+from repro.waitpred.manyworlds import sweep_estimates
+from repro.waitpred.predictor import predict_wait
 from repro.waitpred.uncertainty import WaitInterval, predict_wait_interval
 from tests.conftest import make_job
 
@@ -99,6 +107,24 @@ class TestPredictWaitInterval:
         est = PointEstimator(ActualRuntimePredictor())
         iv = predict_wait_interval(snap, BackfillPolicy(), est, 2, samples=5)
         assert iv.median >= 0.0
+
+    @pytest.mark.parametrize(
+        "policy_cls", [FCFSPolicy, LWFPolicy, BackfillPolicy, EASYBackfillPolicy]
+    )
+    @pytest.mark.parametrize("job_id", [1, 99])  # running, never submitted
+    def test_unqueued_target_raises_typed_error(self, policy_cls, job_id):
+        """Interval and sweep queries fail like ``predict_wait`` does."""
+        snap = snapshot_with_queue()
+        est = PointEstimator(ActualRuntimePredictor())
+        for query in (
+            lambda: predict_wait(snap, policy_cls(), est, job_id),
+            lambda: predict_wait_interval(snap, policy_cls(), est, job_id, samples=4),
+            lambda: sweep_estimates(snap, policy_cls(), est, job_id, samples=4),
+        ):
+            with pytest.raises(UnknownJobError) as info:
+                query()
+            assert info.value.job_id == job_id
+            assert str(info.value) == f"job {job_id} not in snapshot queue"
 
     def test_validation(self):
         snap = snapshot_with_queue()
