@@ -181,8 +181,8 @@ def test_hotpath_tracing_overhead(benchmark):
 def test_hotpath_provenance_overhead(benchmark):
     """Decision-provenance tracing vs. plain tracing, backfill replay.
 
-    Provenance mode re-routes the policies through traced walks
-    (binding attribution, hole tracking, change-only emission) on top
+    Provenance mode adds binding attribution, hole tracking and
+    change-only emission to the policies' selection walks, on top
     of ordinary tracing; this arm measures that increment per workload
     — both sides write JSONL to the null device, only ``provenance``
     differs — and asserts schedule identity on every pair.  Following

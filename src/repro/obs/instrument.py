@@ -20,7 +20,7 @@ with a :class:`~repro.obs.trace.Tracer` and fixes the cost knobs:
   default replay executes zero audit instructions.
 - ``provenance`` — emit decision-provenance events
   (``start_blocked``/``reservation_binding``/``backfill_hole_used``)
-  from the policies' traced walks, attributing each queued job's delay
+  from the policies' selection walks, attributing each queued job's delay
   to the running job or reservation that binds it.  Follows ``detail``
   when unset; requires an enabled tracer to have any effect (the
   engine's ``provenance_tracer`` gate stays ``None`` otherwise).

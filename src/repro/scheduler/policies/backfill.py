@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.scheduler.policies.base import Policy
+from repro.scheduler.policies.base import Policy, report_blocker
 
 __all__ = ["AvailabilityProfile", "BatchAvailabilityProfile", "BackfillPolicy"]
 
@@ -869,57 +869,16 @@ class BackfillPolicy(Policy):
         return origin
 
     def select(self, view) -> Sequence:
-        queued = list(view.queued)  # arrival order
-        if not queued:
-            return []
-        tracer = getattr(view, "tracer", None)
-        if tracer is not None:
-            return self._select_traced(view, queued, tracer)
-        # Suffix minima of node requests: suffix_min[k] is the smallest
-        # request among queued[k:], the early-exit threshold below.
-        n = len(queued)
-        suffix_min = [0] * n
-        smallest = queued[-1].job.nodes
-        for k in range(n - 1, -1, -1):
-            nd = queued[k].job.nodes
-            if nd < smallest:
-                smallest = nd
-            suffix_min[k] = smallest
-        free_now = view.free_nodes
-        if free_now < suffix_min[0]:
-            # Not even the narrowest queued job fits right now, so the
-            # pass starts nothing; skip building the profile entirely
-            # (its reservations would be discarded anyway).
-            return []
-        now = view.now
-        min_duration = self.min_duration
-        estimate = view.estimate
-        profile = self._seeded_profile(view)
-        reserve = profile.reserve
-        started = []
-        for k in range(n):
-            if free_now < suffix_min[k]:
-                break  # no remaining job can start now; see module docstring
-            qj = queued[k]
-            duration = estimate(qj)
-            if duration < min_duration:
-                duration = min_duration
-            start = reserve(qj.job.nodes, duration)
-            if start <= now:
-                started.append(qj)
-                free_now -= qj.job.nodes
-        return started
+        """One walk of the queue in arrival order, reserving every job.
 
-    def _select_traced(self, view, queued, tracer) -> Sequence:
-        """The tracing walk: same selections, full reservation event stream.
-
-        The early exits in :meth:`select` only skip reservations that are
-        discarded at the end of the pass (jobs that cannot start *now*),
-        so dropping them here cannot change the selected set — it merely
-        makes every queued job's reservation observable.  Events report
-        the reservation *life-cycle*: ``reservation_placed`` the first
-        time a job gets a future start, ``reservation_shifted`` whenever
-        a replan moves it.
+        Untraced, the walk stops as soon as no remaining job can start
+        *now* (see the module docstring).  That exit only skips
+        reservations discarded at the end of the pass, so under a tracer
+        the thresholds are ``-inf`` and the walk visits every job: the
+        selected set is the same, and every queued job's reservation is
+        observable.  Events report the reservation *life-cycle*:
+        ``reservation_placed`` the first time a job gets a future start,
+        ``reservation_shifted`` whenever a replan moves it.
 
         Under the provenance knob the walk additionally attributes every
         *moved* reservation to its binding constraint.  A reservation
@@ -931,27 +890,56 @@ class BackfillPolicy(Policy):
         ``backfill_hole_used`` marks each out-of-order start with the
         earlier blocked arrival whose reservation opened the hole.
         """
+        queued = list(view.queued)  # arrival order
+        if not queued:
+            return []
+        n = len(queued)
+        free_now = view.free_nodes
+        tracer = getattr(view, "tracer", None)
+        prov = getattr(view, "provenance_tracer", None)
+        if tracer is None:
+            # Suffix minima of node requests: suffix_min[k] is the
+            # smallest request among queued[k:], the early-exit threshold.
+            suffix_min = [0] * n
+            smallest = queued[-1].job.nodes
+            for k in range(n - 1, -1, -1):
+                nd = queued[k].job.nodes
+                if nd < smallest:
+                    smallest = nd
+                suffix_min[k] = smallest
+            if free_now < suffix_min[0]:
+                # Not even the narrowest queued job fits right now, so the
+                # pass starts nothing; skip building the profile entirely
+                # (its reservations would be discarded anyway).
+                return []
+        else:
+            suffix_min = [-_INF] * n  # never exits early
         now = view.now
         min_duration = self.min_duration
-        prov = getattr(view, "provenance_tracer", None)
+        estimate = view.estimate
         profile = self._seeded_profile(view)
+        reserve = profile.reserve
         last = self._last_reserved
         first_blocked: tuple[int, float] | None = None
         started = []
         started_ids: set[int] = set()
         moved: list[tuple[int, int, float]] = []
-        for k, qj in enumerate(queued):
-            duration = view.estimate(qj)
+        for k in range(n):
+            if free_now < suffix_min[k]:
+                break  # no remaining job can start now; see module docstring
+            qj = queued[k]
+            duration = estimate(qj)
             if duration < min_duration:
                 duration = min_duration
             job = qj.job
-            jid = job.job_id  # hoisted: QueuedJob.job_id is a property
-            start = profile.reserve(job.nodes, duration)
-            prev = last.get(jid)
+            start = reserve(job.nodes, duration)
             if start <= now:
                 started.append(qj)
-                if prev is not None:
-                    del last[jid]
+                free_now -= job.nodes
+                if tracer is None:
+                    continue
+                jid = job.job_id  # hoisted: QueuedJob.job_id is a property
+                last.pop(jid, None)
                 if prov is not None:
                     started_ids.add(jid)
                     if first_blocked is not None:
@@ -966,8 +954,12 @@ class BackfillPolicy(Policy):
                             nodes=job.nodes,
                         )
                 continue
+            if tracer is None:
+                continue
+            jid = job.job_id
             if prov is not None and first_blocked is None:
                 first_blocked = (jid, start)
+            prev = last.get(jid)
             if prev is None:
                 tracer.emit(
                     "reservation_placed",
@@ -1036,27 +1028,10 @@ class BackfillPolicy(Policy):
             if k == next_k:
                 start = moved[mi][2]
                 kind, bid = origin.get(start, _UNKNOWN_BINDING)
-                if binding.get(jid) != (kind, bid):
-                    binding[jid] = (kind, bid)
-                    if bid is None:
-                        prov.emit(
-                            "reservation_binding",
-                            sim_time=now,
-                            job_id=jid,
-                            policy=self.name,
-                            start_s=start,
-                            blocker_kind=kind,
-                        )
-                    else:
-                        prov.emit(
-                            "reservation_binding",
-                            sim_time=now,
-                            job_id=jid,
-                            policy=self.name,
-                            start_s=start,
-                            blocker_kind=kind,
-                            blocker_id=bid,
-                        )
+                report_blocker(
+                    prov, binding, "reservation_binding", now, self.name,
+                    jid, kind, bid, start_s=start,
+                )
                 mi += 1
                 if mi == n_moved:
                     return

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.scheduler.simulator import QueuedJob, SchedulerView
 
-__all__ = ["Policy", "ReleaseAttributor"]
+__all__ = ["Policy", "ReleaseAttributor", "report_blocker"]
 
 
 class Policy(ABC):
@@ -51,8 +51,9 @@ class ReleaseAttributor:
     capacity) are ignored, exactly as the policies themselves do.
 
     Estimate calls made here (``view.remaining``) are value-deterministic
-    within an estimator epoch and never alter schedules, so the traced
-    walks that use this stay selection-identical to the plain walks.
+    within an estimator epoch and never alter schedules, so a ``select``
+    walk that builds one under provenance selects exactly what it
+    selects with provenance off.
     """
 
     __slots__ = ("_releases",)
@@ -85,3 +86,26 @@ class ReleaseAttributor:
             if free >= nodes_needed:
                 return kind, bid
         return "unknown", None
+
+
+def report_blocker(
+    prov, last: dict, event: str, now: float, policy: str, job_id: int,
+    kind: str, bid: int | None, *, start_s: float | None = None,
+    free_nodes: int | None = None,
+) -> None:
+    """Emit provenance ``event`` naming ``job_id``'s blocker, change-only.
+
+    ``last`` maps job id -> the ``(blocker_kind, blocker_id)`` last
+    reported, so a blocker is reported when it moves rather than on
+    every pass.  ``blocker_id`` is omitted when unknown (``bid is None``).
+    """
+    if last.get(job_id) == (kind, bid):
+        return
+    last[job_id] = (kind, bid)
+    fields: dict = {} if start_s is None else {"start_s": start_s}
+    fields["blocker_kind"] = kind
+    if bid is not None:
+        fields["blocker_id"] = bid
+    if free_nodes is not None:
+        fields["free_nodes"] = free_nodes
+    prov.emit(event, sim_time=now, job_id=job_id, policy=policy, **fields)

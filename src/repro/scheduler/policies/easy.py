@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.scheduler.policies.backfill import AvailabilityProfile
-from repro.scheduler.policies.base import Policy
+from repro.scheduler.policies.base import Policy, report_blocker
 
 __all__ = ["EASYBackfillPolicy"]
 
@@ -53,23 +53,16 @@ class EASYBackfillPolicy(Policy):
             return []
         prov = getattr(view, "provenance_tracer", None)
         origin: dict | None = {} if prov is not None else None
-        if origin is None:
-            releases = [
-                (now + view.remaining(rj), rj.job.nodes) for rj in view.running
-            ]
-            releases.extend(
-                (max(ares.end_time, now), ares.nodes)
-                for ares in getattr(view, "active_reservations", ())
-            )
-        else:
-            releases = []
-            for rj in view.running:
-                t = now + view.remaining(rj)
-                releases.append((t, rj.job.nodes))
+        releases = []
+        for rj in view.running:
+            t = now + view.remaining(rj)
+            releases.append((t, rj.job.nodes))
+            if origin is not None:
                 origin[t] = ("running_job", rj.job_id)
-            for ares in getattr(view, "active_reservations", ()):
-                t = max(ares.end_time, now)
-                releases.append((t, ares.nodes))
+        for ares in getattr(view, "active_reservations", ()):
+            t = max(ares.end_time, now)
+            releases.append((t, ares.nodes))
+            if origin is not None:
                 origin[t] = ("active_reservation", ares.reservation.res_id)
         profile = AvailabilityProfile.from_releases(
             now, view.free_nodes, view.total_nodes, releases
@@ -109,7 +102,11 @@ class EASYBackfillPolicy(Policy):
         head_start = profile.earliest_start(head.job.nodes, head_duration)
         profile.carve(head_start, head_duration, head.job.nodes)
         if prov is not None:
-            self._emit_binding(prov, now, head, head_start, origin)
+            kind, bid = origin.get(head_start, ("unknown", None))
+            report_blocker(
+                prov, self._last_binding, "reservation_binding", now,
+                self.name, head.job_id, kind, bid, start_s=head_start,
+            )
             origin[head_start + head_duration] = (
                 "queued_reservation", head.job_id,
             )
@@ -140,34 +137,8 @@ class EASYBackfillPolicy(Policy):
                 # Unprotected job: attribute the anchor of its would-be
                 # start (often the head's own carve end).
                 kind, bid = origin.get(est_start, ("unknown", None))
-                if self._last_blocked.get(qj.job_id) != (kind, bid):
-                    self._last_blocked[qj.job_id] = (kind, bid)
-                    if bid is None:
-                        prov.emit(
-                            "start_blocked", sim_time=now, job_id=qj.job_id,
-                            policy=self.name, blocker_kind=kind,
-                        )
-                    else:
-                        prov.emit(
-                            "start_blocked", sim_time=now, job_id=qj.job_id,
-                            policy=self.name, blocker_kind=kind, blocker_id=bid,
-                        )
+                report_blocker(
+                    prov, self._last_blocked, "start_blocked", now, self.name,
+                    qj.job_id, kind, bid,
+                )
         return started
-
-    def _emit_binding(self, prov, now, head, head_start, origin) -> None:
-        """Change-only ``reservation_binding`` for the protected head."""
-        kind, bid = origin.get(head_start, ("unknown", None))
-        if self._last_binding.get(head.job_id) == (kind, bid):
-            return
-        self._last_binding[head.job_id] = (kind, bid)
-        if bid is None:
-            prov.emit(
-                "reservation_binding", sim_time=now, job_id=head.job_id,
-                policy=self.name, start_s=head_start, blocker_kind=kind,
-            )
-        else:
-            prov.emit(
-                "reservation_binding", sim_time=now, job_id=head.job_id,
-                policy=self.name, start_s=head_start, blocker_kind=kind,
-                blocker_id=bid,
-            )

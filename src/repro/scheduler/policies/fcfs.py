@@ -11,7 +11,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.scheduler.policies.base import Policy, ReleaseAttributor
+from repro.scheduler.policies.base import (
+    Policy,
+    ReleaseAttributor,
+    report_blocker,
+)
 
 __all__ = ["FCFSPolicy"]
 
@@ -27,26 +31,15 @@ class FCFSPolicy(Policy):
         self._last_blocked: dict[int, tuple] = {}
 
     def select(self, view) -> Sequence:
-        prov = getattr(view, "provenance_tracer", None)
-        if prov is not None:
-            return self._select_traced(view, prov)
-        free = view.free_nodes
-        started = []
-        for qj in view.queued:  # arrival order
-            if qj.job.nodes <= free:
-                started.append(qj)
-                free -= qj.job.nodes
-            else:
-                break
-        return started
+        """Start jobs in arrival order until the head blocks.
 
-    def _select_traced(self, view, prov) -> Sequence:
-        """Selection-identical walk emitting ``start_blocked`` provenance.
-
-        The blocked head is attributed to the release that first clears
-        its node deficit; everything behind it is ``queue_order``-blocked
-        on the head (FCFS's head-of-line rule), whatever its own fit.
+        Under provenance the walk goes on past the blocked head to emit
+        ``start_blocked``: the head is attributed to the release that
+        first clears its node deficit, and everything behind it is
+        ``queue_order``-blocked on the head (FCFS's head-of-line rule),
+        whatever its own fit.
         """
+        prov = getattr(view, "provenance_tracer", None)
         free = view.free_nodes
         now = view.now
         last = self._last_blocked
@@ -56,8 +49,11 @@ class FCFSPolicy(Policy):
             if head_id is None and qj.job.nodes <= free:
                 started.append(qj)
                 free -= qj.job.nodes
-                last.pop(qj.job_id, None)
+                if prov is not None:
+                    last.pop(qj.job_id, None)
                 continue
+            if prov is None:
+                break
             if head_id is None:
                 head_id = qj.job_id
                 attr = ReleaseAttributor(view)
@@ -69,17 +65,8 @@ class FCFSPolicy(Policy):
                 kind, bid = attr.binding(qj.job.nodes, free)
             else:
                 kind, bid = "queue_order", head_id
-            if last.get(qj.job_id) != (kind, bid):
-                last[qj.job_id] = (kind, bid)
-                if bid is None:
-                    prov.emit(
-                        "start_blocked", sim_time=now, job_id=qj.job_id,
-                        policy=self.name, blocker_kind=kind, free_nodes=free,
-                    )
-                else:
-                    prov.emit(
-                        "start_blocked", sim_time=now, job_id=qj.job_id,
-                        policy=self.name, blocker_kind=kind, blocker_id=bid,
-                        free_nodes=free,
-                    )
+            report_blocker(
+                prov, last, "start_blocked", now, self.name, qj.job_id,
+                kind, bid, free_nodes=free,
+            )
         return started

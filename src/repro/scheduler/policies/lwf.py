@@ -19,7 +19,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.scheduler.policies.base import Policy, ReleaseAttributor
+from repro.scheduler.policies.base import (
+    Policy,
+    ReleaseAttributor,
+    report_blocker,
+)
 
 __all__ = ["LWFPolicy"]
 
@@ -35,43 +39,23 @@ class LWFPolicy(Policy):
         self._last_blocked: dict[int, tuple] = {}
 
     def select(self, view) -> Sequence:
+        """Start every fitting job in ascending estimated-work order.
+
+        Under provenance every unstarted job emits ``start_blocked``:
+        greedy LWF has no head-of-line rule, so each is bound by the
+        release that first clears its own node deficit against the free
+        nodes remaining when the walk reaches it.
+        """
         queued = list(view.queued)
         if not queued:
             return []
         prov = getattr(view, "provenance_tracer", None)
-        if prov is not None:
-            return self._select_traced(view, queued, prov)
         free = view.free_nodes
         # Nothing fits when even the narrowest job exceeds the free
-        # nodes — skip the estimate lookups and the sort entirely.
-        if free < min(qj.job.nodes for qj in queued):
+        # nodes — skip the estimate lookups and the sort entirely, unless
+        # provenance must attribute every blocked job.
+        if prov is None and free < min(qj.job.nodes for qj in queued):
             return []
-        estimate = view.estimate
-        order = sorted(
-            queued,
-            key=lambda qj: (
-                qj.job.nodes * estimate(qj),
-                qj.job.submit_time,
-                qj.job.job_id,
-            ),
-        )
-        started = []
-        for qj in order:
-            if qj.job.nodes <= free:
-                started.append(qj)
-                free -= qj.job.nodes
-        return started
-
-    def _select_traced(self, view, queued, prov) -> Sequence:
-        """Selection-identical walk emitting ``start_blocked`` provenance.
-
-        Drops the nothing-fits early exit (which only skips work, never
-        changes the selected set) so every blocked job is attributed:
-        greedy LWF has no head-of-line rule, so each unstarted job is
-        bound by the release that first clears its own node deficit
-        against the free nodes remaining when the walk reaches it.
-        """
-        free = view.free_nodes
         now = view.now
         estimate = view.estimate
         order = sorted(
@@ -89,12 +73,15 @@ class LWFPolicy(Policy):
             if qj.job.nodes <= free:
                 started.append(qj)
                 free -= qj.job.nodes
-                last.pop(qj.job_id, None)
-                if attr is not None:
-                    attr.add(
-                        now + estimate(qj), qj.job.nodes,
-                        "running_job", qj.job_id,
-                    )
+                if prov is not None:
+                    last.pop(qj.job_id, None)
+                    if attr is not None:
+                        attr.add(
+                            now + estimate(qj), qj.job.nodes,
+                            "running_job", qj.job_id,
+                        )
+                continue
+            if prov is None:
                 continue
             if attr is None:
                 attr = ReleaseAttributor(view)
@@ -104,17 +91,8 @@ class LWFPolicy(Policy):
                         "running_job", sj.job_id,
                     )
             kind, bid = attr.binding(qj.job.nodes, free)
-            if last.get(qj.job_id) != (kind, bid):
-                last[qj.job_id] = (kind, bid)
-                if bid is None:
-                    prov.emit(
-                        "start_blocked", sim_time=now, job_id=qj.job_id,
-                        policy=self.name, blocker_kind=kind, free_nodes=free,
-                    )
-                else:
-                    prov.emit(
-                        "start_blocked", sim_time=now, job_id=qj.job_id,
-                        policy=self.name, blocker_kind=kind, blocker_id=bid,
-                        free_nodes=free,
-                    )
+            report_blocker(
+                prov, last, "start_blocked", now, self.name, qj.job_id,
+                kind, bid, free_nodes=free,
+            )
         return started

@@ -130,6 +130,19 @@ class PredictionService:
         self._h_latency = obs.registry.histogram(
             "service.query_latency_seconds", QUERY_LATENCY_BUCKETS
         )
+        # Estimator life-cycle hooks per event kind, resolved once: the
+        # duration estimator's first, then a distinct scheduler
+        # estimator's (a shared one is notified once).
+        estimators = [estimator]
+        if scheduler_estimator is not None and scheduler_estimator is not estimator:
+            estimators.append(scheduler_estimator)
+        self._on_submit, self._on_start, self._on_finish = (
+            tuple(
+                fn for fn in (getattr(est, hook, None) for est in estimators)
+                if fn is not None
+            )
+            for hook in ("on_submit", "on_start", "on_finish")
+        )
 
     # ------------------------------------------------------------------
     # event ingestion
@@ -142,18 +155,6 @@ class PredictionService:
         self.now = now
         self.epoch += 1
         self._n_events += 1
-
-    def _notify_estimator(self, hook: str, job: Job) -> None:
-        targets = [self.estimator]
-        if (
-            self.scheduler_estimator is not None
-            and self.scheduler_estimator is not self.estimator
-        ):
-            targets.append(self.scheduler_estimator)
-        for est in targets:
-            fn = getattr(est, hook, None)
-            if fn is not None:
-                fn(job, self.now)
 
     def tick(self, now: float) -> None:
         """Advance the clock with no job event (wall time passing).
@@ -171,7 +172,8 @@ class PredictionService:
             raise ValueError(f"job {jid} already submitted")
         self._advance(now)
         self._queued[jid] = QueuedJob(job)
-        self._notify_estimator("on_submit", job)
+        for fn in self._on_submit:
+            fn(job, now)
 
     def start(self, job_id: int, now: float) -> None:
         """A queued job began running at ``now``."""
@@ -181,7 +183,8 @@ class PredictionService:
         self._advance(now)
         del self._queued[job_id]
         self._running[job_id] = RunningJob(job=qj.job, start_time=now)
-        self._notify_estimator("on_start", qj.job)
+        for fn in self._on_start:
+            fn(qj.job, now)
 
     def finish(self, job_id: int, now: float) -> None:
         """A running job released its nodes at ``now``."""
@@ -191,7 +194,8 @@ class PredictionService:
         self._advance(now)
         del self._running[job_id]
         self._finished.add(job_id)
-        self._notify_estimator("on_finish", rj.job)
+        for fn in self._on_finish:
+            fn(rj.job, now)
 
     # ------------------------------------------------------------------
     # state

@@ -96,19 +96,44 @@ def _seed_profile(
     )
 
 
+def _walk(
+    snapshot: SystemSnapshot,
+    durations: dict[int, float],
+    in_order: bool,
+    target_job_id: int | None = None,
+) -> dict[int, float]:
+    """Reserve the queue in arrival order; ``{job_id: start}``.
+
+    The one profile walk behind both shortcuts.  ``in_order`` floors
+    each start at the previous job's (FCFS); without it every job takes
+    its earliest slot (conservative backfill, whose duration floor
+    ``BackfillPolicy.min_duration`` equals ``_EPS``).  Given a target,
+    the walk stops once the target is planned and raises
+    :class:`UnknownJobError` if the queue does not hold it.
+    """
+    profile = _seed_profile(snapshot, durations)
+    reserve = profile.reserve
+    not_before = snapshot.now if in_order else None
+    out: dict[int, float] = {}
+    for qj in snapshot.queued:  # arrival order
+        jid = qj.job_id
+        duration = max(_duration_of(durations, jid), _EPS)
+        start = reserve(qj.job.nodes, duration, not_before=not_before)
+        if in_order:
+            not_before = start
+        out[jid] = start
+        if jid == target_job_id:
+            return out
+    if target_job_id is not None:
+        raise UnknownJobError(target_job_id)
+    return out
+
+
 def fcfs_predicted_start(
     snapshot: SystemSnapshot, durations: dict[int, float], target_job_id: int
 ) -> float:
     """Exact FCFS predicted start of ``target_job_id`` (no event loop)."""
-    profile = _seed_profile(snapshot, durations)
-    prev_start = snapshot.now
-    for qj in snapshot.queued:  # arrival order
-        duration = max(_duration_of(durations, qj.job_id), _EPS)
-        start = profile.reserve(qj.job.nodes, duration, not_before=prev_start)
-        prev_start = start
-        if qj.job_id == target_job_id:
-            return start
-    raise UnknownJobError(target_job_id)
+    return _walk(snapshot, durations, True, target_job_id)[target_job_id]
 
 
 def fcfs_predicted_starts(
@@ -116,22 +141,12 @@ def fcfs_predicted_starts(
 ) -> dict[int, float]:
     """Exact FCFS predicted starts of *every* queued job, in one walk.
 
-    The single-target walk already visits every job ahead of the target;
-    this variant keeps going to the end of the queue and returns
-    ``{job_id: start}`` for all of it — the batch form the prediction
-    service uses to answer a whole epoch's queries from one profile
-    pass.  Each entry is bit-identical to the single-target
-    :func:`fcfs_predicted_start`.
+    The batch form the prediction service uses to answer a whole
+    epoch's queries from one profile pass.  Each entry is bit-identical
+    to the single-target :func:`fcfs_predicted_start`, which is the same
+    walk stopped at its target.
     """
-    profile = _seed_profile(snapshot, durations)
-    prev_start = snapshot.now
-    out: dict[int, float] = {}
-    for qj in snapshot.queued:  # arrival order
-        duration = max(_duration_of(durations, qj.job_id), _EPS)
-        start = profile.reserve(qj.job.nodes, duration, not_before=prev_start)
-        prev_start = start
-        out[qj.job_id] = start
-    return out
+    return _walk(snapshot, durations, True)
 
 
 def backfill_predicted_start(
@@ -142,13 +157,7 @@ def backfill_predicted_start(
     Exact only when the scheduler's estimates equal ``durations`` (the
     self-consistent imagined world); callers must ensure that.
     """
-    profile = _seed_profile(snapshot, durations)
-    for qj in snapshot.queued:  # arrival order
-        duration = max(_duration_of(durations, qj.job_id), BackfillPolicy.min_duration)
-        start = profile.reserve(qj.job.nodes, duration)
-        if qj.job_id == target_job_id:
-            return start
-    raise UnknownJobError(target_job_id)
+    return _walk(snapshot, durations, False, target_job_id)[target_job_id]
 
 
 def backfill_predicted_starts(
@@ -160,12 +169,7 @@ def backfill_predicted_starts(
     caveat: the scheduler's estimates must equal ``durations``); each
     entry is bit-identical to the single-target call.
     """
-    profile = _seed_profile(snapshot, durations)
-    out: dict[int, float] = {}
-    for qj in snapshot.queued:  # arrival order
-        duration = max(_duration_of(durations, qj.job_id), BackfillPolicy.min_duration)
-        out[qj.job_id] = profile.reserve(qj.job.nodes, duration)
-    return out
+    return _walk(snapshot, durations, False)
 
 
 def exact_shortcut(

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.predictors.base import PointEstimator
-from repro.predictors.simple import ActualRuntimePredictor, MaxRuntimePredictor
+from repro.predictors.simple import MaxRuntimePredictor
 from repro.scheduler.policies import BackfillPolicy, FCFSPolicy, LWFPolicy
 from repro.scheduler.simulator import Simulator
 from repro.service import (
@@ -143,6 +143,87 @@ class TestEventValidation:
         svc.start(1, 1.0)
         svc.finish(1, 2.0)
         assert svc.epoch == 3
+
+
+class HookRecorder:
+    """An estimator recording every life-cycle hook call into ``log``."""
+
+    history_epoch = 0
+
+    def __init__(self, name: str, log: list) -> None:
+        self.name = name
+        self.log = log
+
+    def predict(self, job, elapsed, now) -> float:
+        return float(job.max_run_time)
+
+    def on_submit(self, job, now) -> None:
+        self.log.append((self.name, "on_submit", job.job_id, now))
+
+    def on_start(self, job, now) -> None:
+        self.log.append((self.name, "on_start", job.job_id, now))
+
+    def on_finish(self, job, now) -> None:
+        self.log.append((self.name, "on_finish", job.job_id, now))
+
+
+class NoHooks:
+    """An estimator with no life-cycle hooks at all."""
+
+    history_epoch = 0
+
+    def predict(self, job, elapsed, now) -> float:
+        return float(job.max_run_time)
+
+
+def _drive(svc: PredictionService) -> None:
+    svc.submit(make_job(job_id=1, nodes=2, max_run_time=100.0), 1.0)
+    svc.start(1, 2.0)
+    svc.finish(1, 3.0)
+
+
+class TestEstimatorHooks:
+    def test_duration_estimator_notified_before_scheduler_estimator(self):
+        log: list = []
+        svc = PredictionService(
+            BackfillPolicy(), HookRecorder("duration", log), TOTAL,
+            scheduler_estimator=HookRecorder("scheduler", log),
+        )
+        _drive(svc)
+        assert log == [
+            ("duration", "on_submit", 1, 1.0),
+            ("scheduler", "on_submit", 1, 1.0),
+            ("duration", "on_start", 1, 2.0),
+            ("scheduler", "on_start", 1, 2.0),
+            ("duration", "on_finish", 1, 3.0),
+            ("scheduler", "on_finish", 1, 3.0),
+        ]
+
+    def test_shared_estimator_notified_once(self):
+        log: list = []
+        est = HookRecorder("shared", log)
+        svc = PredictionService(
+            BackfillPolicy(), est, TOTAL, scheduler_estimator=est
+        )
+        _drive(svc)
+        assert log == [
+            ("shared", "on_submit", 1, 1.0),
+            ("shared", "on_start", 1, 2.0),
+            ("shared", "on_finish", 1, 3.0),
+        ]
+
+    def test_estimator_without_hooks_is_skipped(self):
+        log: list = []
+        svc = PredictionService(
+            BackfillPolicy(), NoHooks(), TOTAL,
+            scheduler_estimator=HookRecorder("scheduler", log),
+        )
+        _drive(svc)
+        assert [entry[1] for entry in log] == ["on_submit", "on_start", "on_finish"]
+        bare = PredictionService(FCFSPolicy(), NoHooks(), TOTAL)
+        _drive(bare)
+        bare.submit(make_job(job_id=2, nodes=2, max_run_time=50.0), 4.0)
+        assert bare.predict(2) == 0.0
 
 
 class TestPredictions:

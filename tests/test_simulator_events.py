@@ -116,10 +116,10 @@ _ESTIMATOR_COUNTS = {
 
 
 def _counters(flushes, hits, misses, backfilled, passes, calls, predicted,
-              fallback_max, memo_hits, memo_misses, scanned):
+              fallback_max, memo_hits, memo_misses, scanned, *, statebased=True):
     return {
         **_SIM_COUNTS,
-        **_STATEBASED_COUNTS,
+        **(_STATEBASED_COUNTS if statebased else {}),
         **_ESTIMATOR_COUNTS,
         "sim.estimate_cache_flushes": flushes,
         "sim.estimate_cache_hits": hits,
@@ -228,3 +228,86 @@ def test_bare_observer_event_stream_pinned(policy_name):
     assert bare.seen == N_JOBS
     assert (len(events), _digest(events)) == EXPECTED_BARE_STREAMS[policy_name]
 
+
+
+def replay_one_knob(policy_name: str, inst: Instrumentation):
+    """Replay the ANL prefix under Smith estimates with ``inst`` alone.
+
+    No observers, audit or time series: the only instrumentation is the
+    one knob under test, so the policies' untraced early exits (tracing
+    off) or their traced, provenance-free walks (provenance off) are
+    what the pins below see.
+    """
+    trace = load_paper_workload("ANL", n_jobs=N_JOBS)
+    sim = Simulator(
+        POLICIES[policy_name](),
+        PointEstimator(make_predictor("smith", trace), instrumentation=inst),
+        trace.total_nodes,
+        instrumentation=inst,
+    )
+    result = sim.run(trace)
+    assert len(result.records) == N_JOBS
+    return sim
+
+
+#: policy -> (event count, SHA-256 of the event stream) of a replay
+#: with tracing on and provenance off, recorded before the policies'
+#: traced walks were folded into their plain ones.
+EXPECTED_TRACING_ONLY_STREAMS = {
+    "FCFS": (
+        1309,
+        "9b5d2e8f5db3e0867ca1d5344cbe1cb332677c0cde6eaacc93be81a578838963",
+    ),
+    "LWF": (
+        1895,
+        "cfb6a42290835f09e0ac1fdbbd65f808c6077f50347246e389b31dcc59b4bf8d",
+    ),
+    "Backfill": (
+        2766,
+        "101e4b1ecd4a9184263090bb34e5dad8e02f726714803204fa3dbccc0a18d6d5",
+    ),
+    "EASY": (
+        1934,
+        "0b38239e780784e6705c10144281bfcf0bc7216f2d83b0157cbed7fc60f36d41",
+    ),
+}
+
+
+#: policy -> metrics_snapshot()["counters"] of a detail-mode replay with
+#: tracing off, recorded alongside.  The estimate-cache hit and miss
+#: counts see every estimate a walk asks for, so they change if an
+#: untraced walk loses an early exit.
+EXPECTED_DETAIL_ONLY_COUNTERS = {
+    name: _counters(*args, statebased=False)
+    for name, args in {
+        "FCFS": (0, 0, 0, 0, 409, 0, 0, 0, 0, 0, 0),
+        "LWF": (164, 219, 854, 272, 559, 854, 850, 4, 0, 0, 0),
+        "Backfill": (203, 432, 917, 270, 574, 3194, 2967, 227, 5580, 5388, 459789),
+        "EASY": (191, 872, 883, 270, 573, 3190, 2976, 214, 6083, 5736, 506846),
+    }.items()
+}
+
+
+@pytest.mark.parametrize("policy_name", sorted(POLICIES))
+def test_tracing_only_event_stream_pinned(policy_name):
+    sink = ListSink()
+    replay_one_knob(
+        policy_name, Instrumentation(tracer=Tracer(sink), provenance=False)
+    )
+    events = [
+        {k: v for k, v in e.items() if k not in _CLOCK_FIELDS} for e in sink.events
+    ]
+    assert (len(events), _digest(events)) == EXPECTED_TRACING_ONLY_STREAMS[
+        policy_name
+    ]
+
+
+@pytest.mark.parametrize("policy_name", sorted(POLICIES))
+def test_detail_only_counters_pinned(policy_name):
+    inst = Instrumentation(detail=True)
+    assert not inst.tracer.enabled
+    sim = replay_one_knob(policy_name, inst)
+    assert (
+        sim.metrics_snapshot()["counters"]
+        == EXPECTED_DETAIL_ONLY_COUNTERS[policy_name]
+    )

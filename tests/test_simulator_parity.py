@@ -233,8 +233,8 @@ def _replay(policy_cls, trace, inst=None):
 def test_provenance_replay_schedule_identical(policy_name):
     """Plain, traced, and traced+provenance replays are bit-identical.
 
-    Provenance mode re-routes the policies through traced walks that do
-    extra (value-deterministic) estimate lookups and origin bookkeeping;
+    Provenance mode makes the policies' walks do extra
+    (value-deterministic) estimate lookups and origin bookkeeping;
     the schedules must not move by a single float.
     """
     trace = parity_trace("ANL")

@@ -219,3 +219,10 @@ class TestShortcutEdgeCases:
             assert waits[True][jid] == pytest.approx(
                 waits[False][jid], rel=1e-9, abs=1e-3
             )
+
+
+def test_one_duration_floor_serves_both_shortcuts():
+    """The shared walk floors durations at backfill's own minimum."""
+    from repro.waitpred import fast
+
+    assert fast._EPS == BackfillPolicy.min_duration
