@@ -29,18 +29,13 @@ import sys
 from typing import Sequence
 
 from repro.config import ExperimentConfig
-from repro.core.experiment import (
-    run_runtime_prediction_experiment,
-    run_scheduling_experiment,
-    run_wait_time_experiment,
-)
+from repro.core.experiment import load_trace, run_runtime_prediction_experiment
 from repro.core.registry import POLICY_NAMES, PREDICTOR_NAMES
 from repro.core.tables import format_table
 from repro.experiments.misprediction import DEFAULT_ERROR_LEVELS, ERROR_KINDS
 from repro.obs.timeseries import TIMESERIES_METRICS
 from repro.workloads.archive import PAPER_WORKLOADS, load_paper_workload
 from repro.workloads.stats import summarize
-from repro.workloads.transform import compress_interarrival
 
 __all__ = ["main", "build_parser", "run_config", "run_trace",
            "run_report_from_trace", "run_misprediction", "run_campaign",
@@ -369,13 +364,6 @@ def _config_from_args(args: argparse.Namespace, kind: str) -> ExperimentConfig:
     )
 
 
-def _load(config: ExperimentConfig, name: str):
-    trace = load_paper_workload(name, n_jobs=config.n_jobs, seed=config.seed)
-    if config.compress != 1.0:
-        trace = compress_interarrival(trace, config.compress)
-    return trace
-
-
 def _make_telemetry(args: argparse.Namespace, *, parallel_active: bool):
     """Build the campaign telemetry a grid command asked for, or ``None``.
 
@@ -402,71 +390,34 @@ def _make_telemetry(args: argparse.Namespace, *, parallel_active: bool):
     )
 
 
-def _run_config_parallel(
-    config: ExperimentConfig, telemetry=None
-) -> list[dict[str, object]]:
-    """Fan a scheduling/wait-time grid across worker processes.
-
-    Cells come back in the serial iteration order (workload → algorithm
-    → predictor), so the printed rows are identical to a serial run's.
-    """
-    from repro.core.parallel import (
-        ExperimentPlan,
-        ParallelExecutionError,
-        run_table_parallel,
-    )
-
-    plan = ExperimentPlan.for_grid(
-        "scheduling" if config.kind == "scheduling" else "wait-time",
-        workloads=config.workloads,
-        algorithms=config.algorithms,
-        predictors=config.predictors,
-        n_jobs=config.n_jobs,
-        seed=config.seed,
-        compress=config.compress,
-    )
-    run = run_table_parallel(
-        plan, max_workers=config.parallel, telemetry=telemetry
-    )
-    if run.failures:
-        raise ParallelExecutionError(run.failures)
-    rows = []
-    for result in run.results:
-        row = result.cell.as_row()
-        row["Predictor"] = result.spec.predictor
-        rows.append(row)
-    return rows
-
-
 def run_config(config: ExperimentConfig, *, telemetry=None) -> list[dict[str, object]]:
     """Execute a config and return printable row dicts.
 
     ``telemetry`` (a :class:`repro.obs.campaign.CampaignTelemetry`)
     applies to the parallel path only; the caller owns its lifecycle.
     """
-    if config.parallel > 1 and config.kind in ("scheduling", "wait-time"):
-        return _run_config_parallel(config, telemetry)
-    rows: list[dict[str, object]] = []
-    for workload in config.workloads:
-        trace = _load(config, workload)
-        if config.kind == "runtime-error":
+    if config.kind == "runtime-error":
+        rows: list[dict[str, object]] = []
+        for workload in config.workloads:
+            trace = load_trace(workload, config.n_jobs, config.seed, config.compress)
             for predictor in config.predictors:
                 cell = run_runtime_prediction_experiment(trace, predictor)
                 rows.append(cell.as_row())
-            continue
-        for algorithm in config.algorithms:
-            for predictor in config.predictors:
-                if config.kind == "scheduling":
-                    cell, _ = run_scheduling_experiment(trace, algorithm, predictor)
-                    row = cell.as_row()
-                else:
-                    cell, _, _ = run_wait_time_experiment(
-                        trace, algorithm, predictor
-                    )
-                    row = cell.as_row()
-                row["Predictor"] = predictor
-                rows.append(row)
-    return rows
+        return rows
+    from repro.core.parallel import run_grid
+
+    cells = run_grid(
+        config.kind,
+        workloads=config.workloads,
+        algorithms=config.algorithms,
+        predictors=config.predictors,
+        n_jobs=config.n_jobs,
+        seed=config.seed,
+        compress=config.compress,
+        max_workers=config.parallel,
+        telemetry=telemetry,
+    )
+    return [dict(cell.as_row(), Predictor=cell.predictor) for cell in cells]
 
 
 def run_misprediction(args: argparse.Namespace) -> int:
@@ -474,12 +425,7 @@ def run_misprediction(args: argparse.Namespace) -> int:
     from repro.experiments.misprediction import run_misprediction_campaign
 
     n_jobs = None if args.n_jobs <= 0 else args.n_jobs
-    traces = [
-        load_paper_workload(w, n_jobs=n_jobs, seed=args.seed)
-        for w in args.workloads
-    ]
-    if args.compress != 1.0:
-        traces = [compress_interarrival(t, args.compress) for t in traces]
+    traces = [load_trace(w, n_jobs, args.seed, args.compress) for w in args.workloads]
     max_workers = (os.cpu_count() or 1) if args.parallel <= 0 else args.parallel
     telemetry = _make_telemetry(args, parallel_active=max_workers > 1)
     try:
@@ -568,12 +514,10 @@ def run_trace(args: argparse.Namespace) -> int:
     if args.from_file:
         return _inspect_trace_file(args)
 
-    wl = load_paper_workload(
-        args.workload, n_jobs=None if args.n_jobs <= 0 else args.n_jobs,
-        seed=args.seed,
+    wl = load_trace(
+        args.workload, None if args.n_jobs <= 0 else args.n_jobs, args.seed,
+        args.compress,
     )
-    if args.compress != 1.0:
-        wl = compress_interarrival(wl, args.compress)
 
     job_counts: dict[str, int] = {}
     snapshots = []
@@ -944,12 +888,10 @@ def run_query(args: argparse.Namespace) -> int:
             from repro.scheduler.simulator import Simulator
             from repro.service.server import ClientFeed
 
-            wl = load_paper_workload(
-                args.workload,
-                n_jobs=None if args.replay <= 0 else args.replay,
+            wl = load_trace(
+                args.workload, None if args.replay <= 0 else args.replay,
+                compress=args.compress,
             )
-            if args.compress != 1.0:
-                wl = compress_interarrival(wl, args.compress)
             sim = Simulator(
                 make_policy(args.algorithm),
                 PointEstimator(make_predictor(args.predictor, wl)),

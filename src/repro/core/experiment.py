@@ -31,6 +31,7 @@ from repro.waitpred.evaluation import WaitPredictionReport, evaluate_wait_predic
 from repro.waitpred.predictor import WaitTimePredictor
 from repro.workloads.archive import PAPER_WORKLOADS, load_paper_workload
 from repro.workloads.job import Trace
+from repro.workloads.transform import compress_interarrival
 
 __all__ = [
     "WaitTimeCell",
@@ -39,6 +40,7 @@ __all__ = [
     "run_wait_time_experiment",
     "run_scheduling_experiment",
     "run_runtime_prediction_experiment",
+    "load_trace",
     "run_wait_time_table",
     "run_scheduling_table",
 ]
@@ -232,61 +234,33 @@ def run_runtime_prediction_experiment(
 # ----------------------------------------------------------------------
 # whole-table drivers
 # ----------------------------------------------------------------------
+def load_trace(
+    workload: str | Trace,
+    n_jobs: int | None = None,
+    seed: int | None = None,
+    compress: float = 1.0,
+) -> Trace:
+    """One grid workload as a trace, generated from its recipe if named.
+
+    A :class:`Trace` passes through; a paper workload name is generated
+    from the ``(n_jobs, seed, compress)`` recipe that
+    :class:`repro.core.parallel.CellSpec` carries to pool workers.
+    """
+    if isinstance(workload, Trace):
+        return workload
+    trace = load_paper_workload(workload, n_jobs=n_jobs, seed=seed)
+    return trace if compress == 1.0 else compress_interarrival(trace, compress)
+
+
 def _resolve_traces(
-    workloads: Sequence[str] | Sequence[Trace] | None, n_jobs: int | None
+    workloads: Sequence[str] | Sequence[Trace] | None,
+    n_jobs: int | None,
+    seed: int | None = None,
+    compress: float = 1.0,
 ) -> list[Trace]:
     if workloads is None:
         workloads = tuple(PAPER_WORKLOADS)
-    traces: list[Trace] = []
-    for w in workloads:
-        if isinstance(w, Trace):
-            traces.append(w)
-        else:
-            traces.append(load_paper_workload(w, n_jobs=n_jobs))
-    return traces
-
-
-def _run_table_cells(
-    kind: str,
-    predictor_name: str,
-    workloads,
-    algorithms: Sequence[str],
-    n_jobs: int | None,
-    templates: Iterable[Template] | None,
-    max_workers: int | None,
-    cell_timeout: float | None,
-    retries: int,
-    telemetry=None,
-) -> list:
-    """Fan the table's cell grid across processes (``max_workers > 1``).
-
-    Cells come back in the serial drivers' order; any cell that still
-    fails after its retry budget raises
-    :class:`repro.core.parallel.ParallelExecutionError`.  ``telemetry``
-    (a :class:`repro.obs.campaign.CampaignTelemetry`) makes the run an
-    observable campaign — see :func:`repro.core.parallel.run_table_parallel`.
-    """
-    from repro.core.parallel import (
-        ExperimentPlan,
-        ParallelExecutionError,
-        run_table_parallel,
-    )
-
-    plan = ExperimentPlan.for_table(
-        kind,
-        predictor_name,
-        workloads=workloads,
-        algorithms=algorithms,
-        n_jobs=n_jobs,
-        templates=None if templates is None else tuple(templates),
-    )
-    run = run_table_parallel(
-        plan, max_workers=max_workers, timeout=cell_timeout, retries=retries,
-        telemetry=telemetry,
-    )
-    if run.failures:
-        raise ParallelExecutionError(run.failures)
-    return run.cells
+    return [load_trace(w, n_jobs, seed, compress) for w in workloads]
 
 
 def run_wait_time_table(
@@ -304,22 +278,17 @@ def run_wait_time_table(
     """All cells of one of Tables 4-9 (one predictor, all workloads/algos).
 
     ``max_workers > 1`` runs the grid on a process pool (see
-    :mod:`repro.core.parallel`); the default serial path is untouched.
-    ``telemetry`` applies to the parallel path only.
+    :func:`repro.core.parallel.run_grid`); ``telemetry`` applies to the
+    parallel path only.
     """
-    if max_workers != 1:
-        return _run_table_cells(
-            "wait-time", predictor_name, workloads, algorithms, n_jobs,
-            templates, max_workers, cell_timeout, retries, telemetry,
-        )
-    cells = []
-    for trace in _resolve_traces(workloads, n_jobs):
-        for algo in algorithms:
-            cell, _, _ = run_wait_time_experiment(
-                trace, algo, predictor_name, templates=templates
-            )
-            cells.append(cell)
-    return cells
+    from repro.core.parallel import run_grid
+
+    return run_grid(
+        "wait-time", workloads=workloads, algorithms=algorithms,
+        predictors=(predictor_name,), n_jobs=n_jobs, templates=templates,
+        max_workers=max_workers, timeout=cell_timeout, retries=retries,
+        telemetry=telemetry,
+    )
 
 
 def run_scheduling_table(
@@ -337,19 +306,14 @@ def run_scheduling_table(
     """All cells of one of Tables 10-15 (one predictor).
 
     ``max_workers > 1`` runs the grid on a process pool (see
-    :mod:`repro.core.parallel`); the default serial path is untouched.
-    ``telemetry`` applies to the parallel path only.
+    :func:`repro.core.parallel.run_grid`); ``telemetry`` applies to the
+    parallel path only.
     """
-    if max_workers != 1:
-        return _run_table_cells(
-            "scheduling", predictor_name, workloads, algorithms, n_jobs,
-            templates, max_workers, cell_timeout, retries, telemetry,
-        )
-    cells = []
-    for trace in _resolve_traces(workloads, n_jobs):
-        for algo in algorithms:
-            cell, _ = run_scheduling_experiment(
-                trace, algo, predictor_name, templates=templates
-            )
-            cells.append(cell)
-    return cells
+    from repro.core.parallel import run_grid
+
+    return run_grid(
+        "scheduling", workloads=workloads, algorithms=algorithms,
+        predictors=(predictor_name,), n_jobs=n_jobs, templates=templates,
+        max_workers=max_workers, timeout=cell_timeout, retries=retries,
+        telemetry=telemetry,
+    )

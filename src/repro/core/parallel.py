@@ -1,9 +1,12 @@
-"""Parallel table execution: fan a table's cell grid across processes.
+"""The grid layer: one cell order, one per-cell dispatch, one driver.
 
 The paper's results are 12 tables of independent (workload, algorithm,
-predictor) replay cells — an embarrassingly parallel grid that
-:mod:`repro.core.experiment` nevertheless walks serially.  This module
-executes an :class:`ExperimentPlan` of :class:`CellSpec` records on a
+predictor) replay cells; the misprediction harness adds an error-level
+axis.  Every grid — the Tables 4-15 drivers, the CLI and the harness —
+runs through :func:`run_grid`: :func:`grid_cells` fixes the cell order,
+:func:`run_cell` replays one cell of any kind, and ``max_workers``
+picks between replaying in process and executing an
+:class:`ExperimentPlan` of :class:`CellSpec` records on a
 :class:`concurrent.futures.ProcessPoolExecutor`:
 
 - **Determinism.**  Nothing unpicklable crosses the process boundary: a
@@ -34,9 +37,10 @@ executes an :class:`ExperimentPlan` of :class:`CellSpec` records on a
   way (the resource probe wraps the cell function; it never reaches
   into it).
 
-``run_wait_time_table`` / ``run_scheduling_table`` expose this through
-their ``max_workers=`` parameter (default 1 keeps the serial path), the
-CLI through ``--parallel N`` on the grid subcommands.
+``run_wait_time_table`` / ``run_scheduling_table`` /
+``run_misprediction_campaign`` expose this through their
+``max_workers=`` parameter (default 1 replays in process), the CLI
+through ``--parallel N`` on the grid subcommands.
 """
 
 from __future__ import annotations
@@ -48,11 +52,14 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Sequence
+from itertools import product
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.core.experiment import (
     SchedulingCell,
     WaitTimeCell,
+    _resolve_traces,
+    load_trace,
     run_scheduling_experiment,
     run_wait_time_experiment,
 )
@@ -67,9 +74,8 @@ from repro.obs.campaign import (
 )
 from repro.obs.metrics import merge_snapshots
 from repro.predictors.templates import Template
-from repro.workloads.archive import PAPER_WORKLOADS, load_paper_workload
+from repro.workloads.archive import PAPER_WORKLOADS
 from repro.workloads.job import Trace
-from repro.workloads.transform import compress_interarrival
 
 __all__ = [
     "CellSpec",
@@ -79,6 +85,9 @@ __all__ = [
     "TableRun",
     "ParallelExecutionError",
     "execute_cell",
+    "grid_cells",
+    "run_cell",
+    "run_grid",
     "run_table_parallel",
 ]
 
@@ -88,7 +97,7 @@ CELL_KINDS = ("wait-time", "scheduling", "misprediction")
 
 
 class ParallelExecutionError(RuntimeError):
-    """Raised by the table drivers when parallel cells failed.
+    """Raised by the grid driver when parallel cells failed.
 
     The message names every failed cell by its full spec coordinates
     (:meth:`CellSpec.describe`) with its failure kind, attempt count,
@@ -237,126 +246,66 @@ class ExperimentPlan:
         return len(self.cells)
 
     @classmethod
-    def for_table(
-        cls,
-        kind: str,
-        predictor: str,
-        *,
-        workloads: Sequence[str] | Sequence[Trace] | None = None,
-        algorithms: Sequence[str],
-        n_jobs: int | None = None,
-        seed: int | None = None,
-        compress: float = 1.0,
-        templates: tuple[Template, ...] | None = None,
-    ) -> "ExperimentPlan":
-        """The (workload × algorithm) grid of one paper table, in the
-        serial drivers' iteration order (workload outer, algorithm inner)."""
-        if workloads is None:
-            workloads = tuple(PAPER_WORKLOADS)
-        specs: list[CellSpec] = []
-        for w in workloads:
-            for algo in algorithms:
-                if isinstance(w, Trace):
-                    specs.append(
-                        CellSpec.from_trace(
-                            kind, w, algo, predictor, templates=templates
-                        )
-                    )
-                else:
-                    specs.append(
-                        CellSpec(
-                            kind=kind,
-                            workload=w,
-                            algorithm=algo,
-                            predictor=predictor,
-                            n_jobs=n_jobs,
-                            seed=seed,
-                            compress=compress,
-                            templates=templates,
-                        )
-                    )
-        return cls(cells=tuple(specs))
-
-    @classmethod
-    def for_misprediction(
-        cls,
-        *,
-        workloads: Sequence[str] | Sequence[Trace],
-        algorithms: Sequence[str],
-        levels: Sequence[float],
-        kind: str = "multiplicative",
-        noise_seed: int = 0,
-        base_predictor: str = "actual",
-        n_jobs: int | None = None,
-        seed: int | None = None,
-        compress: float = 1.0,
-    ) -> "ExperimentPlan":
-        """The misprediction grid, in campaign order
-        (workload → algorithm → error level, levels ascending)."""
-        levels = sorted(levels)
-        specs: list[CellSpec] = []
-        for w in workloads:
-            for algo in algorithms:
-                for level in levels:
-                    if isinstance(w, Trace):
-                        specs.append(
-                            CellSpec.from_trace(
-                                "misprediction",
-                                w,
-                                algo,
-                                base_predictor,
-                                error_kind=kind,
-                                error_level=level,
-                                error_seed=noise_seed,
-                            )
-                        )
-                    else:
-                        specs.append(
-                            CellSpec(
-                                kind="misprediction",
-                                workload=w,
-                                algorithm=algo,
-                                predictor=base_predictor,
-                                n_jobs=n_jobs,
-                                seed=seed,
-                                compress=compress,
-                                error_kind=kind,
-                                error_level=level,
-                                error_seed=noise_seed,
-                            )
-                        )
-        return cls(cells=tuple(specs))
-
-    @classmethod
     def for_grid(
         cls,
         kind: str,
         *,
-        workloads: Sequence[str],
+        workloads: Sequence[str] | Sequence[Trace] | None = None,
         algorithms: Sequence[str],
         predictors: Sequence[str],
+        levels: Sequence[float] = (0.0,),
         n_jobs: int | None = None,
         seed: int | None = None,
         compress: float = 1.0,
+        templates: tuple[Template, ...] | None = None,
+        error_kind: str | None = None,
+        error_seed: int = 0,
     ) -> "ExperimentPlan":
-        """A multi-predictor grid in the CLI's row order
-        (workload → algorithm → predictor)."""
-        return cls(
-            cells=tuple(
-                CellSpec(
-                    kind=kind,
-                    workload=w,
-                    algorithm=a,
-                    predictor=p,
-                    n_jobs=n_jobs,
-                    seed=seed,
-                    compress=compress,
-                )
-                for w in workloads
-                for a in algorithms
-                for p in predictors
+        """The specs of :func:`grid_cells`, in its order.
+
+        A workload name carries the ``(n_jobs, seed, compress)`` recipe
+        itself; a :class:`Trace` contributes its regeneration provenance
+        (:meth:`CellSpec.from_trace`).  ``predictors`` name the *base*
+        predictor of misprediction cells, whose noise is ``error_kind``
+        at each of ``levels``.
+        """
+        specs = []
+        for w, algo, pred, level in grid_cells(
+            workloads, algorithms, predictors, levels
+        ):
+            coords = dict(
+                algorithm=algo,
+                predictor=pred,
+                templates=templates,
+                error_kind=error_kind,
+                error_level=level,
+                error_seed=error_seed,
             )
-        )
+            if isinstance(w, Trace):
+                specs.append(CellSpec.from_trace(kind, w, **coords))
+            else:
+                specs.append(
+                    CellSpec(kind=kind, workload=w, n_jobs=n_jobs, seed=seed,
+                             compress=compress, **coords)
+                )
+        return cls(cells=tuple(specs))
+
+
+def grid_cells(
+    workloads: Sequence[str] | Sequence[Trace] | None,
+    algorithms: Sequence[str],
+    predictors: Sequence[str],
+    levels: Sequence[float] = (0.0,),
+):
+    """The one cell order of every grid, as coordinate tuples.
+
+    Workload → algorithm → predictor → error level (ascending);
+    ``workloads=None`` means all four paper workloads.  Each caller
+    varies at most one of the last two axes.
+    """
+    if workloads is None:
+        workloads = tuple(PAPER_WORKLOADS)
+    return product(workloads, algorithms, predictors, sorted(levels))
 
 
 @dataclass
@@ -393,11 +342,55 @@ def _cell_trace(spec: CellSpec) -> Trace:
     key = (spec.workload, spec.n_jobs, spec.seed, spec.compress)
     trace = _TRACE_CACHE.get(key)
     if trace is None:
-        trace = load_paper_workload(spec.workload, n_jobs=spec.n_jobs, seed=spec.seed)
-        if spec.compress != 1.0:
-            trace = compress_interarrival(trace, spec.compress)
-        _TRACE_CACHE[key] = trace
+        trace = _TRACE_CACHE[key] = load_trace(*key)
     return trace
+
+
+def run_cell(
+    kind: str,
+    trace: Trace,
+    algorithm: str,
+    predictor: str,
+    *,
+    templates: tuple[Template, ...] | None = None,
+    scheduler_predictor: str = "max",
+    error_kind: str | None = None,
+    error_level: float = 0.0,
+    error_seed: int = 0,
+) -> "WaitTimeCell | SchedulingCell | MispredictionCell":
+    """Replay one grid cell of any kind over an in-memory trace.
+
+    The one per-kind dispatch: both the in-process driver and pool
+    workers (:func:`execute_cell`) call it.
+    """
+    if kind == "wait-time":
+        cell, _, _ = run_wait_time_experiment(
+            trace,
+            algorithm,
+            predictor,
+            templates=templates,
+            scheduler_predictor=scheduler_predictor,
+        )
+        return cell
+    if kind == "misprediction":
+        # Imported here: repro.experiments depends on this module for
+        # its grid driver, so the reverse edge must stay lazy.
+        from repro.experiments.misprediction import (
+            ErrorModel,
+            run_misprediction_experiment,
+        )
+
+        cell, _ = run_misprediction_experiment(
+            trace,
+            algorithm,
+            ErrorModel(kind=error_kind, level=error_level, seed=error_seed),
+            base_predictor=predictor,
+        )
+        return cell
+    cell, _ = run_scheduling_experiment(
+        trace, algorithm, predictor, templates=templates
+    )
+    return cell
 
 
 def execute_cell(spec: CellSpec) -> "WaitTimeCell | SchedulingCell | MispredictionCell":
@@ -406,37 +399,17 @@ def execute_cell(spec: CellSpec) -> "WaitTimeCell | SchedulingCell | Mispredicti
     Also usable inline: ``execute_cell(spec)`` in the parent process is
     exactly one serial-driver cell.
     """
-    trace = _cell_trace(spec)
-    if spec.kind == "wait-time":
-        cell, _, _ = run_wait_time_experiment(
-            trace,
-            spec.algorithm,
-            spec.predictor,
-            templates=spec.templates,
-            scheduler_predictor=spec.scheduler_predictor,
-        )
-        return cell
-    if spec.kind == "misprediction":
-        # Imported here: repro.experiments depends on this module for
-        # its parallel path, so the reverse edge must stay lazy.
-        from repro.experiments.misprediction import (
-            ErrorModel,
-            run_misprediction_experiment,
-        )
-
-        cell, _ = run_misprediction_experiment(
-            trace,
-            spec.algorithm,
-            ErrorModel(
-                kind=spec.error_kind, level=spec.error_level, seed=spec.error_seed
-            ),
-            base_predictor=spec.predictor,
-        )
-        return cell
-    cell, _ = run_scheduling_experiment(
-        trace, spec.algorithm, spec.predictor, templates=spec.templates
+    return run_cell(
+        spec.kind,
+        _cell_trace(spec),
+        spec.algorithm,
+        spec.predictor,
+        templates=spec.templates,
+        scheduler_predictor=spec.scheduler_predictor,
+        error_kind=spec.error_kind,
+        error_level=spec.error_level,
+        error_seed=spec.error_seed,
     )
-    return cell
 
 
 def _profiled_cell(fn, spec: CellSpec):
@@ -626,3 +599,58 @@ def run_table_parallel(
         # exit once those tasks finish.
         pool.shutdown(wait=not abandoned, cancel_futures=True)
     return run
+
+
+def run_grid(
+    kind: str,
+    *,
+    workloads: Sequence[str] | Sequence[Trace] | None = None,
+    algorithms: Sequence[str],
+    predictors: Sequence[str],
+    levels: Sequence[float] = (0.0,),
+    n_jobs: int | None = None,
+    seed: int | None = None,
+    compress: float = 1.0,
+    templates: Iterable[Template] | None = None,
+    error_kind: str | None = None,
+    error_seed: int = 0,
+    max_workers: int | None = 1,
+    timeout: float | None = None,
+    retries: int = 1,
+    telemetry: CampaignTelemetry | None = None,
+) -> "list[WaitTimeCell | SchedulingCell | MispredictionCell]":
+    """Run every cell of a grid, in process or on a process pool.
+
+    The one driver behind the Tables 4-15 drivers, the CLI and the
+    misprediction harness; cells come back in :func:`grid_cells` order.
+
+    ``max_workers == 1`` replays the cells in process on the caller's
+    own traces (names are generated here, provenance is not needed) and
+    lets a failing cell raise its own exception; ``telemetry`` is then
+    ignored.  Otherwise the cells run through :func:`run_table_parallel`
+    — traces named by workload are generated only in the workers — and
+    any cell still failing after its retries raises
+    :class:`ParallelExecutionError`.
+    """
+    if templates is not None:
+        templates = tuple(templates)
+    axes = dict(algorithms=algorithms, predictors=predictors, levels=levels)
+    cell_args = dict(templates=templates, error_kind=error_kind,
+                     error_seed=error_seed)
+    if max_workers != 1:
+        plan = ExperimentPlan.for_grid(
+            kind, workloads=workloads, n_jobs=n_jobs, seed=seed,
+            compress=compress, **axes, **cell_args,
+        )
+        run = run_table_parallel(
+            plan, max_workers=max_workers, timeout=timeout, retries=retries,
+            telemetry=telemetry,
+        )
+        if run.failures:
+            raise ParallelExecutionError(run.failures)
+        return run.cells
+    traces = _resolve_traces(workloads, n_jobs, seed, compress)
+    return [
+        run_cell(kind, trace, algo, pred, error_level=level, **cell_args)
+        for trace, algo, pred, level in grid_cells(traces, **axes)
+    ]

@@ -307,30 +307,6 @@ def run_misprediction_experiment(
     return cell, result
 
 
-def _curves_from_cells(
-    cells: Sequence[MispredictionCell],
-    workload_names: Sequence[str],
-    algorithms: Sequence[str],
-    levels: Sequence[float],
-    kind: str,
-) -> list[DegradationCurve]:
-    """Regroup a plan-ordered cell list into per-(workload, policy) curves."""
-    curves = []
-    it = iter(cells)
-    for w in workload_names:
-        for _algo in algorithms:
-            ladder = tuple(next(it) for _ in levels)
-            curves.append(
-                DegradationCurve(
-                    workload=w,
-                    algorithm=ladder[0].algorithm,
-                    error_kind=kind,
-                    cells=ladder,
-                )
-            )
-    return curves
-
-
 def run_misprediction_campaign(
     *,
     workloads: Sequence[str] | Sequence[Trace] | None = None,
@@ -350,57 +326,42 @@ def run_misprediction_campaign(
 
     ``levels`` is sorted ascending and anchored: a run that omits level
     0 still produces curves, but their baseline is the lowest level
-    rather than the exact oracle.  ``max_workers > 1`` fans the cells
-    across the parallel table layer (:mod:`repro.core.parallel`) with
-    the usual plan-order, timeout, and retry semantics; ``telemetry``
-    (a :class:`repro.obs.campaign.CampaignTelemetry`) makes that run an
+    rather than the exact oracle.  The grid runs on
+    :func:`repro.core.parallel.run_grid`: ``max_workers > 1`` fans the
+    cells across worker processes with the usual plan-order, timeout,
+    and retry semantics; ``telemetry`` (a
+    :class:`repro.obs.campaign.CampaignTelemetry`) makes that run an
     observable campaign and applies to the parallel path only.
     """
-    from repro.core.parallel import (
-        ExperimentPlan,
-        ParallelExecutionError,
-        run_table_parallel,
-    )
-    from repro.workloads.archive import PAPER_WORKLOADS, load_paper_workload
+    from repro.core.parallel import run_grid
 
-    levels = sorted(levels)
     if not levels:
         raise ValueError("at least one error level is required")
-    if workloads is None:
-        workloads = tuple(PAPER_WORKLOADS)
-    traces = [
-        w if isinstance(w, Trace) else load_paper_workload(w, n_jobs=n_jobs, seed=seed)
-        for w in workloads
+    cells = run_grid(
+        "misprediction",
+        workloads=workloads,
+        algorithms=algorithms,
+        predictors=(base_predictor,),
+        levels=levels,
+        n_jobs=n_jobs,
+        seed=seed,
+        error_kind=kind,
+        error_seed=noise_seed,
+        max_workers=max_workers,
+        timeout=cell_timeout,
+        retries=retries,
+        telemetry=telemetry,
+    )
+    # Grid order makes each (workload, policy) ladder a run of len(levels).
+    ladders = (
+        tuple(cells[i:i + len(levels)]) for i in range(0, len(cells), len(levels))
+    )
+    return [
+        DegradationCurve(
+            workload=ladder[0].workload,
+            algorithm=ladder[0].algorithm,
+            error_kind=kind,
+            cells=ladder,
+        )
+        for ladder in ladders
     ]
-    names = [t.name for t in traces]
-
-    if max_workers != 1:
-        plan = ExperimentPlan.for_misprediction(
-            workloads=traces,
-            algorithms=algorithms,
-            levels=levels,
-            kind=kind,
-            noise_seed=noise_seed,
-            base_predictor=base_predictor,
-            seed=seed,
-        )
-        run = run_table_parallel(
-            plan, max_workers=max_workers, timeout=cell_timeout, retries=retries,
-            telemetry=telemetry,
-        )
-        if run.failures:
-            raise ParallelExecutionError(run.failures)
-        return _curves_from_cells(run.cells, names, algorithms, levels, kind)
-
-    cells: list[MispredictionCell] = []
-    for trace in traces:
-        for algo in algorithms:
-            for level in levels:
-                cell, _ = run_misprediction_experiment(
-                    trace,
-                    algo,
-                    ErrorModel(kind=kind, level=level, seed=noise_seed),
-                    base_predictor=base_predictor,
-                )
-                cells.append(cell)
-    return _curves_from_cells(cells, names, algorithms, levels, kind)

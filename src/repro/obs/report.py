@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Mapping
 
-from repro.obs.accuracy import DEFAULT_DRIFT_WINDOW, AccuracyMonitor
+from repro.obs.accuracy import DEFAULT_DRIFT_WINDOW, AccuracyMonitor, _quantile
 from repro.obs.metrics import histogram_quantile
 
 __all__ = [
@@ -58,19 +58,6 @@ REPORT_SCHEMA_VERSION = 1
 
 class ReportSchemaError(ValueError):
     """A run report violating the minimal report schema."""
-
-
-def _quantile_of(values: list[float], q: float) -> float:
-    """Exact quantile (linear interpolation) of a non-empty list."""
-    ordered = sorted(values)
-    n = len(ordered)
-    if n == 1:
-        return ordered[0]
-    pos = q * (n - 1)
-    lo = int(pos)
-    hi = min(lo + 1, n - 1)
-    frac = pos - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 def _schedule_section(events: list[Mapping]) -> list[dict]:
@@ -111,7 +98,7 @@ def _schedule_section(events: list[Mapping]) -> list[dict]:
         row = per_policy[policy]
         w = waits.get(policy, [])
         row["mean_wait_s"] = sum(w) / len(w) if w else 0.0
-        row["p90_wait_s"] = _quantile_of(w, 0.90) if w else 0.0
+        row["p90_wait_s"] = _quantile(sorted(w), 0.90) if w else 0.0
         row["max_wait_s"] = max(w) if w else 0.0
         out.append(row)
     return out

@@ -372,11 +372,7 @@ class InstrumentedSchedulerView(SchedulerView):
                     policy=sim._policy_name,
                 )
             return est
-        sim._n_est_misses += 1
-        est = float(sim.estimator.predict(qj.job, 0.0, sim.now))
-        if est < _EPS:
-            est = _EPS
-        self._cache[qj.job_id] = est
+        est = super().estimate(qj)
         if sim._trace_enabled:
             sim._tracer.emit(
                 "cache_miss",

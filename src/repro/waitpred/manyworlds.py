@@ -46,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.predictors.base import PointEstimator
-from repro.scheduler.policies import BackfillPolicy
 from repro.scheduler.policies.backfill import BatchAvailabilityProfile
 from repro.scheduler.policies.base import Policy
 from repro.scheduler.simulator import SystemSnapshot
@@ -219,41 +218,37 @@ def _seed_profile_batch(
     )
 
 
-def fcfs_starts_batch(
-    enc: EncodedSnapshot, durations: np.ndarray, target_job_id: int
+def _starts_batch(
+    enc: EncodedSnapshot,
+    durations: np.ndarray,
+    target_job_id: int,
+    in_order: bool,
 ) -> np.ndarray:
-    """Per-world FCFS predicted starts — ``fcfs_predicted_start`` with a
-    sample axis (monotone in-order planning via per-world floors)."""
+    """Per-world predicted starts of the target — ``fast._walk`` with a
+    sample axis.
+
+    ``in_order`` floors each start at the previous job's per world
+    (FCFS); without it every job takes its earliest slot (conservative
+    backfill in the self-consistent imagined world), which keeps every
+    reservation on the unfloored fast path.  Both floor durations at
+    ``_EPS``, which equals ``BackfillPolicy.min_duration``.
+    """
     target = enc.queued_ids.index(target_job_id)
     profile = _seed_profile_batch(enc, durations, target + 1)
     n_run = enc.n_running
-    prev_start = np.full(durations.shape[0], enc.now)
+    not_before = np.full(durations.shape[0], enc.now) if in_order else None
     for pos in range(target):
         dur = np.maximum(durations[:, n_run + pos], _EPS)
-        prev_start = profile.reserve(
-            int(enc.queued_nodes[pos]), dur, not_before=prev_start
+        start = profile.reserve(
+            int(enc.queued_nodes[pos]), dur, not_before=not_before
         )
+        if in_order:
+            not_before = start
     # The target itself only needs its start, not the carve.
     dur = np.maximum(durations[:, n_run + target], _EPS)
     return profile.earliest_start(
-        int(enc.queued_nodes[target]), dur, not_before=prev_start
+        int(enc.queued_nodes[target]), dur, not_before=not_before
     )
-
-
-def backfill_starts_batch(
-    enc: EncodedSnapshot, durations: np.ndarray, target_job_id: int
-) -> np.ndarray:
-    """Per-world conservative-backfill starts in the self-consistent
-    imagined world — ``backfill_predicted_start`` with a sample axis."""
-    target = enc.queued_ids.index(target_job_id)
-    profile = _seed_profile_batch(enc, durations, target + 1)
-    n_run = enc.n_running
-    for pos in range(target):
-        dur = np.maximum(durations[:, n_run + pos], BackfillPolicy.min_duration)
-        profile.reserve(int(enc.queued_nodes[pos]), dur)
-    # The target itself only needs its start, not the carve.
-    dur = np.maximum(durations[:, n_run + target], BackfillPolicy.min_duration)
-    return profile.earliest_start(int(enc.queued_nodes[target]), dur)
 
 
 def scalar_starts(
@@ -300,10 +295,8 @@ def predict_starts_batch(
     if target_job_id not in enc.queued_ids:
         raise UnknownJobError(target_job_id)
     walk = exact_shortcut(policy, {})  # each world's durations are its estimates
-    if walk == "fcfs":
-        return fcfs_starts_batch(enc, durations, target_job_id)
-    if walk == "backfill":
-        return backfill_starts_batch(enc, durations, target_job_id)
+    if walk is not None:
+        return _starts_batch(enc, durations, target_job_id, walk == "fcfs")
     return scalar_starts(snapshot, policy, enc, durations, target_job_id)
 
 

@@ -116,9 +116,9 @@ class TestParity:
             )
 
     def test_merged_metrics_equal_sum_of_cell_snapshots(self):
-        plan = ExperimentPlan.for_table(
+        plan = ExperimentPlan.for_grid(
             "scheduling",
-            "actual",
+            predictors=("actual",),
             workloads=WORKLOADS,
             algorithms=ALGORITHMS,
             n_jobs=N_JOBS,
@@ -134,9 +134,9 @@ class TestParity:
         serial = run_scheduling_table(
             "actual", workloads=WORKLOADS, algorithms=ALGORITHMS, n_jobs=N_JOBS
         )
-        plan = ExperimentPlan.for_table(
+        plan = ExperimentPlan.for_grid(
             "scheduling",
-            "actual",
+            predictors=("actual",),
             workloads=WORKLOADS,
             algorithms=ALGORITHMS,
             n_jobs=N_JOBS,
@@ -151,8 +151,9 @@ class TestParity:
 # ----------------------------------------------------------------------
 class TestPlan:
     def test_plan_orders_workload_outer_algorithm_inner(self):
-        plan = ExperimentPlan.for_table(
-            "scheduling", "max", workloads=["ANL", "CTC"], algorithms=("lwf", "backfill")
+        plan = ExperimentPlan.for_grid(
+            "scheduling", predictors=("max",), workloads=["ANL", "CTC"],
+            algorithms=("lwf", "backfill"),
         )
         assert [(s.workload, s.algorithm) for s in plan.cells] == [
             ("ANL", "lwf"),
@@ -194,9 +195,9 @@ class TestPlan:
 # ----------------------------------------------------------------------
 class TestFailures:
     def _plan(self, algorithms=ALGORITHMS):
-        return ExperimentPlan.for_table(
+        return ExperimentPlan.for_grid(
             "scheduling",
-            "actual",
+            predictors=("actual",),
             workloads=["ANL"],
             algorithms=algorithms,
             n_jobs=N_JOBS,
@@ -295,9 +296,9 @@ class TestFailures:
 # ----------------------------------------------------------------------
 class TestTelemetry:
     def _plan(self):
-        return ExperimentPlan.for_table(
+        return ExperimentPlan.for_grid(
             "scheduling",
-            "actual",
+            predictors=("actual",),
             workloads=["ANL"],
             algorithms=ALGORITHMS,
             n_jobs=N_JOBS,
@@ -369,3 +370,45 @@ class TestTelemetry:
         assert telemetry.monitor.cells_done == len(self._plan())
         assert telemetry.monitor.finished_wall is not None
         assert telemetry.monitor.utilization() > 0
+
+
+# ----------------------------------------------------------------------
+# the serial contract every grid driver keeps
+# ----------------------------------------------------------------------
+def _misprediction_grid(workloads, algorithms, **kwargs):
+    from repro.experiments.misprediction import run_misprediction_campaign
+
+    return run_misprediction_campaign(
+        workloads=workloads, algorithms=algorithms, levels=(0.0, 0.5), **kwargs
+    )
+
+
+def _scheduling_grid(workloads, algorithms, **kwargs):
+    return run_scheduling_table(
+        "actual", workloads=workloads, algorithms=algorithms, **kwargs
+    )
+
+
+def _wait_time_grid(workloads, algorithms, **kwargs):
+    return run_wait_time_table(
+        "max", workloads=workloads, algorithms=algorithms, **kwargs
+    )
+
+
+@pytest.mark.parametrize(
+    "driver", [_scheduling_grid, _wait_time_grid, _misprediction_grid]
+)
+class TestSerialContract:
+    def test_serial_accepts_trace_without_provenance(self, driver, small_trace):
+        assert small_trace.provenance is None
+        assert driver([small_trace], ("fcfs",), max_workers=1)
+
+    def test_unknown_algorithm_raises_registry_error_serially(
+        self, driver, small_trace
+    ):
+        with pytest.raises(KeyError, match="unknown policy"):
+            driver([small_trace], ("nope",), max_workers=1)
+
+    def test_unknown_algorithm_fails_the_parallel_run(self, driver):
+        with pytest.raises(ParallelExecutionError, match="unknown policy"):
+            driver(["ANL"], ("nope",), n_jobs=20, max_workers=2, retries=0)

@@ -186,9 +186,10 @@ class TestParallelSpecs:
                      algorithm="fcfs", predictor="actual")
 
     def test_plan_orders_levels_ascending(self):
-        plan = ExperimentPlan.for_misprediction(
-            workloads=("ANL",), algorithms=("fcfs",), levels=(1.0, 0.0, 0.5),
-            n_jobs=50,
+        plan = ExperimentPlan.for_grid(
+            "misprediction", workloads=("ANL",), algorithms=("fcfs",),
+            predictors=("actual",), levels=(1.0, 0.0, 0.5),
+            error_kind="multiplicative", n_jobs=50,
         )
         assert [s.error_level for s in plan.cells] == [0.0, 0.5, 1.0]
         assert all(s.kind == "misprediction" for s in plan.cells)

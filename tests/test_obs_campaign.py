@@ -415,8 +415,8 @@ def cell(spec):
     return execute_cell(spec)
 
 if __name__ == "__main__":
-    plan = ExperimentPlan.for_table(
-        "scheduling", "actual", workloads=["ANL", "CTC"],
+    plan = ExperimentPlan.for_grid(
+        "scheduling", predictors=["actual"], workloads=["ANL", "CTC"],
         algorithms=["fcfs"], n_jobs=30,
     )
     telem = CampaignTelemetry(sys.argv[1], heartbeat_s=0.05)
