@@ -19,9 +19,10 @@ Predictors are pure functions of ``(job, elapsed)`` given a fixed
 history; only the lifecycle hooks change history.  :class:`PointEstimator`
 therefore exposes a ``history_epoch`` counter that it bumps whenever the
 wrapped predictor's history (or its own fallback statistics) may have
-changed.  The simulator uses the epoch to keep queued-job estimates
-cached *across* scheduling passes — recomputing the whole queue only
-when the epoch moves — which is exact precisely because of that purity.
+changed.  :class:`repro.scheduler.simulator.EstimateMemo` keys queued-job
+(elapsed-0) estimates on the epoch, so the simulator, the wait-time
+freezes and the state-based predictor recompute a queue only when the
+epoch moves — which is exact precisely because of that purity.
 An estimator whose predictions vary with wall-clock time or call count
 must not advertise an epoch; construct :class:`PointEstimator` with
 ``volatile=True`` to fall back to per-pass memoization.

@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.scheduler.policies.base import Policy, report_blocker
+from repro.scheduler.policies.base import MIN_DURATION, Policy, report_blocker
 
 __all__ = ["AvailabilityProfile", "BatchAvailabilityProfile", "BackfillPolicy"]
 
@@ -781,13 +781,6 @@ class BackfillPolicy(Policy):
 
     name = "Backfill"
 
-    #: Floor on estimated durations when carving reservations; avoids
-    #: zero-length holes from degenerate estimates.  Kept equal to the
-    #: simulator's minimum run time so a forward simulation over
-    #: predicted durations is a fixed point of this policy's replanning
-    #: (see repro.waitpred.fast).
-    min_duration: float = 1e-6
-
     def __init__(self) -> None:
         # Scratch profile reused across passes (never carries state
         # between calls — select() rebuilds it from the view each time).
@@ -915,7 +908,7 @@ class BackfillPolicy(Policy):
         else:
             suffix_min = [-_INF] * n  # never exits early
         now = view.now
-        min_duration = self.min_duration
+        min_duration = MIN_DURATION
         estimate = view.estimate
         profile = self._seeded_profile(view)
         reserve = profile.reserve
@@ -1012,7 +1005,7 @@ class BackfillPolicy(Policy):
         change-only per job.
         """
         now = view.now
-        min_duration = self.min_duration
+        min_duration = MIN_DURATION
         cache = view._cache  # pass-warm: the walk estimated every prefix job
         last = self._last_reserved
         binding = self._last_binding

@@ -21,7 +21,14 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.scheduler.simulator import QueuedJob, SchedulerView
 
-__all__ = ["Policy", "ReleaseAttributor", "report_blocker"]
+__all__ = ["MIN_DURATION", "Policy", "ReleaseAttributor", "report_blocker"]
+
+#: Smallest duration/remaining time an estimate may collapse to, so no
+#: schedule stalls on a zero or negative estimate and no reservation
+#: carves a zero-length hole.  The simulator, the backfill policies and
+#: the analytic planners share it, which keeps a forward simulation over
+#: predicted durations a fixed point of backfill's replanning.
+MIN_DURATION = 1e-6
 
 
 class Policy(ABC):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.scheduler.policies.backfill import AvailabilityProfile
-from repro.scheduler.policies.base import Policy, report_blocker
+from repro.scheduler.policies.base import MIN_DURATION, Policy, report_blocker
 
 __all__ = ["EASYBackfillPolicy"]
 
@@ -28,9 +28,6 @@ class EASYBackfillPolicy(Policy):
     """EASY (aggressive) backfill: only the queue head holds a reservation."""
 
     name = "EASY"
-
-    #: Same degenerate-estimate floor as the conservative variant.
-    min_duration: float = 1e-6
 
     def __init__(self) -> None:
         # Provenance-only change-detection state: job_id -> last
@@ -82,7 +79,7 @@ class EASYBackfillPolicy(Policy):
         i = 0
         while i < len(queued):
             qj = queued[i]
-            duration = max(view.estimate(qj), self.min_duration)
+            duration = max(view.estimate(qj), MIN_DURATION)
             if profile.earliest_start(qj.job.nodes, duration) > now:
                 break
             profile.carve(now, duration, qj.job.nodes)
@@ -98,7 +95,7 @@ class EASYBackfillPolicy(Policy):
         # The first blocked job becomes the head: reserve it at the
         # earliest time the profile admits.  Only the head is protected.
         head = queued[i]
-        head_duration = max(view.estimate(head), self.min_duration)
+        head_duration = max(view.estimate(head), MIN_DURATION)
         head_start = profile.earliest_start(head.job.nodes, head_duration)
         profile.carve(head_start, head_duration, head.job.nodes)
         if prov is not None:
@@ -114,7 +111,7 @@ class EASYBackfillPolicy(Policy):
         # Backfill: any later job that can run now without delaying the
         # head (or a reservation window).
         for qj in queued[i + 1 :]:
-            duration = max(view.estimate(qj), self.min_duration)
+            duration = max(view.estimate(qj), MIN_DURATION)
             est_start = profile.earliest_start(qj.job.nodes, duration)
             if est_start <= now:
                 profile.carve(now, duration, qj.job.nodes)

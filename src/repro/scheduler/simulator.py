@@ -25,12 +25,12 @@ Estimate caching
 Estimators may additionally expose an integer ``history_epoch`` that
 changes whenever their predictions may have changed (see
 :mod:`repro.predictors.base`).  For such estimators the simulator keeps
-queued-job estimates in a cache that survives across scheduling passes
-and is flushed only when the epoch moves, instead of re-predicting the
-whole queue at every event.  Estimators without an epoch get the
-historical behaviour: estimates are memoized per pass only.  Running-job
-``remaining`` estimates condition on elapsed time and are always
-per-pass.
+queued-job estimates in an :class:`EstimateMemo` (the wait-time freezes
+and the state-based predictor keep their own) that survives across
+scheduling passes and is flushed only when the epoch moves.  Estimators without an epoch get
+the historical behaviour: estimates are memoized per pass only.
+Running-job ``remaining`` estimates condition on elapsed time and are
+always per-pass.
 
 Instrumentation
 ---------------
@@ -67,7 +67,7 @@ from repro.obs import (
 from repro.scheduler.cluster import NodePool
 from repro.scheduler.events import FINISH, RES_END, RES_START, SUBMIT, EventQueue
 from repro.scheduler.metrics import JobRecord, ScheduleResult
-from repro.scheduler.policies.base import Policy
+from repro.scheduler.policies.base import MIN_DURATION, Policy
 from repro.scheduler.reservations import Reservation, ReservationRecord
 from repro.workloads.job import Job, Trace
 
@@ -78,14 +78,11 @@ __all__ = [
     "IndexedJobList",
     "SchedulerView",
     "SystemSnapshot",
+    "EstimateMemo",
     "Simulator",
     "FrozenEstimator",
     "forward_simulate",
 ]
-
-#: Smallest duration/remaining-time an estimate may collapse to, so the
-#: schedule never stalls on a zero or negative estimate.
-_EPS = 1e-6
 
 
 @runtime_checkable
@@ -93,6 +90,35 @@ class RuntimeEstimator(Protocol):
     """Structural type for scheduler-side run-time estimators."""
 
     def predict(self, job: Job, elapsed: float, now: float) -> float: ...
+
+
+class EstimateMemo:
+    """One estimator's elapsed-0 predictions, valid for one history epoch.
+
+    :meth:`sync` clears the memo in place when ``history_epoch`` moved,
+    so every holder of the dict sees the flush.  Consumers choose the
+    value form they store and evict the jobs they no longer need.
+    """
+
+    __slots__ = ("epoch", "memo", "dropped")
+
+    def __init__(self) -> None:
+        self.epoch: object = None
+        self.memo: dict[int, float] = {}
+        #: Entries the last :meth:`sync` cleared (0 if the epoch stood).
+        self.dropped = 0
+
+    def sync(self, estimator: RuntimeEstimator) -> dict[int, float] | None:
+        """The memo valid for ``estimator`` now, or ``None`` when it has no
+        epoch (volatile or epochless estimators must be re-predicted)."""
+        epoch = getattr(estimator, "history_epoch", None)
+        if epoch is None:
+            return None
+        self.dropped = 0
+        if epoch != self.epoch:
+            self.epoch, self.dropped = epoch, len(self.memo)
+            self.memo.clear()
+        return self.memo
 
 
 @dataclass(frozen=True)
@@ -223,8 +249,8 @@ class IndexedJobList:
 class SchedulerView:
     """What a policy (or observer) may see of the simulator state.
 
-    Queued-job estimates are served from the simulator's epoch-gated
-    cache (cross-pass for epoch-aware estimators, per-view otherwise);
+    Queued-job estimates are served from the simulator's estimate memo
+    (cross-pass for epoch-aware estimators, per-view otherwise);
     within one pass each job's estimate is consistent across the
     policy's comparisons, as the paper's algorithms require.  Remaining
     times of running jobs condition on elapsed time and are memoized per
@@ -233,7 +259,7 @@ class SchedulerView:
 
     def __init__(self, sim: "Simulator") -> None:
         self._sim = sim
-        self._cache = sim._shared_estimate_cache()
+        self._cache = sim._estimate_memo()
         self._remaining: dict[int, float] = {}
         self._elapsed_invariant = sim._est_invariant
 
@@ -315,8 +341,8 @@ class SchedulerView:
             sim._n_est_misses += 1
             est = sim.estimator.predict(qj.job, 0.0, sim.now)
             est = float(est)
-            if est < _EPS:
-                est = _EPS
+            if est < MIN_DURATION:
+                est = MIN_DURATION
             self._cache[qj.job_id] = est
         return est
 
@@ -338,12 +364,12 @@ class SchedulerView:
                 base = float(sim.estimator.predict(rj.job, 0.0, sim.now))
                 self._cache[rj.job_id] = base
             est = base if base > elapsed else elapsed
-            return max(est - elapsed, _EPS)
+            return max(est - elapsed, MIN_DURATION)
         est = self._remaining.get(rj.job_id)
         if est is None:
             est = float(sim.estimator.predict(rj.job, elapsed, sim.now))
             self._remaining[rj.job_id] = est
-        return max(est - elapsed, _EPS)
+        return max(est - elapsed, MIN_DURATION)
 
     def invalidate(self) -> None:
         self._cache.clear()
@@ -428,9 +454,8 @@ class Simulator:
         self._snapshot_cache: SystemSnapshot | None = None
         self._snapshot_key: tuple | None = None
         #: Queued-job estimates surviving across passes, gated by the
-        #: estimator's ``history_epoch`` (see _shared_estimate_cache).
-        self._est_cache: dict[int, float] = {}
-        self._est_cache_epoch: object = object()  # != any int: first sync clears
+        #: estimator's ``history_epoch`` (see _estimate_memo).
+        self._estimates = EstimateMemo()
         self._est_invariant = bool(getattr(estimator, "elapsed_invariant", False))
         #: Observability wiring (see repro.obs).  The hot loops bump plain
         #: int attributes and append raw samples; metrics_snapshot() folds
@@ -635,7 +660,7 @@ class Simulator:
             self.pool.allocate(rj.job.nodes)
             self.running.append(rj)
             self._started[rj.job_id] = rj.start_time
-            remaining = max(rj.job.run_time - rj.elapsed(snapshot.now), _EPS)
+            remaining = max(rj.job.run_time - rj.elapsed(snapshot.now), MIN_DURATION)
             self._events.push(snapshot.now + remaining, FINISH, rj)
         for qj in snapshot.queued:
             self.queued.append(qj)
@@ -737,31 +762,21 @@ class Simulator:
     # ------------------------------------------------------------------
     # estimate cache
     # ------------------------------------------------------------------
-    def _shared_estimate_cache(self) -> dict[int, float]:
-        """The queued-estimate cache valid for the estimator's current epoch.
-
-        Epoch-aware estimators (``history_epoch`` attribute) share one
-        dict across passes, flushed whenever the epoch moves.  Estimators
-        without an epoch — or volatile ones advertising ``None`` — get a
-        fresh dict per view, i.e. the historical per-pass memoization.
-        """
-        epoch = getattr(self.estimator, "history_epoch", None)
-        if epoch is None:
+    def _estimate_memo(self) -> dict[int, float]:
+        """The queued-estimate cache valid for the estimator's current epoch;
+        a fresh dict per view (per-pass memoization) when it has none."""
+        memos = self._estimates
+        memo = memos.sync(self.estimator)
+        if memo is None:
             return {}
-        if epoch != self._est_cache_epoch:
-            self._est_cache_epoch = epoch
-            if self._est_cache:
-                self._n_est_flushes += 1
-                if self._trace_enabled:
-                    self._tracer.emit(
-                        "replan_triggered",
-                        sim_time=self.now,
-                        policy=self._policy_name,
-                        cause="history_epoch_advanced",
-                        flushed=len(self._est_cache),
-                    )
-                self._est_cache.clear()
-        return self._est_cache
+        if memos.dropped:
+            self._n_est_flushes += 1
+            if self._trace_enabled:
+                self._tracer.emit(
+                    "replan_triggered", sim_time=self.now, policy=self._policy_name,
+                    cause="history_epoch_advanced", flushed=memos.dropped,
+                )
+        return memo
 
     # ------------------------------------------------------------------
     # event handlers
@@ -891,7 +906,7 @@ class Simulator:
             # No longer queued; keep the cache small.  Elapsed-invariant
             # estimators keep the entry — it doubles as the running-job
             # base in SchedulerView.remaining.
-            self._est_cache.pop(qj.job_id, None)
+            self._estimates.memo.pop(qj.job_id, None)
         rj = RunningJob(job=qj.job, start_time=self.now)
         self.running.append(rj)
         self._started[qj.job_id] = self.now
@@ -1005,7 +1020,7 @@ def forward_simulate(
         RunningJob(
             job=rj.job.with_(
                 run_time=max(
-                    durations[rj.job_id], rj.elapsed(snapshot.now) + _EPS
+                    durations[rj.job_id], rj.elapsed(snapshot.now) + MIN_DURATION
                 )
             ),
             start_time=rj.start_time,
@@ -1013,7 +1028,7 @@ def forward_simulate(
         for rj in snapshot.running
     )
     adj_queued = tuple(
-        QueuedJob(job=qj.job.with_(run_time=max(durations[qj.job_id], _EPS)))
+        QueuedJob(job=qj.job.with_(run_time=max(durations[qj.job_id], MIN_DURATION)))
         for qj in snapshot.queued
     )
     adj_snapshot = SystemSnapshot(

@@ -17,16 +17,16 @@ Two properties make repeated queries cheap:
   snapshot equals a from-scratch :meth:`Simulator.snapshot` after any
   event interleaving.
 - **Epoch-keyed caching.**  Every event bumps ``epoch``.  Frozen
-  durations and predicted starts are cached under
-  ``(epoch, estimator.history_epoch)`` — the same contract
+  durations, scheduler estimates and predicted starts are cached under
+  ``epoch`` plus each estimator's ``history_epoch`` — the same contract
   :mod:`repro.predictors.base` defines for scheduling-side caches — so
   queries between events are O(1) dict hits, bit-identical to an
   uncached computation because the cache stores the computed float
-  itself.  Estimators advertising ``history_epoch is None`` (volatile)
-  disable caching rather than risk staleness.  Across epochs, queued
-  jobs' frozen durations are carried by a
-  :class:`~repro.waitpred.predictor.FreezeCache` for as long as the
-  estimator's ``history_epoch`` stands still, through the same
+  itself.  If either estimator advertises ``history_epoch is None``
+  (volatile), caching is off rather than risk staleness.  Across
+  epochs, queued jobs' frozen predictions are carried by one
+  :class:`~repro.scheduler.simulator.EstimateMemo` per estimator for as
+  long as its ``history_epoch`` stands still, through the same
   ``_freeze`` :func:`~repro.waitpred.predict_wait` uses.
 
 Cache misses are answered in one queue walk where an analytic shortcut
@@ -47,6 +47,7 @@ from typing import Callable
 from repro.obs import QUERY_LATENCY_BUCKETS, Instrumentation
 from repro.scheduler.policies.base import Policy
 from repro.scheduler.simulator import (
+    EstimateMemo,
     QueuedJob,
     RunningJob,
     RuntimeEstimator,
@@ -60,7 +61,7 @@ from repro.waitpred.fast import (
     fcfs_predicted_starts,
     predict_start_fast,
 )
-from repro.waitpred.predictor import FreezeCache, _freeze
+from repro.waitpred.predictor import _freeze
 from repro.workloads.job import Job
 
 __all__ = ["PredictionService", "SimulatorFeed", "UnknownJobError"]
@@ -109,16 +110,16 @@ class PredictionService:
         self._snapshot: SystemSnapshot | None = None
         self._snapshot_epoch = -1
         # Frozen durations/estimates and predicted starts, valid while
-        # _cache_key == (epoch, estimator.history_epoch).  The starts
-        # dict fills whole-queue on a shortcut miss, per-job on fallback.
+        # _cache_key == (epoch, both history_epochs).  The starts dict
+        # fills whole-queue on a shortcut miss, per-job on fallback.
         self._cache_key: object = None
         self._durations: dict[int, float] | None = None
         self._estimates: dict[int, float] | None = None
         self._starts: dict[int, float] = {}
         # Queued-job freezes carried across epochs while each
         # estimator's history_epoch stands still.
-        self._duration_cache = FreezeCache()
-        self._estimate_cache = FreezeCache()
+        self._duration_cache = EstimateMemo()
+        self._estimate_cache = EstimateMemo()
         obs = instrumentation if instrumentation is not None else Instrumentation()
         self.obs = obs
         self._n_events = 0
@@ -228,13 +229,15 @@ class PredictionService:
     def _sync_cache(self) -> bool:
         """Freeze durations for this epoch; return whether caching is on.
 
-        Returns ``False`` for volatile estimators (``history_epoch`` is
-        ``None``): the frozen inputs are still reused within this call,
-        but nothing survives to the next query.
+        Returns ``False`` when either estimator is volatile
+        (``history_epoch`` is ``None``): the frozen inputs are still
+        reused within this call, but nothing survives to the next query.
         """
         hist = getattr(self.estimator, "history_epoch", None)
-        cacheable = hist is not None
-        key = (self.epoch, hist) if cacheable else None
+        sched = self.scheduler_estimator
+        sched_hist = 0 if sched is None else getattr(sched, "history_epoch", None)
+        cacheable = hist is not None and sched_hist is not None
+        key = (self.epoch, hist, sched_hist) if cacheable else None
         if not cacheable or key != self._cache_key:
             self._cache_key = key
             snap = self.snapshot()

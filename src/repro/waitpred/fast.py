@@ -32,7 +32,7 @@ import math
 
 from repro.scheduler.policies import BackfillPolicy, FCFSPolicy
 from repro.scheduler.policies.backfill import AvailabilityProfile
-from repro.scheduler.policies.base import Policy
+from repro.scheduler.policies.base import MIN_DURATION, Policy
 from repro.scheduler.simulator import SystemSnapshot, forward_simulate
 
 __all__ = [
@@ -44,8 +44,6 @@ __all__ = [
     "backfill_predicted_starts",
     "predict_start_fast",
 ]
-
-_EPS = 1e-6
 
 
 class UnknownJobError(KeyError):
@@ -86,7 +84,7 @@ def _seed_profile(
     releases = [
         (
             snapshot.now
-            + max(_duration_of(durations, rj.job_id) - rj.elapsed(snapshot.now), _EPS),
+            + max(_duration_of(durations, rj.job_id) - rj.elapsed(snapshot.now), MIN_DURATION),
             rj.job.nodes,
         )
         for rj in snapshot.running
@@ -106,8 +104,8 @@ def _walk(
 
     The one profile walk behind both shortcuts.  ``in_order`` floors
     each start at the previous job's (FCFS); without it every job takes
-    its earliest slot (conservative backfill, whose duration floor
-    ``BackfillPolicy.min_duration`` equals ``_EPS``).  Given a target,
+    its earliest slot (conservative backfill, which floors durations at
+    the same ``MIN_DURATION``).  Given a target,
     the walk stops once the target is planned and raises
     :class:`UnknownJobError` if the queue does not hold it.
     """
@@ -117,7 +115,7 @@ def _walk(
     out: dict[int, float] = {}
     for qj in snapshot.queued:  # arrival order
         jid = qj.job_id
-        duration = max(_duration_of(durations, jid), _EPS)
+        duration = max(_duration_of(durations, jid), MIN_DURATION)
         start = reserve(qj.job.nodes, duration, not_before=not_before)
         if in_order:
             not_before = start

@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.predictors.base import PointEstimator
 from repro.scheduler.policies.backfill import BatchAvailabilityProfile
-from repro.scheduler.policies.base import Policy
+from repro.scheduler.policies.base import MIN_DURATION, Policy
 from repro.scheduler.simulator import SystemSnapshot
 from repro.utils.rng import rng_from_seed
 from repro.waitpred.fast import UnknownJobError, exact_shortcut, predict_start_fast
@@ -61,8 +61,6 @@ __all__ = [
     "scalar_starts",
     "sweep_estimates",
 ]
-
-_EPS = 1e-6
 
 #: z-score matching the predictors' default 90% two-sided interval; the
 #: sampled run-time distribution is Normal(estimate, half_width / z).
@@ -182,15 +180,15 @@ def sample_durations(
     if n_spread == enc.n_jobs:
         draws = rng.standard_normal((samples, n_spread))
         return np.maximum(
-            enc.point[None, :] + enc.sigma[None, :] * draws, _EPS
+            enc.point[None, :] + enc.sigma[None, :] * draws, MIN_DURATION
         )
     durations = np.repeat(
-        np.maximum(enc.point, _EPS)[None, :], samples, axis=0
+        np.maximum(enc.point, MIN_DURATION)[None, :], samples, axis=0
     )
     if n_spread:
         draws = rng.standard_normal((samples, n_spread))
         durations[:, spread] = np.maximum(
-            enc.point[spread][None, :] + enc.sigma[spread][None, :] * draws, _EPS
+            enc.point[spread][None, :] + enc.sigma[spread][None, :] * draws, MIN_DURATION
         )
     return durations
 
@@ -206,7 +204,7 @@ def _seed_profile_batch(
     """
     n_run = enc.n_running
     release_times = enc.now + np.maximum(
-        durations[:, :n_run] - enc.run_elapsed[None, :], _EPS
+        durations[:, :n_run] - enc.run_elapsed[None, :], MIN_DURATION
     )
     return BatchAvailabilityProfile.from_releases(
         enc.now,
@@ -231,21 +229,21 @@ def _starts_batch(
     (FCFS); without it every job takes its earliest slot (conservative
     backfill in the self-consistent imagined world), which keeps every
     reservation on the unfloored fast path.  Both floor durations at
-    ``_EPS``, which equals ``BackfillPolicy.min_duration``.
+    ``MIN_DURATION``, the backfill policies' own floor.
     """
     target = enc.queued_ids.index(target_job_id)
     profile = _seed_profile_batch(enc, durations, target + 1)
     n_run = enc.n_running
     not_before = np.full(durations.shape[0], enc.now) if in_order else None
     for pos in range(target):
-        dur = np.maximum(durations[:, n_run + pos], _EPS)
+        dur = np.maximum(durations[:, n_run + pos], MIN_DURATION)
         start = profile.reserve(
             int(enc.queued_nodes[pos]), dur, not_before=not_before
         )
         if in_order:
             not_before = start
     # The target itself only needs its start, not the carve.
-    dur = np.maximum(durations[:, n_run + target], _EPS)
+    dur = np.maximum(durations[:, n_run + target], MIN_DURATION)
     return profile.earliest_start(
         int(enc.queued_nodes[target]), dur, not_before=not_before
     )
@@ -353,7 +351,7 @@ def sweep_estimates(
     rng = rng_from_seed(seed)
     enc = encode_snapshot(snapshot, estimator)
     draws = rng.standard_normal((samples, enc.n_jobs))
-    base = np.maximum(enc.point, _EPS)[None, :]
+    base = np.maximum(enc.point, MIN_DURATION)[None, :]
     baseline = predict_starts_batch(
         snapshot, policy, enc, np.repeat(base, 1, axis=0), target_job_id
     )[0]
@@ -364,7 +362,7 @@ def sweep_estimates(
             durations = np.repeat(base, samples, axis=0)
         else:
             durations = np.maximum(
-                enc.point[None, :] * np.exp(level * draws), _EPS
+                enc.point[None, :] * np.exp(level * draws), MIN_DURATION
             )
         starts = predict_starts_batch(
             snapshot, policy, enc, durations, target_job_id

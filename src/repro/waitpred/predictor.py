@@ -22,10 +22,11 @@ scheduler's decisions exactly, later arrivals aside.
 
 A queued job's frozen prediction (elapsed 0) cannot change while the
 estimator's ``history_epoch`` stands still — the contract
-:mod:`repro.predictors.base` defines — so :class:`FreezeCache` keeps
-those predictions from one submission to the next and re-predicts only
-after the epoch moves.  Running jobs are conditioned on their age and
-are predicted afresh at every freeze.
+:mod:`repro.predictors.base` defines — so an
+:class:`~repro.scheduler.simulator.EstimateMemo` keeps those predictions
+from one submission to the next and re-predicts only after the epoch
+moves.  Running jobs are conditioned on their age and are predicted
+afresh at every freeze.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 from repro.predictors.base import PointEstimator, RuntimePredictor
 from repro.scheduler.policies.base import Policy
 from repro.scheduler.simulator import (
+    EstimateMemo,
     QueuedJob,
     RuntimeEstimator,
     SchedulerView,
@@ -42,45 +44,30 @@ from repro.scheduler.simulator import (
 from repro.waitpred.fast import UnknownJobError
 from repro.workloads.job import Job
 
-__all__ = ["FreezeCache", "WaitTimePredictor", "predict_wait"]
-
-
-class FreezeCache:
-    """One estimator's queued-job predictions, valid for one history epoch.
-
-    Holds the predictions of the jobs queued at the last freeze; a freeze
-    under a different epoch starts it afresh.
-    """
-
-    __slots__ = ("epoch", "queued")
-
-    def __init__(self) -> None:
-        self.epoch: object = None
-        self.queued: dict[int, float] = {}
+__all__ = ["WaitTimePredictor", "predict_wait"]
 
 
 def _freeze(
     snapshot: SystemSnapshot,
     estimator: RuntimeEstimator,
-    cache: FreezeCache | None = None,
+    cache: EstimateMemo | None = None,
 ) -> dict[int, float]:
     """One prediction per job in the snapshot (running conditioned on age).
 
     With a ``cache``, queued jobs already predicted under the estimator's
-    current ``history_epoch`` reuse that float; estimators without an
-    epoch (or volatile ones advertising ``None``) are re-predicted on
-    every call.
+    current ``history_epoch`` reuse that float, and the memo is left
+    holding the jobs queued now; estimators without an epoch (or
+    volatile ones advertising ``None``) are re-predicted on every call.
     """
     now = snapshot.now
     out: dict[int, float] = {}
     for rj in snapshot.running:
         out[rj.job_id] = estimator.predict(rj.job, rj.elapsed(now), now)
-    epoch = None if cache is None else getattr(estimator, "history_epoch", None)
-    if epoch is None:
+    known = None if cache is None else cache.sync(estimator)
+    if known is None:
         for qj in snapshot.queued:
             out[qj.job_id] = estimator.predict(qj.job, 0.0, now)
         return out
-    known = cache.queued if epoch == cache.epoch else {}
     queued: dict[int, float] = {}
     for qj in snapshot.queued:
         jid = qj.job_id
@@ -88,8 +75,7 @@ def _freeze(
         if value is None:
             value = estimator.predict(qj.job, 0.0, now)
         queued[jid] = out[jid] = value
-    cache.epoch = epoch
-    cache.queued = queued
+    cache.memo = queued  # evict the jobs no longer queued
     return out
 
 
@@ -101,8 +87,8 @@ def predict_wait(
     *,
     scheduler_estimator: RuntimeEstimator | None = None,
     fast: bool = True,
-    duration_cache: FreezeCache | None = None,
-    estimate_cache: FreezeCache | None = None,
+    duration_cache: EstimateMemo | None = None,
+    estimate_cache: EstimateMemo | None = None,
 ) -> float:
     """Predicted wait (seconds) of ``target_job_id`` from ``snapshot``.
 
@@ -112,8 +98,8 @@ def predict_wait(
     :mod:`repro.waitpred.fast` where they are exact (identical results,
     much cheaper for long FCFS queues).  ``duration_cache`` and
     ``estimate_cache`` carry the two estimators' queued-job freezes
-    across calls (see :class:`FreezeCache`); answers are identical with
-    and without them.
+    across calls (see :class:`~repro.scheduler.simulator.EstimateMemo`);
+    answers are identical with and without them.
 
     Raises :class:`repro.waitpred.fast.UnknownJobError` when
     ``target_job_id`` is not in the snapshot's queue — already running,
@@ -162,8 +148,8 @@ class WaitTimePredictor:
         )
         self.scheduler_estimator = scheduler_estimator
         self.fast = fast
-        self._duration_cache = FreezeCache()
-        self._estimate_cache = FreezeCache()
+        self._duration_cache = EstimateMemo()
+        self._estimate_cache = EstimateMemo()
         #: job_id -> predicted wait in seconds, recorded at submission.
         self.predicted_waits: dict[int, float] = {}
         # Prediction audit (see repro.obs.audit): record each wait

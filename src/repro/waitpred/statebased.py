@@ -41,6 +41,7 @@ from typing import Iterable, Sequence
 
 from repro.obs import Instrumentation
 from repro.predictors.base import PointEstimator
+from repro.scheduler.simulator import EstimateMemo
 from repro.stats.ci import RunningMoments
 from repro.utils.timeutils import DAY, HOUR
 from repro.workloads.job import Job
@@ -223,11 +224,11 @@ class StateBasedWaitPredictor:
         self._pending: dict[int, tuple[float, StateFeatures]] = {}
         self._wait_moments = RunningMoments()
         #: Per-job runtime estimates feeding the qwork/rt features, valid
-        #: while the estimator's history_epoch is unchanged (see
-        #: _features).  Keeps a burst of submissions at O(queue) instead
-        #: of O(queue^2) estimator calls.
-        self._estimate_cache: dict[int, float] = {}
-        self._estimate_cache_epoch: object = object()  # != any epoch: first use clears
+        #: while the estimator's history_epoch is unchanged.  Keeps a
+        #: burst of submissions at O(queue) instead of O(queue^2)
+        #: estimator calls; estimators without an epoch (or volatile
+        #: ones) are re-predicted at every submission.
+        self._estimates = EstimateMemo()
         obs = instrumentation if instrumentation is not None else Instrumentation()
         self.obs = obs
         reg = obs.registry
@@ -239,31 +240,12 @@ class StateBasedWaitPredictor:
         self._g_categories = reg.gauge("statebased.categories")
 
     # ------------------------------------------------------------------
-    def _shared_estimate_cache(self) -> dict[int, float]:
-        """The per-job estimate memo valid for the estimator's current epoch.
-
-        Same contract as the simulator's estimate cache
-        (:mod:`repro.predictors.base`): an epoch-aware estimator promises
-        its predictions for a fixed ``(job, elapsed)`` are unchanged
-        while ``history_epoch`` is unchanged, so each queued job's
-        runtime estimate may be computed once per epoch instead of once
-        per submission — a burst of arrivals costs O(queue) estimator
-        calls, not O(queue^2).  Estimators without an epoch (or volatile
-        ones advertising ``None``) get a fresh dict per call: the
-        historical recompute-everything behaviour.
-        """
-        epoch = getattr(self.runtime_estimator, "history_epoch", None)
-        if epoch is None:
-            return {}
-        if epoch != self._estimate_cache_epoch:
-            self._estimate_cache_epoch = epoch
-            self._estimate_cache.clear()
-        return self._estimate_cache
-
     def _features(self, view, job: Job) -> StateFeatures:
         now = view.now
         estimator = self.runtime_estimator
-        cache = self._shared_estimate_cache()
+        cache = self._estimates.sync(estimator)
+        if cache is None:
+            cache = {}
         queued_work = 0.0
         for qj in view.queued:
             if qj.job_id == job.job_id:
@@ -370,7 +352,7 @@ class StateBasedWaitPredictor:
         self._g_categories.set(len(self._categories))
         # The job has left the queue; under an epoch-frozen estimator its
         # memoized estimate would otherwise linger forever.
-        self._estimate_cache.pop(job.job_id, None)
+        self._estimates.memo.pop(job.job_id, None)
 
     def on_finish(self, view, job: Job) -> None:
         # Keep the run-time estimator's history current for the rt feature.

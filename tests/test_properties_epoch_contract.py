@@ -6,8 +6,9 @@ sound iff every predictor honors the contract: *predictions are a pure
 function of (job, elapsed) while the advertised epoch is unchanged*.
 
 The suite checks the contract behaviorally.  An :class:`EpochCache`
-mimics the simulator exactly — serve a memoized prediction while the
-epoch marker is unchanged, recompute otherwise — and is driven through
+serves elapsed-0 predictions through the real memo
+(:class:`repro.scheduler.simulator.EstimateMemo`) — memoized while the
+epoch marker is unchanged, recomputed otherwise — and is driven through
 randomized job lifecycle interleavings next to an identically-fed,
 never-caching twin estimator.  A conforming predictor makes the two
 agree bit-for-bit on every probe; the meta-test at the bottom shows the
@@ -31,33 +32,34 @@ from repro.predictors.gibbons import GibbonsPredictor
 from repro.predictors.simple import ActualRuntimePredictor, MaxRuntimePredictor
 from repro.predictors.smith import SmithPredictor
 from repro.predictors.templates import Template, default_templates
+from repro.scheduler.simulator import EstimateMemo
 from tests.test_properties_predictors import job_batches
 
 
 class EpochCache:
-    """The simulator's cross-pass estimate cache, reduced to its essence.
+    """An estimator served through the simulator's :class:`EstimateMemo`.
 
-    Serves memoized ``predict`` results while ``history_epoch`` is
-    unchanged; any movement of the marker flushes everything.  ``None``
-    (volatile) disables caching entirely.
+    Serves memoized elapsed-0 ``predict`` results while ``history_epoch``
+    is unchanged; any movement of the marker flushes everything.
+    ``None`` (volatile) disables caching entirely.
     """
 
     def __init__(self, estimator: PointEstimator) -> None:
         self.estimator = estimator
-        self._cache: dict[tuple, float] = {}
-        self._marker: object = object()  # matches no real epoch
+        self._memo = EstimateMemo()
+
+    @property
+    def _cache(self) -> dict[int, float]:
+        return self._memo.memo
 
     def predict(self, job, elapsed: float, now: float) -> float:
-        marker = self.estimator.history_epoch
-        if marker is None:
+        assert elapsed == 0.0, "the memo holds elapsed-0 predictions only"
+        memo = self._memo.sync(self.estimator)
+        if memo is None:
             return self.estimator.predict(job, elapsed, now)
-        if marker != self._marker:
-            self._cache.clear()
-            self._marker = marker
-        key = (job.job_id, elapsed)
-        if key not in self._cache:
-            self._cache[key] = self.estimator.predict(job, elapsed, now)
-        return self._cache[key]
+        if job.job_id not in memo:
+            memo[job.job_id] = self.estimator.predict(job, elapsed, now)
+        return memo[job.job_id]
 
 
 _FACTORIES = {

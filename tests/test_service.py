@@ -176,6 +176,44 @@ class NoHooks:
         return float(job.max_run_time)
 
 
+class Dial:
+    """A volatile estimator whose answers are set from outside."""
+
+    history_epoch = None
+
+    def __init__(self, values: dict[int, float]) -> None:
+        self.values = dict(values)
+
+    def predict(self, job, elapsed, now) -> float:
+        return self.values.get(job.job_id, float(job.max_run_time))
+
+
+@pytest.mark.parametrize(
+    "policy_cls, target, before, after",
+    [(LWFPolicy, 2, 149.0, 99.0), (BackfillPolicy, 3, 0.0, 199.0)],
+)
+def test_volatile_scheduler_estimator_is_never_served_stale(
+    policy_cls, target, before, after
+):
+    """A scheduler estimator advertising no epoch turns caching off: its
+    answers may change between two queries with no service event."""
+    dial = Dial({2: 100.0, 3: 10.0})
+    svc = PredictionService(policy_cls(), _estimator(), 10, scheduler_estimator=dial)
+    svc.submit(make_job(job_id=1, nodes=6, run_time=100.0, max_run_time=100.0), 0.0)
+    svc.start(1, 0.0)
+    for jid, nodes, max_rt in ((2, 8, 100.0), (3, 4, 50.0), (4, 5, 50.0)):
+        svc.submit(
+            make_job(job_id=jid, nodes=nodes, run_time=50.0, max_run_time=max_rt), 1.0
+        )
+    assert svc.predict(target) == before
+    dial.values.update({2: 10.0, 3: 100.0})
+    fresh = predict_wait(
+        svc.snapshot(), svc.policy, svc.estimator, target, scheduler_estimator=dial
+    )
+    assert fresh == after
+    assert svc.predict(target) == fresh
+
+
 def _drive(svc: PredictionService) -> None:
     svc.submit(make_job(job_id=1, nodes=2, max_run_time=100.0), 1.0)
     svc.start(1, 2.0)

@@ -223,6 +223,7 @@ class TestShortcutEdgeCases:
 
 def test_one_duration_floor_serves_both_shortcuts():
     """The shared walk floors durations at backfill's own minimum."""
+    from repro.scheduler.policies import backfill
     from repro.waitpred import fast
 
-    assert fast._EPS == BackfillPolicy.min_duration
+    assert fast.MIN_DURATION is backfill.MIN_DURATION

@@ -9,9 +9,9 @@ from repro.predictors.simple import MaxRuntimePredictor
 from repro.predictors.smith import SmithPredictor
 from repro.predictors.templates import Template
 from repro.scheduler.policies import BackfillPolicy, FCFSPolicy
-from repro.scheduler.simulator import Simulator, SystemSnapshot
+from repro.scheduler.simulator import EstimateMemo, Simulator, SystemSnapshot
 from repro.service import PredictionService, SimulatorFeed
-from repro.waitpred.predictor import FreezeCache, _freeze, predict_wait
+from repro.waitpred.predictor import _freeze, predict_wait
 from repro.workloads.archive import load_paper_workload
 
 
@@ -30,7 +30,7 @@ class _FreezeChecker:
 
     def __init__(self, estimator: PointEstimator) -> None:
         self.estimator = estimator
-        self.cache = FreezeCache()
+        self.cache = EstimateMemo()
         self.checked = 0
         self.epochs: set[object] = set()
 
@@ -76,7 +76,7 @@ def _snapshot_with_queue():
 def test_queued_jobs_predicted_once_per_epoch():
     snap = _snapshot_with_queue()
     estimator = PointEstimator(MaxRuntimePredictor())
-    cache = FreezeCache()
+    cache = EstimateMemo()
     first = _freeze(snap, estimator, cache)
     calls = estimator.predict_calls
     assert _freeze(snap, estimator, cache) == first
@@ -87,7 +87,7 @@ def test_queued_jobs_predicted_once_per_epoch():
 def test_volatile_estimator_is_repredicted_on_every_call():
     snap = _snapshot_with_queue()
     estimator = PointEstimator(MaxRuntimePredictor(), volatile=True)
-    cache = FreezeCache()
+    cache = EstimateMemo()
     first = _freeze(snap, estimator, cache)
     calls = estimator.predict_calls
     assert _freeze(snap, estimator, cache) == first

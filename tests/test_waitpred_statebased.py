@@ -269,6 +269,6 @@ class TestEstimateMemoization:
 
         first = make_job(job_id=1, run_time=60.0)
         p.on_submit(ViewStub(0.0, [QueuedJob(first)], 10), QueuedJob(first))
-        assert 1 in p._estimate_cache
+        assert 1 in p._estimates.memo
         p.on_start(ViewStub(5.0, [], 10), first)
-        assert 1 not in p._estimate_cache
+        assert 1 not in p._estimates.memo
