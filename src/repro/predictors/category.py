@@ -24,8 +24,13 @@ bisection; the unscaled statistic — ``(mean, half_width)`` for the mean,
 the :class:`~repro.stats.regression.RegressionResult` for regressions —
 is computed once per ``(k, confidence)`` and the memo is cleared on every
 :meth:`Category.add`.  A miss fits the same values, in the same order,
-with the same NumPy call as a filter over the history would, so the
-memoised answer is the same to the bit.  Scaling, the regression's
+with the same arithmetic as a filter over the history would, so the
+memoised answer is the same to the bit: the regressions make the same
+NumPy calls, and the mean's kernel
+(:func:`~repro.stats.ci.mean_confidence_interval`) makes the same
+pairwise sums as NumPy's ``mean``/``std``, without their Python-level
+wrappers.  A mean miss gathers only the values; node counts are
+gathered for the regressions alone.  Scaling, the regression's
 evaluation at the queried job's nodes and the floor at ``elapsed`` are
 applied per call.
 """
@@ -186,12 +191,13 @@ class Category:
                 np.array([p.nodes for p in pts], dtype=float),
             )
         run_times, values, nodes = columns
+        kind = self.template.estimator
         if elapsed > 0.0:
             self.points_scanned += len(run_times)
             mask = run_times >= elapsed
             values = values[mask]
-            nodes = nodes[mask]
-        kind = self.template.estimator
+            if kind != "mean":  # only the regressions read node counts
+                nodes = nodes[mask]
         if kind == "mean":
             return mean_confidence_interval(values, confidence)
         try:

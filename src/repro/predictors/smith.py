@@ -44,6 +44,8 @@ class SmithPredictor(RuntimePredictor):
         if not 0 < confidence < 1:
             raise ValueError(f"confidence must be in (0,1), got {confidence}")
         self.templates: tuple[Template, ...] = tuple(tpl)
+        # Each template's Prediction.source, built once.
+        self._sources: tuple[str, ...] = tuple(t.describe() for t in self.templates)
         self.confidence = confidence
         # Categories keyed by (template index, category key).
         self._categories: dict[tuple[int, tuple], Category] = {}
@@ -95,9 +97,7 @@ class SmithPredictor(RuntimePredictor):
             return None
         hw, est, idx = best
         self._wins[idx] += 1
-        return Prediction(
-            estimate=est, interval=hw, source=self.templates[idx].describe()
-        )
+        return Prediction(estimate=est, interval=hw, source=self._sources[idx])
 
     def on_finish(self, job: Job, now: float) -> None:
         for full_key in self._category_keys(job):
@@ -120,9 +120,7 @@ class SmithPredictor(RuntimePredictor):
         dead weight; a large ``(no prediction)`` count signals ramp-up
         or coverage gaps.
         """
-        stats = {
-            t.describe(): wins for t, wins in zip(self.templates, self._wins)
-        }
+        stats = dict(zip(self._sources, self._wins))
         stats["(no prediction)"] = self._misses
         return stats
 

@@ -14,6 +14,14 @@ the new job, not the category average.  (Using the mean-CI instead only
 rescales all widths by roughly ``sqrt(n)`` and does not change which
 category wins for same-size categories; the prediction interval is what
 makes small, tight categories beat huge, diffuse ones.)
+
+:func:`mean_confidence_interval` is called on every miss of a category's
+memo, mostly on a few hundred points, where NumPy's Python-level
+``mean``/``std`` wrappers cost more than the arithmetic.  It calls the
+ufuncs those wrappers call, in the same order — the same pairwise sums,
+the same single divisions and an IEEE square root — so it returns the
+same bits as ``x.mean()`` and ``x.std(ddof=1)``
+(``tests/test_stats_ci.py`` pins this).
 """
 
 from __future__ import annotations
@@ -109,8 +117,11 @@ def mean_confidence_interval(
     n = x.size
     if n < 2:
         raise ValueError("confidence interval requires at least 2 values")
-    m = float(x.mean())
-    s = float(x.std(ddof=1))
+    # x.mean() and x.std(ddof=1) without their wrappers: the same bits.
+    total = np.add.reduce(x)
+    m = float(total) / n
+    d = x - total / n
+    s = math.sqrt(np.add.reduce(d * d) / (n - 1))
     t = t_quantile(n - 1, 0.5 + confidence / 2.0)
     scale = math.sqrt(1.0 + 1.0 / n) if prediction else math.sqrt(1.0 / n)
     return m, t * s * scale

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import deque
 
@@ -17,7 +18,7 @@ from repro.predictors.gibbons import GibbonsPredictor
 from repro.predictors.simple import MaxRuntimePredictor
 from repro.predictors.smith import SmithPredictor
 from repro.predictors.templates import ESTIMATOR_KINDS, Template
-from repro.stats.ci import RunningMoments, mean_confidence_interval
+from repro.stats.ci import RunningMoments, t_quantile
 from repro.stats.regression import fit_inverse, fit_linear, fit_logarithmic
 from repro.workloads.job import Job, Trace
 from repro.workloads.swf import job_to_swf_line, parse_swf_lines
@@ -157,7 +158,9 @@ class _FilterAndFitCategory:
 
     This is the straightforward reading of §2.1 — keep the points whose
     run time is at least ``elapsed``, fit them with NumPy — against which
-    :class:`Category`'s memoised statistics must agree bit for bit.
+    :class:`Category`'s memoised statistics must agree bit for bit.  The
+    mean's interval is built from ``np.mean``/``np.std`` and
+    :func:`t_quantile` here, not from the kernel under test.
     """
 
     _fitters = {"linear": fit_linear, "inverse": fit_inverse, "log": fit_logarithmic}
@@ -195,7 +198,11 @@ class _FilterAndFitCategory:
             else:
                 if len(pts) < 2:
                     return None
-                est, hw = mean_confidence_interval([p.value for p in pts], confidence)
+                values = np.array([p.value for p in pts], dtype=float)
+                n = len(values)
+                t = t_quantile(n - 1, 0.5 + confidence / 2.0)
+                est = float(np.mean(values))
+                hw = t * float(np.std(values, ddof=1)) * math.sqrt(1.0 + 1.0 / n)
         else:
             sample = list(self._points) if pts is None else pts
             if len(sample) < 3:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -35,6 +36,33 @@ class TestTQuantile:
 
     def test_cached(self):
         assert t_quantile(9, 0.95) == t_quantile(9, 0.95)
+
+
+#: Sizes on both sides of NumPy's 8-lane unrolled sum and its 128-element
+#: pairwise block, plus multi-block sizes.
+_SIZES = (2, 3, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 1000, 1024, 1031, 3000)
+
+
+@st.composite
+def _samples(draw):
+    """Float64 samples with values spanning 1e-9 to 1e7."""
+    shape = draw(st.sampled_from(("drawn", "spread", "narrow", "tied", "constant")))
+    if shape == "drawn":
+        return np.array(draw(st.lists(st.floats(1e-9, 1e7), min_size=2, max_size=40)))
+    n = draw(st.sampled_from(_SIZES))
+    if shape == "constant":
+        return np.full(n, draw(st.floats(1e-9, 1e7)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "tied":
+        pool = draw(st.lists(st.floats(1e-9, 1e7), min_size=1, max_size=4))
+        return rng.choice(pool, n)
+    if shape == "narrow":  # one magnitude, like a category's run times
+        return rng.uniform(0.0, 1.0, n) * 10.0 ** draw(st.integers(-9, 7))
+    return 10.0 ** rng.uniform(-9.0, 7.0, n)
+
+
+def _bits(pair):
+    return tuple(struct.pack("<d", v) for v in pair)
 
 
 class TestMeanConfidenceInterval:
@@ -76,6 +104,17 @@ class TestMeanConfidenceInterval:
         assert hw_big == pytest.approx(1.645, abs=0.1)  # ~z_{0.95} * sigma
         _, hw_small = mean_confidence_interval(small)
         assert hw_small > 0
+
+    @given(_samples(), st.sampled_from((0.5, 0.9, 0.95, 0.99)), st.booleans())
+    @settings(max_examples=300)
+    def test_property_bits_match_numpy_mean_and_std(self, x, confidence, prediction):
+        """The kernel is ``x.mean()`` and ``x.std(ddof=1)`` to the bit."""
+        n = x.size
+        t = t_quantile(n - 1, 0.5 + confidence / 2.0)
+        scale = math.sqrt(1.0 + 1.0 / n) if prediction else math.sqrt(1.0 / n)
+        want = _bits((float(x.mean()), t * float(x.std(ddof=1)) * scale))
+        assert _bits(mean_confidence_interval(x, confidence, prediction=prediction)) == want
+        assert _bits(mean_confidence_interval(x.tolist(), confidence, prediction=prediction)) == want
 
 
 class TestRunningMoments:
