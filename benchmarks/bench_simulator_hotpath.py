@@ -70,17 +70,19 @@ def _replay(engine_cls, policy, trace, instrumentation=None):
 def _cell(workload: str, policy_cls) -> tuple[dict, dict]:
     trace = bench_trace(workload)
     result, wall, sim = _replay(Simulator, policy_cls(), trace)
-    passes = max(sim.schedule_passes, 1)
+    snapshot = sim.metrics_snapshot()
+    events = snapshot["counters"]["sim.events_processed"]
+    passes = snapshot["counters"]["sim.schedule_passes"]
     cell = {
         "workload": workload,
         "policy": policy_cls.name,
         "jobs": len(result.records),
         "wall_s": wall,
-        "events_per_s": sim.events_processed / wall if wall > 0 else float("inf"),
-        "passes": sim.schedule_passes,
-        "pass_cost_us": wall / passes * 1e6,
+        "events_per_s": events / wall if wall > 0 else float("inf"),
+        "passes": passes,
+        "pass_cost_us": wall / max(passes, 1) * 1e6,
     }
-    return cell, sim.metrics_snapshot()
+    return cell, snapshot
 
 
 def test_hotpath_throughput(benchmark):

@@ -110,7 +110,9 @@ def main(argv=None) -> int:
         profiler.disable()
     wall = time.perf_counter() - t0
 
-    passes = max(sim.schedule_passes, 1)
+    snapshot = sim.metrics_snapshot()
+    events = snapshot["counters"]["sim.events_processed"]
+    passes = snapshot["counters"]["sim.schedule_passes"]
     stats = {
         "workload": args.workload,
         "policy": args.policy,
@@ -119,15 +121,14 @@ def main(argv=None) -> int:
         "jobs": len(result.records),
         "total_nodes": trace.total_nodes,
         "wall_s": wall,
-        "events_processed": sim.events_processed,
-        "events_per_s": sim.events_processed / wall if wall > 0 else float("inf"),
-        "schedule_passes": sim.schedule_passes,
-        "pass_cost_us": wall / passes * 1e6,
+        "events_processed": events,
+        "events_per_s": events / wall if wall > 0 else float("inf"),
+        "schedule_passes": passes,
+        "pass_cost_us": wall / max(passes, 1) * 1e6,
         "utilization_percent": result.utilization_percent,
         "mean_wait_min": result.mean_wait_minutes,
+        "metrics": snapshot,
     }
-    snapshot = sim.metrics_snapshot()
-    stats["metrics"] = snapshot
 
     if args.json:
         print(json.dumps(stats, indent=2))

@@ -886,7 +886,7 @@ def run_query(args: argparse.Namespace) -> int:
             from repro.core.registry import make_policy, make_predictor
             from repro.predictors.base import PointEstimator
             from repro.scheduler.simulator import Simulator
-            from repro.service.server import ClientFeed
+            from repro.service import SimulatorFeed
 
             wl = load_trace(
                 args.workload, None if args.replay <= 0 else args.replay,
@@ -897,7 +897,7 @@ def run_query(args: argparse.Namespace) -> int:
                 PointEstimator(make_predictor(args.predictor, wl)),
                 wl.total_nodes,
             )
-            sim.add_observer(ClientFeed(client))
+            sim.add_observer(SimulatorFeed(client))
             last_submit = max(job.submit_time for job in wl.jobs)
             sim.run(wl, until_time=None if args.drain else last_submit)
             state = client.state()

@@ -37,6 +37,12 @@ from repro.workloads.job import Job
 
 __all__ = ["Prediction", "RuntimePredictor", "PointEstimator", "warm_start"]
 
+#: The fallback chain's links, in the order they are tried.
+LINKS = ("predicted", "fallback_max", "fallback_mean", "fallback_default")
+#: Links that consume the running mean (the default gives way to it at
+#: the first completion, so it counts too).
+_MEAN_LINKS = frozenset(LINKS[2:])
+
 
 def warm_start(predictor: "RuntimePredictor", jobs) -> "RuntimePredictor":
     """Pre-load a predictor's history from a training set.
@@ -123,36 +129,31 @@ class PointEstimator:
     Implements the ``predict(job, elapsed, now) -> float`` protocol of
     :mod:`repro.scheduler.simulator` plus the lifecycle hooks, forwarding
     them to the wrapped predictor so its history stays current.
+    :meth:`resolve` is the one place the fallback chain is walked;
+    ``predict``, the prediction audit and the many-worlds encoder all
+    go through it.
     """
 
     def __init__(
         self,
         predictor: RuntimePredictor,
         *,
-        fall_back_to_max: bool = True,
         default: float = 600.0,
-        cap_at_max: bool = False,
         volatile: bool = False,
         instrumentation=None,
     ) -> None:
         if default <= 0:
             raise ValueError(f"default must be positive, got {default}")
         self.predictor = predictor
-        self.fall_back_to_max = fall_back_to_max
         self.default = default
-        self.cap_at_max = cap_at_max
         self._completed_sum = 0.0
         self._completed_count = 0
         self._epoch = 0
         self._volatile = volatile
-        # Fallback-chain tallies, kept as plain ints (this sits on the
-        # replay hot path) and exported via obs_stats() for the metrics
-        # snapshot.
+        # Fallback-chain tallies, one per link, exported via obs_stats()
+        # for the metrics snapshot.
         self.predict_calls = 0
-        self.predicted = 0
-        self.fallback_max = 0
-        self.fallback_mean = 0
-        self.fallback_default = 0
+        self.link_counts = dict.fromkeys(LINKS, 0)
         # Submit/start hooks are no-ops on the RuntimePredictor base; only
         # bump the epoch for predictors that actually override them, so a
         # start does not needlessly flush the simulator's estimate cache.
@@ -178,12 +179,7 @@ class PointEstimator:
         # static predictors (user maxima, actual run times) keep a
         # permanently valid cache.
         self._mean_used = False
-        # Prediction audit: when the instrumentation bundle carries one,
-        # shadow on_submit with the audited variant on this instance so
-        # the un-audited path executes zero extra instructions.
         self._audit = getattr(instrumentation, "audit", None)
-        if self._audit is not None:
-            self.on_submit = self._on_submit_audited  # type: ignore[method-assign]
 
     @property
     def name(self) -> str:
@@ -207,28 +203,36 @@ class PointEstimator:
             return (self._epoch, pred_epoch)
         return self._epoch
 
-    def predict(self, job: Job, elapsed: float, now: float) -> float:
-        self.predict_calls += 1
-        pred = self.predictor.predict(job, elapsed, now)
-        if pred is not None:
-            est = pred.estimate
-            self.predicted += 1
-        elif self.fall_back_to_max and job.max_run_time is not None:
-            est = job.max_run_time
-            self.fallback_max += 1
+    def resolve(
+        self, job: Job, elapsed: float, now: float
+    ) -> tuple[float, str, Prediction | None]:
+        """``(estimate, link, rich)``: the fallback chain, side-effect free.
+
+        ``link`` names the chain link that produced the estimate (one of
+        :data:`LINKS`) and ``rich`` is the predictor's own
+        :class:`Prediction`, ``None`` when it abstained.  The estimate
+        is clamped to ``elapsed``.  No tally, epoch or cache signal
+        moves, so the audit and the many-worlds engine can ask freely.
+        """
+        rich = self.predictor.predict(job, elapsed, now)
+        if rich is not None:
+            est, link = rich.estimate, "predicted"
+        elif job.max_run_time is not None:
+            est, link = job.max_run_time, "fallback_max"
         elif self._completed_count > 0:
-            est = self._completed_sum / self._completed_count
-            self._mean_used = True
-            self.fallback_mean += 1
+            est, link = self._completed_sum / self._completed_count, "fallback_mean"
         else:
-            # The default gives way to the running mean at the first
-            # completion, so it counts as mean consumption too.
-            est = self.default
+            est, link = self.default, "fallback_default"
+        return max(est, elapsed), link, rich
+
+    def predict(self, job: Job, elapsed: float, now: float) -> float:
+        """:meth:`resolve`'s estimate, tallied under its link."""
+        est, link, _ = self.resolve(job, elapsed, now)
+        self.predict_calls += 1
+        self.link_counts[link] += 1
+        if link in _MEAN_LINKS:
             self._mean_used = True
-            self.fallback_default += 1
-        if self.cap_at_max and job.max_run_time is not None:
-            est = min(est, job.max_run_time)
-        return max(est, elapsed)
+        return est
 
     def obs_stats(self) -> dict[str, int]:
         """Fallback-chain counters, keyed for the metrics snapshot.
@@ -239,10 +243,7 @@ class PointEstimator:
         """
         stats = {
             "predict_calls": self.predict_calls,
-            "predicted": self.predicted,
-            "fallback_max": self.fallback_max,
-            "fallback_mean": self.fallback_mean,
-            "fallback_default": self.fallback_default,
+            **self.link_counts,
             "history_epoch_bumps": self._epoch,
         }
         inner = getattr(self.predictor, "obs_stats", None)
@@ -256,7 +257,7 @@ class PointEstimator:
         """``predict(job, e, t)`` equals ``max(predict(job, 0, t'), e)``.
 
         Holds at fixed epoch when the wrapped predictor ignores elapsed
-        and now: the fallback chain and cap don't consult them, leaving
+        and now: the fallback chain doesn't consult them, leaving
         the final ``max(est, elapsed)`` clamp as the only dependence.
         Volatile estimators never advertise it.
         """
@@ -266,37 +267,14 @@ class PointEstimator:
         if self._bump_on_submit:
             self._epoch += 1
         self.predictor.on_submit(job, now)
-
-    def _on_submit_audited(self, job: Job, now: float) -> None:
-        type(self).on_submit(self, job, now)
-        est, source = self._estimate_with_source(job, now)
-        self._audit.record_runtime(
-            job.job_id, now, est, predictor=self.name, source=source
-        )
-
-    def _estimate_with_source(self, job: Job, now: float) -> tuple[float, str]:
-        """The submission-time estimate plus which chain link produced it.
-
-        Re-runs the fallback chain without touching the hot-path tallies
-        or the ``_mean_used`` cache signal, so ``obs_stats()`` and the
-        epoch sequence are identical with and without auditing.
-        """
-        pred = self.predictor.predict(job, 0.0, now)
-        if pred is not None:
-            est = pred.estimate
-            source = pred.source or "predicted"
-        elif self.fall_back_to_max and job.max_run_time is not None:
-            est = job.max_run_time
-            source = "fallback_max"
-        elif self._completed_count > 0:
-            est = self._completed_sum / self._completed_count
-            source = "fallback_mean"
-        else:
-            est = self.default
-            source = "fallback_default"
-        if self.cap_at_max and job.max_run_time is not None:
-            est = min(est, job.max_run_time)
-        return max(est, 0.0), source
+        if self._audit is not None:
+            # resolve() leaves tallies and the cache signal alone, so
+            # obs_stats() and the epoch sequence ignore the audit.
+            est, link, rich = self.resolve(job, 0.0, now)
+            source = rich.source if rich is not None else ""
+            self._audit.record_runtime(
+                job.job_id, now, est, predictor=self.name, source=source or link
+            )
 
     def on_start(self, job: Job, now: float) -> None:
         if self._bump_on_start:

@@ -143,11 +143,7 @@ def record_prediction_workload(
 
 
 def replay_workload_error(
-    workload: PredictionWorkload,
-    predictor: RuntimePredictor,
-    *,
-    default: float = 600.0,
-    fall_back_to_max: bool = True,
+    workload: PredictionWorkload, predictor: RuntimePredictor
 ) -> float:
     """Mean absolute error (seconds) of ``predictor`` over the stream.
 
@@ -155,9 +151,7 @@ def replay_workload_error(
     scored with the standard fallback chain so template sets that cover
     nothing are penalized by the fallback's error rather than skipped.
     """
-    estimator = PointEstimator(
-        predictor, default=default, fall_back_to_max=fall_back_to_max
-    )
+    estimator = PointEstimator(predictor)
     total = 0.0
     count = 0
     for event in workload.events:

@@ -49,20 +49,12 @@ class ReplayReport:
         return self.mean_abs_error / self.mean_run_time
 
 
-def replay_prediction_error(
-    trace: Trace,
-    predictor: RuntimePredictor,
-    *,
-    default: float = 600.0,
-    fall_back_to_max: bool = True,
-) -> ReplayReport:
+def replay_prediction_error(trace: Trace, predictor: RuntimePredictor) -> ReplayReport:
     """Replay ``trace`` through ``predictor`` and report its accuracy.
 
     The predictor is mutated (its history grows); pass a fresh instance.
     """
-    estimator = PointEstimator(
-        predictor, default=default, fall_back_to_max=fall_back_to_max
-    )
+    estimator = PointEstimator(predictor)
     completions: list[tuple[float, int]] = []  # (finish_time, index into trace)
     jobs = list(trace)
     abs_errors = np.empty(len(jobs))

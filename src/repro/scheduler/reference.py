@@ -204,16 +204,6 @@ class ReferenceSimulator:
         self._c_started = reg.counter("sim.jobs_started")
         self._c_finished = reg.counter("sim.jobs_finished")
 
-    @property
-    def events_processed(self) -> int:
-        """Backward-compat alias for the ``sim.events_processed`` counter."""
-        return self._c_events.value
-
-    @property
-    def schedule_passes(self) -> int:
-        """Backward-compat alias for the ``sim.schedule_passes`` counter."""
-        return self._c_passes.value
-
     def metrics_snapshot(self) -> dict:
         """JSON-serializable snapshot of this run's registry."""
         return self.obs.registry.snapshot()

@@ -444,15 +444,6 @@ class Simulator:
         self.waiting_reservations: list[Reservation] = []
         self.active_reservations: list[ActiveReservation] = []
         self.reservation_records: list[ReservationRecord] = []
-        #: Monotone counter of queued/running mutations (submit, start,
-        #: finish, snapshot load).  An unchanged value at an unchanged
-        #: ``now`` means :meth:`snapshot` would return an equal snapshot,
-        #: which is what lets it be memoized and lets outside consumers
-        #: (the prediction service's epoch-keyed caches) detect change in
-        #: O(1) instead of diffing state.
-        self.state_epoch: int = 0
-        self._snapshot_cache: SystemSnapshot | None = None
-        self._snapshot_key: tuple | None = None
         #: Queued-job estimates surviving across passes, gated by the
         #: estimator's ``history_epoch`` (see _estimate_memo).
         self._estimates = EstimateMemo()
@@ -492,16 +483,6 @@ class Simulator:
         self._bind_subscribers()
         if obs.timeseries is not None:
             self.add_observer(obs.timeseries)
-
-    @property
-    def events_processed(self) -> int:
-        """Events drained so far (back-compat alias of ``sim.events_processed``)."""
-        return self._n_events
-
-    @property
-    def schedule_passes(self) -> int:
-        """Policy invocations so far (back-compat alias of ``sim.schedule_passes``)."""
-        return self._n_passes
 
     def metrics_snapshot(self) -> dict:
         """Fold the hot-path tallies into the registry and snapshot it.
@@ -655,7 +636,6 @@ class Simulator:
         in their original arrival order.
         """
         self.now = snapshot.now
-        self.state_epoch += 1
         for rj in snapshot.running:
             self.pool.allocate(rj.job.nodes)
             self.running.append(rj)
@@ -666,27 +646,13 @@ class Simulator:
             self.queued.append(qj)
 
     def snapshot(self) -> SystemSnapshot:
-        """Capture the current running/queued state.
-
-        Memoized per ``(state_epoch, now)``: repeated calls between
-        events return the same object instead of rebuilding the tuples,
-        so snapshot consumers polling a live simulator pay O(1).  The
-        queue/running lengths ride along in the key as a guard for
-        callers (tests, mostly) that mutate the job lists directly
-        without going through an event handler.
-        """
-        key = (self.state_epoch, self.now, len(self.queued), len(self.running))
-        if self._snapshot_cache is not None and self._snapshot_key == key:
-            return self._snapshot_cache
-        snap = SystemSnapshot(
+        """Capture the current running/queued state."""
+        return SystemSnapshot(
             now=self.now,
             running=tuple(self.running),
             queued=tuple(self.queued),
             total_nodes=self.pool.total,
         )
-        self._snapshot_key = key
-        self._snapshot_cache = snap
-        return snap
 
     # ------------------------------------------------------------------
     # engine
@@ -784,7 +750,6 @@ class Simulator:
     def _handle_submit(self, job: Job) -> None:
         qj = QueuedJob(job)
         self.queued.append(qj)
-        self.state_epoch += 1
         for notify in self._on_submit:
             notify(self, qj)
 
@@ -793,7 +758,6 @@ class Simulator:
             self.running.remove(rj)
         except ValueError:
             raise RuntimeError(f"finish event for job {rj.job_id} not running")
-        self.state_epoch += 1
         self.pool.release(rj.job.nodes)
         self._records.append(
             JobRecord(
@@ -901,7 +865,6 @@ class Simulator:
     def _start(self, qj: QueuedJob) -> None:
         self.pool.allocate(qj.job.nodes)  # raises if the policy overcommitted
         self.queued.remove(qj)
-        self.state_epoch += 1
         if not self._est_invariant:
             # No longer queued; keep the cache small.  Elapsed-invariant
             # estimators keep the entry — it doubles as the running-job

@@ -9,7 +9,6 @@ points.
 """
 
 from repro.service.server import (
-    ClientFeed,
     PredictionServer,
     ServiceClient,
     job_from_wire,
@@ -23,7 +22,6 @@ __all__ = [
     "UnknownJobError",
     "PredictionServer",
     "ServiceClient",
-    "ClientFeed",
     "job_to_wire",
     "job_from_wire",
 ]

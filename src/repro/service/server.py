@@ -283,24 +283,3 @@ class ServiceClient:
 
     def shutdown(self) -> None:
         self.call({"op": "shutdown"})
-
-
-class ClientFeed:
-    """Simulator observer streaming life-cycle events to a remote server.
-
-    The network twin of :class:`~repro.service.service.SimulatorFeed`:
-    attach to a local replay and the server's mirrored state follows the
-    simulation event by event (used by ``repro-sched query --replay``).
-    """
-
-    def __init__(self, client: ServiceClient) -> None:
-        self.client = client
-
-    def on_submit(self, view, qj) -> None:
-        self.client.submit(qj.job, view.now)
-
-    def on_start(self, view, job) -> None:
-        self.client.start(job.job_id, view.now)
-
-    def on_finish(self, view, job) -> None:
-        self.client.finish(job.job_id, view.now)

@@ -42,7 +42,7 @@ backfill with a divergent scheduler estimator) fall back to per-job
 from __future__ import annotations
 
 import time
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.obs import QUERY_LATENCY_BUCKETS, Instrumentation
 from repro.scheduler.policies.base import Policy
@@ -63,6 +63,9 @@ from repro.waitpred.fast import (
 )
 from repro.waitpred.predictor import _freeze
 from repro.workloads.job import Job
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.service.server import ServiceClient
 
 __all__ = ["PredictionService", "SimulatorFeed", "UnknownJobError"]
 
@@ -361,11 +364,13 @@ class SimulatorFeed:
     Attach with :meth:`Simulator.add_observer`; the service then tracks
     the live simulator state exactly (the property suite asserts
     ``feed.service.snapshot() == sim.snapshot()`` after any replay
-    prefix).  Used by the replay client (``repro-sched query --replay``)
-    and the parity tests.
+    prefix).  A :class:`~repro.service.server.ServiceClient` has the
+    same ``submit``/``start``/``finish`` signatures, so the feed streams
+    a local replay to a remote server too (``repro-sched query
+    --replay``).
     """
 
-    def __init__(self, service: PredictionService) -> None:
+    def __init__(self, service: PredictionService | ServiceClient) -> None:
         self.service = service
 
     def on_submit(self, view, qj: QueuedJob) -> None:

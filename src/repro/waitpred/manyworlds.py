@@ -7,11 +7,11 @@ hot core was a Python loop — one full profile replay per world — so a
 out of reach.  This module restructures that core as structure-of-arrays
 state advanced across all S worlds at once:
 
-1. :func:`encode_snapshot` walks the snapshot *once*, predicting each
-   job a single time (point estimate + interval half-width) and packing
-   the per-job node counts, elapsed times, points and sigmas into flat
-   numpy arrays (running jobs first, then queued, both in snapshot
-   order);
+1. :func:`encode_snapshot` walks the snapshot *once*, resolving each
+   job's point estimate and interval half-width through
+   :meth:`PointEstimator.resolve` and packing the per-job node counts,
+   elapsed times, points and sigmas into flat numpy arrays (running
+   jobs first, then queued, both in snapshot order);
 2. :func:`sample_durations` draws every world's run times in a single
    ``(S, n_jobs)`` ``standard_normal`` call;
 3. :func:`predict_starts_batch` plans the whole queue through a
@@ -104,62 +104,40 @@ class EncodedSnapshot:
         return {jid: float(row[i]) for i, jid in enumerate(self.job_ids())}
 
 
-def _predict_once(
-    estimator: PointEstimator, job, elapsed: float, now: float
-) -> tuple[float, float]:
-    """``(point, sigma)`` from a single predictor call.
-
-    The rich prediction supplies both the point value and the interval;
-    only when the predictor abstains (``None``) does the estimator's
-    fallback chain run — so each job is predicted exactly once per
-    query instead of twice.  The point value reproduces
-    :meth:`PointEstimator.predict` bit for bit: same cap-at-max rule,
-    same clamp to the elapsed run time.
-    """
-    rich = estimator.predictor.predict(job, elapsed, now)
-    if rich is None:
-        return estimator.predict(job, elapsed, now), 0.0
-    est = rich.estimate
-    if getattr(estimator, "cap_at_max", False) and job.max_run_time is not None:
-        est = min(est, job.max_run_time)
-    return max(est, elapsed), rich.interval / _Z90
-
-
 def encode_snapshot(
     snapshot: SystemSnapshot, estimator: PointEstimator
 ) -> EncodedSnapshot:
-    """Predict every job once and pack the snapshot into flat arrays."""
+    """Resolve each job's ``(point, sigma)`` and pack them into arrays.
+
+    A job the predictor covers costs one predictor call: its rich
+    prediction gives both the point (as :meth:`PointEstimator.predict`
+    would return it) and the sigma.  A job the predictor abstains on
+    has sigma 0 and is asked a second time, through
+    :meth:`PointEstimator.predict`, so the estimator's fallback tallies
+    count it exactly as a scheduler call would.
+    """
     now = snapshot.now
-    run_ids = []
-    run_nodes = []
-    run_elapsed = []
+    jobs = [(rj.job, rj.elapsed(now)) for rj in snapshot.running]
+    jobs += [(qj.job, 0.0) for qj in snapshot.queued]
     points = []
     sigmas = []
-    for rj in snapshot.running:
-        elapsed = rj.elapsed(now)
-        point, sigma = _predict_once(estimator, rj.job, elapsed, now)
-        run_ids.append(rj.job_id)
-        run_nodes.append(rj.job.nodes)
-        run_elapsed.append(elapsed)
+    for job, elapsed in jobs:
+        point, _, rich = estimator.resolve(job, elapsed, now)
+        if rich is None:
+            point = estimator.predict(job, elapsed, now)
         points.append(point)
-        sigmas.append(sigma)
-    queued_ids = []
-    queued_nodes = []
-    for qj in snapshot.queued:
-        point, sigma = _predict_once(estimator, qj.job, 0.0, now)
-        queued_ids.append(qj.job_id)
-        queued_nodes.append(qj.job.nodes)
-        points.append(point)
-        sigmas.append(sigma)
+        sigmas.append(0.0 if rich is None else rich.interval / _Z90)
+    n_run = len(snapshot.running)
+    run_nodes = [job.nodes for job, _ in jobs[:n_run]]
     return EncodedSnapshot(
         now=now,
         total_nodes=snapshot.total_nodes,
         free_nodes=snapshot.total_nodes - sum(run_nodes),
-        run_ids=tuple(run_ids),
+        run_ids=tuple(rj.job_id for rj in snapshot.running),
         run_nodes=np.asarray(run_nodes, dtype=np.int64),
-        run_elapsed=np.asarray(run_elapsed, dtype=np.float64),
-        queued_ids=tuple(queued_ids),
-        queued_nodes=np.asarray(queued_nodes, dtype=np.int64),
+        run_elapsed=np.asarray([e for _, e in jobs[:n_run]], dtype=np.float64),
+        queued_ids=tuple(qj.job_id for qj in snapshot.queued),
+        queued_nodes=np.asarray([job.nodes for job, _ in jobs[n_run:]], dtype=np.int64),
         point=np.asarray(points, dtype=np.float64),
         sigma=np.asarray(sigmas, dtype=np.float64),
     )

@@ -137,15 +137,11 @@ class WaitTimePredictor:
         predictor: RuntimePredictor,
         *,
         scheduler_estimator: RuntimeEstimator | None = None,
-        default: float = 600.0,
-        fall_back_to_max: bool = True,
         fast: bool = True,
         instrumentation=None,
     ) -> None:
         self.policy = policy
-        self.estimator = PointEstimator(
-            predictor, default=default, fall_back_to_max=fall_back_to_max
-        )
+        self.estimator = PointEstimator(predictor)
         self.scheduler_estimator = scheduler_estimator
         self.fast = fast
         self._duration_cache = EstimateMemo()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.predictors.base import PointEstimator, Prediction
+from repro.predictors.base import LINKS, PointEstimator, Prediction
 from repro.predictors.simple import ActualRuntimePredictor, MaxRuntimePredictor
 from repro.workloads.job import Trace
 from tests.conftest import make_job
@@ -124,11 +124,6 @@ class TestPointEstimator:
         est = PointEstimator(ActualRuntimePredictor())
         assert est.predict(make_job(run_time=10.0), 500.0, 0.0) == 500.0
 
-    def test_cap_at_max(self):
-        est = PointEstimator(ActualRuntimePredictor(), cap_at_max=True)
-        job = make_job(run_time=1000.0, max_run_time=600.0)
-        assert est.predict(job, 0.0, 0.0) == 600.0
-
     def test_no_cap_by_default(self):
         est = PointEstimator(ActualRuntimePredictor())
         job = make_job(run_time=1000.0, max_run_time=600.0)
@@ -149,14 +144,99 @@ class TestPointEstimator:
         est.on_finish(make_job(job_id=7), 0.0)
         assert calls == [7]
 
-    def test_disable_max_fallback(self):
-        from repro.predictors.smith import SmithPredictor
-        from repro.predictors.templates import Template
 
-        est = PointEstimator(
-            SmithPredictor([Template()]), fall_back_to_max=False, default=5.0
-        )
-        assert est.predict(make_job(max_run_time=100.0), 0.0, 0.0) == 5.0
+def _chain_case(link, instrumentation=None):
+    """An estimator and a job whose estimate comes from ``link``."""
+    from repro.predictors.smith import SmithPredictor
+    from repro.predictors.templates import Template
+
+    est = PointEstimator(
+        SmithPredictor([Template(characteristics=("e",))]),
+        default=777.0,
+        instrumentation=instrumentation,
+    )
+    if link != "fallback_default":
+        for run_time in (100.0, 300.0, 400.0, 6000.0, 7000.0):
+            est.on_finish(make_job(run_time=run_time, executable="a"), 0.0)
+    job = {
+        "predicted": make_job(executable="a", max_run_time=None),
+        "fallback_max": make_job(executable="zzz", max_run_time=999.0),
+        "fallback_mean": make_job(executable="zzz", max_run_time=None),
+        "fallback_default": make_job(executable="zzz", max_run_time=None),
+    }[link]
+    return est, job
+
+
+class TestFallbackChain:
+    """One chain: ``resolve`` picks the link, ``predict`` only tallies it."""
+
+    @pytest.mark.parametrize("link", LINKS)
+    @pytest.mark.parametrize("elapsed", [0.0, 250.0, 5000.0])
+    def test_resolve_returns_the_float_predict_returns(self, link, elapsed):
+        est, job = _chain_case(link)
+        value, got_link, rich = est.resolve(job, elapsed, 10.0)
+        assert got_link == link
+        assert (rich is not None) == (link == "predicted")
+        assert value == est.predict(job, elapsed, 10.0)
+        assert type(value) is float
+
+    @pytest.mark.parametrize("link", LINKS)
+    def test_predict_bumps_exactly_that_links_tally(self, link):
+        est, job = _chain_case(link)
+        before = est.obs_stats()
+        est.predict(job, 0.0, 10.0)
+        after = est.obs_stats()
+        moved = {k: after[k] - before[k] for k in after if after[k] != before[k]}
+        assert moved == {"predict_calls": 1, link: 1}
+        assert est._mean_used == (link in ("fallback_mean", "fallback_default"))
+
+    @pytest.mark.parametrize("link", LINKS)
+    def test_resolve_is_side_effect_free(self, link):
+        """The estimator's own state stays put (the wrapped predictor's
+        ``predictor.*`` memo counters do count the calls it serves)."""
+
+        def state(est):
+            own = {k: v for k, v in est.obs_stats().items() if "." not in k}
+            return own, est._mean_used, est.history_epoch
+
+        est, job = _chain_case(link)
+        before = state(est)
+        for elapsed in (0.0, 250.0):
+            est.resolve(job, elapsed, 10.0)
+        assert state(est) == before
+
+    def test_audit_source_labels(self):
+        """``runtime_predicted`` carries the winning template or the link."""
+        from repro.obs import Instrumentation, ListSink, Tracer
+
+        sources = {}
+        for link in LINKS:
+            sink = ListSink()
+            inst = Instrumentation(tracer=Tracer(sink), audit=True)
+            est, job = _chain_case(link, instrumentation=inst)
+            est.on_submit(job, 10.0)
+            [event] = [e for e in sink.events if e["type"] == "runtime_predicted"]
+            assert event["predicted_run_s"] == est.predict(job, 0.0, 10.0)
+            sources[link] = event["source"]
+        assert sources == {
+            "predicted": "(e)",
+            "fallback_max": "fallback_max",
+            "fallback_mean": "fallback_mean",
+            "fallback_default": "fallback_default",
+        }
+
+    def test_sourceless_prediction_is_labelled_predicted(self):
+        from repro.obs import Instrumentation, ListSink, Tracer
+
+        class Bare(ActualRuntimePredictor):
+            def predict(self, job, elapsed=0.0, now=0.0):
+                return Prediction(estimate=job.run_time, interval=0.0)
+
+        sink = ListSink()
+        inst = Instrumentation(tracer=Tracer(sink), audit=True)
+        PointEstimator(Bare(), instrumentation=inst).on_submit(make_job(), 0.0)
+        [event] = [e for e in sink.events if e["type"] == "runtime_predicted"]
+        assert event["source"] == "predicted"
 
 
 class TestBaseLifecycleHooks:

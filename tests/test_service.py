@@ -433,6 +433,25 @@ class TestServer:
             assert state["queued"] == [2] and state["running"] == [1]
             assert client.stats()["counters"]["service.queries"] >= 2
 
+    def test_simulator_feed_replays_through_the_client(self, server):
+        """``SimulatorFeed`` drives a remote server as it drives a local
+        service (the ``repro-sched query --replay`` path)."""
+        jobs = [
+            make_job(job_id=jid, submit_time=7.0 * jid, nodes=1 + (5 * jid) % TOTAL,
+                     run_time=40.0 + 13.0 * (jid % 7), max_run_time=200.0)
+            for jid in range(1, 25)
+        ]
+        trace = Trace(jobs, total_nodes=TOTAL)
+        sim = Simulator(BackfillPolicy(), _estimator(), TOTAL)
+        with self._client(server) as client:
+            sim.add_observer(SimulatorFeed(client))
+            sim.run(trace, until_time=jobs[-1].submit_time)
+            state = client.state()
+        snap = sim.snapshot()
+        assert snap.queued  # the prefix leaves a live queue
+        assert state["queued"] == [qj.job_id for qj in snap.queued]
+        assert state["running"] == [rj.job_id for rj in snap.running]
+
     def test_batch_events(self, server):
         job = make_job(job_id=3, nodes=2, run_time=10.0, max_run_time=20.0)
         with self._client(server) as client:

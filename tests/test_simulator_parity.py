@@ -184,11 +184,6 @@ def test_counter_parity(policy_name):
     ):
         assert snap_opt[name] == snap_ref[name], name
     assert snap_opt["sim.schedule_passes"] <= snap_ref["sim.schedule_passes"]
-    # ...and the back-compat properties read the same counters.
-    assert sim_opt.events_processed == snap_opt["sim.events_processed"]
-    assert sim_ref.events_processed == snap_ref["sim.events_processed"]
-    assert sim_opt.schedule_passes == snap_opt["sim.schedule_passes"]
-    assert sim_ref.schedule_passes == snap_ref["sim.schedule_passes"]
 
 
 # ----------------------------------------------------------------------

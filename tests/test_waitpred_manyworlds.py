@@ -304,6 +304,78 @@ class TestEncodeAndSample:
         assert np.array_equal(batched, reference)
 
 
+@st.composite
+def ramping_states(draw):
+    """A Smith estimator part-way through its ramp-up, and a snapshot.
+
+    Only executables ``a`` and ``b`` have history (possibly too little
+    to predict from), so ``c`` jobs, and ``a``/``b`` jobs whose elapsed
+    time outruns their history, fall through the estimator's chain.
+    """
+    from repro.predictors.smith import SmithPredictor
+    from repro.predictors.templates import Template
+
+    estimator = PointEstimator(
+        SmithPredictor([Template(characteristics=("e",))]), default=450.0
+    )
+    history = draw(st.lists(
+        st.tuples(st.sampled_from("ab"), st.floats(1.0, 5_000.0)), max_size=8
+    ))
+    for i, (exe, run_time) in enumerate(history):
+        estimator.on_finish(Job(job_id=1000 + i, submit_time=0.0,
+                                run_time=run_time, nodes=1, executable=exe), 0.0)
+    now = 10_000.0
+
+    def job(job_id, submit_time, nodes):
+        return Job(
+            job_id=job_id, submit_time=submit_time, nodes=nodes,
+            run_time=draw(st.floats(1.0, 5_000.0)),
+            executable=draw(st.sampled_from("abc")),
+            max_run_time=draw(st.none() | st.floats(1.0, 9_000.0)),
+        )
+
+    running = tuple(
+        RunningJob(job(i, 0.0, 1), draw(st.floats(0.0, now)))
+        for i in range(draw(st.integers(0, 4)))
+    )
+    queued = tuple(
+        QueuedJob(job(100 + i, now, draw(st.integers(1, 8))))
+        for i in range(draw(st.integers(1, 5)))
+    )
+    return estimator, SystemSnapshot(
+        now=now, running=running, queued=queued, total_nodes=8
+    )
+
+
+@given(ramping_states())
+@settings(max_examples=60, deadline=None)
+def test_property_encoded_points_are_the_estimators_predictions(state):
+    """``point`` is :meth:`PointEstimator.predict`; ``sigma`` comes from
+    the rich prediction, 0 where the predictor abstains."""
+    estimator, snap = state
+    enc = encode_snapshot(snap, estimator)
+    asked = [(rj.job, rj.elapsed(snap.now)) for rj in snap.running]
+    asked += [(qj.job, 0.0) for qj in snap.queued]
+    for i, (job, elapsed) in enumerate(asked):
+        rich = estimator.predictor.predict(job, elapsed, snap.now)
+        assert enc.point[i] == estimator.predict(job, elapsed, snap.now)
+        assert enc.sigma[i] == (0.0 if rich is None else rich.interval / 1.645)
+
+
+def test_ramping_states_include_abstentions():
+    """The property above sees both abstaining and predicted jobs."""
+    from hypothesis import find
+
+    def links(state):
+        estimator, snap = state
+        return {
+            estimator.resolve(qj.job, 0.0, snap.now)[1] for qj in snap.queued
+        }
+
+    for link in ("predicted", "fallback_max", "fallback_mean", "fallback_default"):
+        find(ramping_states(), lambda state, link=link: link in links(state))
+
+
 class TestSweepEstimates:
     def test_level_zero_is_deterministic_anchor(self):
         snap = small_snapshot()
