@@ -136,7 +136,6 @@ class CellSpec:
     seed: int | None = None
     compress: float = 1.0
     templates: tuple[Template, ...] | None = None
-    scheduler_predictor: str = "max"
     #: Misprediction cells only: the injected error distribution (see
     #: repro.experiments.misprediction.ErrorModel).  ``predictor`` then
     #: names the *base* predictor the noise wraps.
@@ -174,7 +173,6 @@ class CellSpec:
         predictor: str,
         *,
         templates: tuple[Template, ...] | None = None,
-        scheduler_predictor: str = "max",
         error_kind: str | None = None,
         error_level: float = 0.0,
         error_seed: int = 0,
@@ -201,7 +199,6 @@ class CellSpec:
             seed=p.get("seed"),
             compress=p.get("compress", 1.0),
             templates=templates,
-            scheduler_predictor=scheduler_predictor,
             error_kind=error_kind,
             error_level=error_level,
             error_seed=error_seed,
@@ -353,7 +350,6 @@ def run_cell(
     predictor: str,
     *,
     templates: tuple[Template, ...] | None = None,
-    scheduler_predictor: str = "max",
     error_kind: str | None = None,
     error_level: float = 0.0,
     error_seed: int = 0,
@@ -365,11 +361,7 @@ def run_cell(
     """
     if kind == "wait-time":
         cell, _, _ = run_wait_time_experiment(
-            trace,
-            algorithm,
-            predictor,
-            templates=templates,
-            scheduler_predictor=scheduler_predictor,
+            trace, algorithm, predictor, templates=templates
         )
         return cell
     if kind == "misprediction":
@@ -405,7 +397,6 @@ def execute_cell(spec: CellSpec) -> "WaitTimeCell | SchedulingCell | Mispredicti
         spec.algorithm,
         spec.predictor,
         templates=spec.templates,
-        scheduler_predictor=spec.scheduler_predictor,
         error_kind=spec.error_kind,
         error_level=spec.error_level,
         error_seed=spec.error_seed,
@@ -491,6 +482,27 @@ def run_table_parallel(
         telemetry.campaign_started(
             cells_total=len(plan.cells), max_workers=max_workers
         )
+
+    def retry_or_fail(index: int, kind: str, error: str) -> None:
+        """Re-queue a failed attempt, or record its ``CellFailure``."""
+        result = run.results[index]
+        if result.attempts <= retries:
+            queue.append(index)
+            if telemetry is not None:
+                telemetry.cell_retried(index, attempt=result.attempts, error=error)
+            return
+        result.failure = CellFailure(
+            spec=result.spec, kind=kind, error=error, attempts=result.attempts
+        )
+        if telemetry is not None:
+            telemetry.cell_failed(
+                index,
+                kind=kind,
+                error=error,
+                attempts=result.attempts,
+                **_spec_coords(result.spec),
+            )
+
     pool = ProcessPoolExecutor(max_workers=max_workers)
     try:
         while queue or in_flight:
@@ -522,28 +534,7 @@ def run_table_parallel(
                 except BrokenProcessPool:
                     raise
                 except Exception as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                    if result.attempts <= retries:
-                        queue.append(index)
-                        if telemetry is not None:
-                            telemetry.cell_retried(
-                                index, attempt=result.attempts, error=error
-                            )
-                    else:
-                        result.failure = CellFailure(
-                            spec=result.spec,
-                            kind="error",
-                            error=error,
-                            attempts=result.attempts,
-                        )
-                        if telemetry is not None:
-                            telemetry.cell_failed(
-                                index,
-                                kind="error",
-                                error=error,
-                                attempts=result.attempts,
-                                **_spec_coords(result.spec),
-                            )
+                    retry_or_fail(index, "error", f"{type(exc).__name__}: {exc}")
                     continue
                 if telemetry is not None:
                     telemetry.cell_finished(
@@ -564,30 +555,8 @@ def run_table_parallel(
                     future.cancel()
                     in_flight.pop(future)
                     abandoned = True
-                    result = run.results[index]
-                    result.duration_s = now - started
-                    error = f"cell exceeded {timeout}s"
-                    if result.attempts <= retries:
-                        queue.append(index)
-                        if telemetry is not None:
-                            telemetry.cell_retried(
-                                index, attempt=result.attempts, error=error
-                            )
-                    else:
-                        result.failure = CellFailure(
-                            spec=result.spec,
-                            kind="timeout",
-                            error=error,
-                            attempts=result.attempts,
-                        )
-                        if telemetry is not None:
-                            telemetry.cell_failed(
-                                index,
-                                kind="timeout",
-                                error=error,
-                                attempts=result.attempts,
-                                **_spec_coords(result.spec),
-                            )
+                    run.results[index].duration_s = now - started
+                    retry_or_fail(index, "timeout", f"cell exceeded {timeout}s")
 
             if telemetry is not None:
                 telemetry.heartbeat(running=len(in_flight))

@@ -185,31 +185,40 @@ def _decompose(
     timeline: list[dict], job_id: int, submitted: float, started: float
 ) -> dict:
     """Partition ``[submitted, started)`` by the job's provenance events."""
-    components = {key: 0.0 for key in WAIT_COMPONENTS}
-    wait = started - submitted
-    # (instant, component) boundaries inside the wait interval; each
-    # attribution holds from its instant to the next one (or the start).
-    marks: list[tuple[float, str]] = []
-    for e in timeline:
-        if (
-            e.get("job_id") == job_id
+    return _partition(
+        [
+            (e["sim_time"], _mark_component(e))
+            for e in timeline
+            if e.get("job_id") == job_id
             and e["type"] in _ATTRIBUTING_TYPES
             and submitted <= e["sim_time"] < started
-        ):
-            component = _KIND_COMPONENT.get(
-                e.get("blocker_kind"), "scheduler_latency_s"
-            )
-            marks.append((e["sim_time"], component))
+        ],
+        submitted,
+        started,
+    )
+
+
+def _mark_component(event: dict) -> str:
+    """The wait component an attributing provenance event opens."""
+    return _KIND_COMPONENT.get(event.get("blocker_kind"), "scheduler_latency_s")
+
+
+def _partition(
+    marks: list[tuple[float, str]], submitted: float, started: float
+) -> dict:
+    """Split ``[submitted, started)`` among already-ordered marks.
+
+    Each ``(instant, component)`` mark inside the interval holds until
+    the next one (or the start).  The unattributed head segment and the
+    float residual fold into scheduler latency, clamped at zero, so the
+    components sum to the realized wait.
+    """
+    components = {key: 0.0 for key in WAIT_COMPONENTS}
     for i, (t, component) in enumerate(marks):
         end = marks[i + 1][0] if i + 1 < len(marks) else started
         components[component] += end - t
-    # Fold the unattributed head segment and the float residual into
-    # scheduler latency so the components sum to the realized wait.
     attributed = sum(components.values()) - components["scheduler_latency_s"]
-    components["scheduler_latency_s"] = wait - attributed
-    if components["scheduler_latency_s"] < 0.0:
-        # Float dust from the partition arithmetic only; clamp.
-        components["scheduler_latency_s"] = 0.0
+    components["scheduler_latency_s"] = max((started - submitted) - attributed, 0.0)
     return components
 
 
@@ -237,10 +246,7 @@ def summarize_wait_components(events: Iterable[dict]) -> list[dict]:
         elif etype in _ATTRIBUTING_TYPES:
             saw_provenance = True
             key = (e.get("policy") or "-", e["job_id"])
-            component = _KIND_COMPONENT.get(
-                e.get("blocker_kind"), "scheduler_latency_s"
-            )
-            marks.setdefault(key, []).append((e["sim_time"], component))
+            marks.setdefault(key, []).append((e["sim_time"], _mark_component(e)))
     if not saw_provenance:
         return []
     by_policy: dict[str, dict] = {}
@@ -256,18 +262,10 @@ def summarize_wait_components(events: Iterable[dict]) -> list[dict]:
         )
         row["jobs"] += 1
         row["total_wait_s"] += start - submit
-        components = {c: 0.0 for c in WAIT_COMPONENTS}
-        job_marks = sorted(
-            m for m in marks.get(key, ()) if submit <= m[0] < start
-        )
-        for i, (t, component) in enumerate(job_marks):
-            end = job_marks[i + 1][0] if i + 1 < len(job_marks) else start
-            components[component] += end - t
-        attributed = (
-            sum(components.values()) - components["scheduler_latency_s"]
-        )
-        components["scheduler_latency_s"] = max(
-            (start - submit) - attributed, 0.0
+        components = _partition(
+            sorted(m for m in marks.get(key, ()) if submit <= m[0] < start),
+            submit,
+            start,
         )
         for c in WAIT_COMPONENTS:
             row[c] += components[c]

@@ -7,10 +7,11 @@ with a :class:`~repro.obs.trace.Tracer` and fixes the cost knobs:
   enabled) emit per-estimate ``cache_hit``/``cache_miss`` events.  Off
   by default even when tracing: hit counting sits on the single hottest
   call in the engine, and full traces of it are enormous.
-- ``time_passes`` — time every scheduling pass into the
-  ``sim.pass_duration_seconds`` histogram (and emit ``span`` events
-  when the sink is enabled).  Defaults to on exactly when the tracer is
-  enabled or ``detail`` was requested, so plain replays pay nothing.
+- ``time_passes`` (derived, not settable) — time every scheduling
+  pass into the ``sim.pass_duration_seconds`` histogram (and emit
+  ``span`` events when the sink is enabled).  On exactly when the
+  tracer is enabled or ``detail`` was requested, so plain replays pay
+  nothing.
 - ``audit`` — a :class:`~repro.obs.audit.PredictionAudit` pairing every
   prediction with its outcome (``runtime_predicted`` /
   ``wait_predicted`` / ``prediction_resolved`` events plus a streaming
@@ -57,7 +58,6 @@ class Instrumentation:
         tracer: Tracer | None = None,
         *,
         detail: bool = False,
-        time_passes: bool | None = None,
         audit: PredictionAudit | bool | None = None,
         provenance: bool | None = None,
         timeseries: "StateSeries | bool | None" = None,
@@ -65,11 +65,7 @@ class Instrumentation:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.detail = bool(detail)
-        self.time_passes = (
-            (self.tracer.enabled or self.detail)
-            if time_passes is None
-            else bool(time_passes)
-        )
+        self.time_passes = self.tracer.enabled or self.detail
         if audit is True:
             audit = PredictionAudit(tracer=self.tracer)
         elif audit is False:

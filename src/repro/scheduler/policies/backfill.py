@@ -67,7 +67,8 @@ class AvailabilityProfile:
     start for an ``(nodes, duration)`` request, carve a committed
     allocation out of the profile — or both at once via :meth:`reserve`,
     which finds and carves in a single walk — plus bulk construction
-    from a batch of releases (:meth:`rebuild` / :meth:`from_releases`).
+    from a batch of releases (:meth:`rebuild` / :meth:`from_releases`)
+    and, for in-order planning, :meth:`close_before`.
     """
 
     __slots__ = ("total_nodes", "times", "free")
@@ -161,23 +162,16 @@ class AvailabilityProfile:
         self.free.insert(i, self.free[i - 1])
         return i
 
-    def earliest_start(
-        self, nodes: int, duration: float, *, not_before: float | None = None
-    ) -> float:
+    def earliest_start(self, nodes: int, duration: float) -> float:
         """Earliest time ``nodes`` nodes stay free for ``duration``.
 
-        Scans anchor candidates (segment starts, or ``not_before`` inside
-        a segment); always succeeds inside the backfill policy because
-        the final segment has all running jobs finished.  ``not_before``
-        floors the result — FCFS-style in-order planning uses it to keep
-        start times monotone in arrival order.
+        Always a segment start; always succeeds inside the backfill
+        policy because the final segment has all running jobs finished.
         """
-        anchor, _, _ = self._find_slot(nodes, duration, not_before)
+        anchor, _, _ = self._find_slot(nodes, duration)
         return anchor
 
-    def _find_slot(
-        self, nodes: int, duration: float, not_before: float | None
-    ) -> tuple[float, int, int]:
+    def _find_slot(self, nodes: int, duration: float) -> tuple[float, int, int]:
         """``(anchor, i, j)``: earliest feasible anchor, its segment index,
         and the first segment index at/after ``anchor + duration``."""
         if nodes > self.total_nodes:
@@ -189,58 +183,26 @@ class AvailabilityProfile:
         times = self.times
         free = self.free
         n = len(times)
-        floor = times[0]
-        if not_before is None or not_before <= floor:
-            # Hot path (every backfill reservation): the anchor is always
-            # the candidate segment's own start, so the per-segment floor
-            # clamp and next-breakpoint lookahead vanish from the scan.
-            i = 0
-            while i < n:
-                if free[i] < nodes:
-                    i += 1
-                    continue
-                anchor = times[i]
-                end = anchor + duration
-                j = i + 1
-                while j < n and times[j] < end:
-                    if free[j] < nodes:
-                        # Restart after the violation — nothing between
-                        # can host the anchor.
-                        i = j + 1
-                        break
-                    j += 1
-                else:
-                    return anchor, i, j
-            raise RuntimeError("no feasible start found (profile never clears)")
-        floor = not_before
         i = 0
         while i < n:
-            t = times[i]
-            anchor = t if t > floor else floor
-            if i + 1 < n and times[i + 1] <= anchor:
-                i += 1
-                continue
             if free[i] < nodes:
                 i += 1
                 continue
+            anchor = times[i]
             end = anchor + duration
-            ok = True
             j = i + 1
             while j < n and times[j] < end:
                 if free[j] < nodes:
-                    ok = False
-                    # Restart the scan at the first segment after the
-                    # violation — nothing between can host the anchor.
+                    # Restart after the violation — nothing between can
+                    # host the anchor.
                     i = j + 1
                     break
                 j += 1
-            if ok:
+            else:
                 return anchor, i, j
         raise RuntimeError("no feasible start found (profile never clears)")
 
-    def reserve(
-        self, nodes: int, duration: float, *, not_before: float | None = None
-    ) -> float:
+    def reserve(self, nodes: int, duration: float) -> float:
         """Find the earliest start and carve it, in one walk.
 
         Exactly equivalent to ``start = earliest_start(...)`` followed by
@@ -248,22 +210,14 @@ class AvailabilityProfile:
         feasibility scan's segment indices instead of re-bisecting, and
         skips the overcommit re-checks the scan already guarantees.
         """
-        anchor, i, j = self._find_slot(nodes, duration, not_before)
-        if duration <= 0:
+        anchor, i, j = self._find_slot(nodes, duration)
+        end = anchor + duration
+        if end == anchor:
+            # Zero duration, or a positive one that underflows at the
+            # anchor's magnitude: no segment loses nodes.
             return anchor
         times = self.times
         free = self.free
-        if times[i] != anchor:
-            i += 1
-            times.insert(i, anchor)
-            free.insert(i, free[i - 1])
-            j += 1
-        end = anchor + duration
-        if end == anchor:
-            # Degenerate positive duration that underflows at the
-            # anchor's magnitude: the end breakpoint coincides with the
-            # anchor (already ensured above) and no segment loses nodes.
-            return anchor
         if math.isfinite(end):
             if j >= len(times) or times[j] != end:
                 times.insert(j, end)
@@ -273,6 +227,21 @@ class AvailabilityProfile:
         for k in range(i, j):
             free[k] -= nodes
         return anchor
+
+    def close_before(self, time: float) -> None:
+        """Drop the profile before breakpoint ``time``.
+
+        In-order planning (FCFS) calls this after each reservation with
+        that reservation's start, so the next search cannot place a job
+        before the one ahead of it.  Raises :class:`ValueError` when
+        ``time`` is not a breakpoint.
+        """
+        times = self.times
+        i = bisect.bisect_left(times, time)
+        if i == len(times) or times[i] != time:
+            raise ValueError(f"time {time} is not a profile breakpoint")
+        del times[:i]
+        del self.free[:i]
 
     def carve(
         self, start: float, duration: float, nodes: int, *, clamp: bool = False
@@ -498,78 +467,20 @@ class BatchAvailabilityProfile:
         self._drop_scratch()
         return need
 
-    def earliest_start(
-        self,
-        nodes: int,
-        durations: np.ndarray | float,
-        *,
-        not_before: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def earliest_start(self, nodes: int, durations: np.ndarray | float) -> np.ndarray:
         """Per-world earliest start for ``(nodes, durations[s])`` requests."""
+        w = self._ensure_capacity()
+        anchor, _ = self._find(nodes, self._durations(durations), w)
+        return anchor
+
+    def _durations(self, durations: np.ndarray | float) -> np.ndarray:
+        """``durations`` as an ``(S,)`` float vector; negatives raise."""
         durations = np.broadcast_to(
             np.asarray(durations, dtype=np.float64), (self.n_worlds,)
         )
-        if not_before is None and bool((durations > 0).all()):
-            width = self._ensure_capacity()
-            anchor, _ = self._find_nofloor(nodes, durations, width)
-            return anchor
-        anchor, _, _, _ = self._find_slots(nodes, durations, not_before)
-        return anchor
-
-    def _find_slots(
-        self,
-        nodes: int,
-        durations: np.ndarray | float,
-        not_before: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(anchor, idx, end, durations)`` across all worlds.
-
-        The closed-form equivalent of the scalar ``_find_slot`` scan:
-        segment ``i`` can anchor the request iff it survives the floor
-        clamp (``times[i+1] > anchor_i``), has ``free[i] >= nodes``, and
-        the next capacity violation at/after ``i+1`` happens no earlier
-        than ``anchor_i + duration``.  The scalar scan's restart logic
-        is an optimization over exactly this rule, so taking the first
-        feasible segment per world reproduces its answer.
-        """
-        if nodes > self.total_nodes:
-            raise ValueError(
-                f"request for {nodes} nodes exceeds machine size {self.total_nodes}"
-            )
-        times = self.times
-        free = self.free
-        n_worlds, width = times.shape
-        durations = np.broadcast_to(
-            np.asarray(durations, dtype=np.float64), (n_worlds,)
-        )
         if np.any(durations < 0):
             raise ValueError("negative duration")
-        if not_before is None:
-            floor = times[:, 0]
-        else:
-            floor = np.maximum(
-                np.broadcast_to(np.asarray(not_before, dtype=np.float64), (n_worlds,)),
-                times[:, 0],
-            )
-        anchor_cand = np.maximum(times, floor[:, None])
-        pad_col = np.full((n_worlds, 1), np.inf)
-        nxt_times = np.concatenate([times[:, 1:], pad_col], axis=1)
-        alive = nxt_times > anchor_cand
-        viol_time = np.where(free < nodes, times, np.inf)
-        next_viol = np.flip(
-            np.minimum.accumulate(np.flip(viol_time, axis=1), axis=1), axis=1
-        )
-        viol_after = np.concatenate([next_viol[:, 1:], pad_col], axis=1)
-        feasible = alive & (free >= nodes) & (
-            viol_after >= anchor_cand + durations[:, None]
-        )
-        if not feasible.any(axis=1).all():
-            raise RuntimeError("no feasible start found (profile never clears)")
-        idx = feasible.argmax(axis=1)
-        anchor = anchor_cand[np.arange(n_worlds), idx]
-        if not np.isfinite(anchor).all():
-            raise RuntimeError("no feasible start found (profile never clears)")
-        return anchor, idx, anchor + durations, durations
+        return durations
 
     def _scratch(self) -> None:
         """Lazily (re)build capacity-shaped scratch buffers."""
@@ -580,43 +491,20 @@ class BatchAvailabilityProfile:
             self._scr_b = np.empty(shape, dtype=bool)
             self._scr_b2 = np.empty(shape, dtype=bool)
 
-    def reserve(
-        self,
-        nodes: int,
-        durations: np.ndarray | float,
-        *,
-        not_before: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Find the earliest start and carve it, in every world at once.
-
-        Returns the ``(S,)`` anchor vector.  One call replaces ``S``
-        scalar ``reserve`` calls.  Unfloored requests with strictly
-        positive durations — every reservation of the backfill walk —
-        take :meth:`_reserve_nofloor`, a fused find-and-carve over an
-        active-width view; floored or degenerate requests fall back to
-        the general gather-based splice.
-        """
-        width = self._ensure_capacity()
-        durations = np.broadcast_to(
-            np.asarray(durations, dtype=np.float64), (self.n_worlds,)
-        )
-        if not_before is None and bool((durations > 0).all()):
-            return self._reserve_nofloor(nodes, durations, width)
-        return self._reserve_floored(nodes, durations, not_before)
-
-    def _find_nofloor(
+    def _find(
         self, nodes: int, durations: np.ndarray, w: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Lean feasibility search: no floor, strictly positive durations.
+        """Feasibility search over the active width ``w``.
 
         Segment ``i`` is feasible iff ``free[i] >= nodes`` and
         ``suffixmin(viol)[i] >= times[i] + duration``, where ``viol[j]``
         is ``times[j]`` when ``free[j] < nodes`` else ``+inf``.
         Including column ``i`` itself in the suffix is free — a violating
         segment can never satisfy the inequality for positive durations —
-        except when ``times[i] + duration`` rounds back to ``times[i]``,
-        which the explicit ``free >= nodes`` term covers.  Returns the
-        ``(S,)`` anchor vector plus the anchoring column per world.
+        except when ``times[i] + duration`` equals ``times[i]`` (a zero or
+        underflowing duration), which the explicit ``free >= nodes`` term
+        covers.  Returns the ``(S,)`` anchor vector plus the anchoring
+        column per world.
         """
         if nodes > self.total_nodes:
             raise ValueError(
@@ -647,18 +535,17 @@ class BatchAvailabilityProfile:
             raise RuntimeError("no feasible start found (profile never clears)")
         return anchor, idx
 
-    def _reserve_nofloor(
-        self, nodes: int, durations: np.ndarray, w: int
-    ) -> np.ndarray:
-        """The backfill hot path: no floor, strictly positive durations.
+    def reserve(self, nodes: int, durations: np.ndarray | float) -> np.ndarray:
+        """Find the earliest start and carve it, in every world at once.
 
-        With no ``not_before`` every candidate anchor is a segment's own
-        start, so no anchor breakpoint is ever inserted and the whole
+        Returns the ``(S,)`` anchor vector.  One call replaces ``S``
+        scalar ``reserve`` calls.  Every anchor is a segment's own start,
+        so no anchor breakpoint is ever inserted and the whole
         find-and-carve collapses to ~15 vectorized passes over an
         active-width view (``w = max(count) + 2``), reusing persistent
         scratch buffers:
 
-        - feasibility comes from :meth:`_find_nofloor`'s closed form;
+        - feasibility comes from :meth:`_find`'s closed form;
         - the splice and the carve only ever touch columns at or after
           the earliest anchor across worlds (``c0 = idx.min()``), so
           both run on that tail view — on a busy machine the anchors sit
@@ -669,9 +556,12 @@ class BatchAvailabilityProfile:
           instants.  The shift duplicates the split segment's free count
           into the new column automatically;
         - the carve mask compares values (``anchor <= t < end``), not
-          column indices, so spliced and unspliced worlds share it.
+          column indices, so spliced and unspliced worlds share it, and
+          a zero (or underflowing) duration carves nothing.
         """
-        anchor, idx = self._find_nofloor(nodes, durations, w)
+        w = self._ensure_capacity()
+        durations = self._durations(durations)
+        anchor, idx = self._find(nodes, durations, w)
         rows = self._rows
         c0 = int(idx.min())
         T = self.times[:, c0:w]
@@ -680,9 +570,10 @@ class BatchAvailabilityProfile:
         B2 = self._scr_b2[:, c0:w]
         end = anchor + durations
         # --- splice the end breakpoint where it is missing ---
-        # Every anchor column is >= c0 and T[:, c0] <= anchor < end, so
-        # the first tail column never shifts and the argmax below always
-        # lands on a padding column at the latest.
+        # Every anchor column is >= c0 and T[:, c0] <= anchor <= end, and
+        # end == anchor needs no splice, so the first tail column never
+        # shifts and the argmax below always lands on a padding column at
+        # the latest.
         np.greater_equal(T, end[:, None], out=B)
         end_idx = B.argmax(axis=1)
         ins = T[rows, end_idx] != end
@@ -708,64 +599,22 @@ class BatchAvailabilityProfile:
         np.subtract(F, carve, out=F)
         return anchor
 
-    def _reserve_floored(
-        self,
-        nodes: int,
-        durations: np.ndarray,
-        not_before: np.ndarray | None,
-    ) -> np.ndarray:
-        """General find-and-carve: per-world floors, up to two splices.
+    def close_before(self, time: np.ndarray | float) -> None:
+        """Close every world's profile before its breakpoint ``time[s]``.
 
-        The carve rebuilds the padded arrays with a single gather that
-        splices in the (at most two) new breakpoints each world needs.
+        The batched :meth:`AvailabilityProfile.close_before`: columns
+        before ``time[s]`` keep their instants but lose every free node,
+        so no later search can anchor there.  Raises :class:`ValueError`
+        unless ``time[s]`` is a live breakpoint of world ``s``.
         """
-        anchor, idx, end, durations = self._find_slots(nodes, durations, not_before)
-        times = self.times
-        free = self.free
-        count = self.count
-        n_worlds, width = times.shape
-        rows = np.arange(n_worlds)
-        carving = durations > 0
-        if not carving.any():
-            return anchor
-        # Which worlds need an anchor breakpoint / an end breakpoint.
-        need_a = carving & (times[rows, idx] != anchor)
-        grew = end > anchor  # False when duration underflows at the anchor
-        finite_end = np.isfinite(end)
-        # First segment at/after the end instant (padding is +inf, and
-        # capacity keeps count <= width - 2, so the index stays in range).
-        end_idx = (times < np.where(finite_end, end, np.inf)[:, None]).sum(axis=1)
-        end_idx = np.minimum(end_idx, width - 1)
-        ins_e = carving & grew & finite_end & (times[rows, end_idx] != end)
-        pos_a = idx + 1
-        pos_e = end_idx + need_a
-        cols = np.arange(width)[None, :]
-        shift_a = need_a[:, None] & (cols >= pos_a[:, None])
-        shift_e = ins_e[:, None] & (cols >= pos_e[:, None])
-        src = cols - shift_a.astype(np.int64) - shift_e.astype(np.int64)
-        new_times = times[rows[:, None], src]
-        new_free = free[rows[:, None], src]
-        at_a = need_a[:, None] & (cols == pos_a[:, None])
-        at_e = ins_e[:, None] & (cols == pos_e[:, None])
-        new_times = np.where(at_a, anchor[:, None], new_times)
-        new_times = np.where(at_e, end[:, None], new_times)
-        new_count = count + need_a + ins_e
-        # Carve [anchor segment, end breakpoint) in the new layout.
-        carve_from = idx + need_a
-        carve_to = np.where(finite_end, end_idx + need_a, new_count)
-        carve = (
-            (carving & grew)[:, None]
-            & (cols >= carve_from[:, None])
-            & (cols < carve_to[:, None])
-        )
-        new_free = new_free - nodes * carve
-        pad = cols >= new_count[:, None]
-        new_times = np.where(pad, np.inf, new_times)
-        new_free = np.where(pad, self.total_nodes, new_free)
-        self.times = new_times
-        self.free = new_free
-        self.count = new_count
-        return anchor
+        time = np.broadcast_to(np.asarray(time, dtype=np.float64), (self.n_worlds,))
+        w = int(self.count.max())
+        times = self.times[:, :w]
+        if not (
+            np.isfinite(time).all() and (times == time[:, None]).any(axis=1).all()
+        ):
+            raise ValueError("close_before time is not a breakpoint in every world")
+        self.free[:, :w][times < time[:, None]] = 0
 
     def free_at(self, time: np.ndarray | float) -> np.ndarray:
         """Per-world free nodes at ``time`` (for tests/inspection)."""

@@ -8,8 +8,8 @@ profile computation that avoids the event machinery entirely:
 - **FCFS, always.**  FCFS ignores estimates, jobs start in arrival
   order, and after a job's (monotone) start the availability profile is
   non-decreasing, so planning each queued job at its earliest feasible
-  instant — floored at the previous job's start — replays the event
-  semantics exactly.
+  instant in a profile closed before the previous job's start replays
+  the event semantics exactly.
 - **Backfill, when the believed durations equal the scheduler's
   estimates.**  Conservative backfill's reservation plan is a fixed
   point under replanning when every job finishes exactly as estimated:
@@ -102,23 +102,23 @@ def _walk(
 ) -> dict[int, float]:
     """Reserve the queue in arrival order; ``{job_id: start}``.
 
-    The one profile walk behind both shortcuts.  ``in_order`` floors
-    each start at the previous job's (FCFS); without it every job takes
-    its earliest slot (conservative backfill, which floors durations at
-    the same ``MIN_DURATION``).  Given a target,
-    the walk stops once the target is planned and raises
-    :class:`UnknownJobError` if the queue does not hold it.
+    The one profile walk behind both shortcuts.  ``in_order`` (FCFS)
+    closes the profile before each reserved start, so the next job
+    cannot start before it; without it every job takes its earliest slot
+    (conservative backfill).  Both floor durations at ``MIN_DURATION``,
+    backfill's own floor.  Given a target, the walk stops once the
+    target is planned and raises :class:`UnknownJobError` if the queue
+    does not hold it.
     """
     profile = _seed_profile(snapshot, durations)
     reserve = profile.reserve
-    not_before = snapshot.now if in_order else None
     out: dict[int, float] = {}
     for qj in snapshot.queued:  # arrival order
         jid = qj.job_id
         duration = max(_duration_of(durations, jid), MIN_DURATION)
-        start = reserve(qj.job.nodes, duration, not_before=not_before)
+        start = reserve(qj.job.nodes, duration)
         if in_order:
-            not_before = start
+            profile.close_before(start)
         out[jid] = start
         if jid == target_job_id:
             return out

@@ -203,28 +203,22 @@ def _starts_batch(
     """Per-world predicted starts of the target — ``fast._walk`` with a
     sample axis.
 
-    ``in_order`` floors each start at the previous job's per world
-    (FCFS); without it every job takes its earliest slot (conservative
-    backfill in the self-consistent imagined world), which keeps every
-    reservation on the unfloored fast path.  Both floor durations at
-    ``MIN_DURATION``, the backfill policies' own floor.
+    ``in_order`` (FCFS) closes each world's profile before its reserved
+    start; without it every job takes its earliest slot (conservative
+    backfill in the self-consistent imagined world).  Both floor
+    durations at ``MIN_DURATION``, the backfill policies' own floor.
     """
     target = enc.queued_ids.index(target_job_id)
     profile = _seed_profile_batch(enc, durations, target + 1)
     n_run = enc.n_running
-    not_before = np.full(durations.shape[0], enc.now) if in_order else None
     for pos in range(target):
         dur = np.maximum(durations[:, n_run + pos], MIN_DURATION)
-        start = profile.reserve(
-            int(enc.queued_nodes[pos]), dur, not_before=not_before
-        )
+        start = profile.reserve(int(enc.queued_nodes[pos]), dur)
         if in_order:
-            not_before = start
+            profile.close_before(start)
     # The target itself only needs its start, not the carve.
     dur = np.maximum(durations[:, n_run + target], MIN_DURATION)
-    return profile.earliest_start(
-        int(enc.queued_nodes[target]), dur, not_before=not_before
-    )
+    return profile.earliest_start(int(enc.queued_nodes[target]), dur)
 
 
 def scalar_starts(

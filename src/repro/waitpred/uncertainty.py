@@ -10,10 +10,11 @@ kind of answer a resource-selection broker actually needs ("90% chance
 the job starts within 40 minutes").
 
 Jobs whose prediction came from the fallback chain (no interval
-information) keep their point estimate with zero spread.  Each job is
-predicted exactly once per query: the rich prediction supplies both the
-point value and the interval, and the estimator's fallback chain runs
-only for jobs the predictor abstains on.
+information) keep their point estimate with zero spread.  A job the
+predictor covers is predicted once per query: the rich prediction
+supplies both the point value and the interval.  A job the predictor
+abstains on is asked twice, the second time through the estimator's
+fallback chain, so its fallback tallies count it as the scheduler would.
 
 The sampled worlds are planned by the vectorized many-worlds engine
 (:mod:`repro.waitpred.manyworlds`): all ``samples`` worlds advance at

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.scheduler.policies import BackfillPolicy, FCFSPolicy, LWFPolicy
@@ -146,6 +148,23 @@ class TestAvailabilityProfile:
         p = AvailabilityProfile(0.0, 10, 10)
         with pytest.raises(ValueError, match="machine size"):
             p.earliest_start(11, 1.0)
+
+    def test_close_before_drops_the_prefix(self):
+        p = AvailabilityProfile(0.0, 10, 10)
+        p.carve(5.0, 10.0, 6)
+        p.close_before(5.0)
+        assert p.times == [5.0, 15.0]
+        assert p.free == [4, 10]
+        # Nothing can start before the closed-at instant any more.
+        assert p.earliest_start(2, 1.0) == 5.0
+
+    def test_close_before_requires_a_breakpoint(self):
+        p = AvailabilityProfile(0.0, 2, 10)
+        p.add_release(50.0, 8)
+        for bad in (25.0, -1.0, 60.0, math.inf):
+            with pytest.raises(ValueError, match="breakpoint"):
+                p.close_before(bad)
+        assert p.times == [0.0, 50.0]
 
 
 class TestBackfill:

@@ -329,7 +329,7 @@ def reserve_sequences(draw):
             st.tuples(
                 st.integers(1, 8),
                 st.floats(0.0, 400.0),
-                st.one_of(st.none(), st.floats(0.0, 800.0)),
+                st.booleans(),
             ),
             min_size=1,
             max_size=8,
@@ -341,17 +341,24 @@ def reserve_sequences(draw):
 @given(ops=reserve_sequences())
 @settings(max_examples=150, deadline=None)
 def test_property_reserve_matches_earliest_start_plus_carve(ops):
-    """Fused reserve == earliest_start followed by carve, step for step."""
+    """Fused reserve == earliest_start followed by carve, step for step,
+    with either profile optionally closed at the previous anchor first
+    (in-order planning)."""
     total, free, releases, requests = ops
     a = AvailabilityProfile.from_releases(0.0, free, total, releases)
     b = AvailabilityProfile.from_releases(0.0, free, total, releases)
-    for nodes, duration, not_before in requests:
+    last = 0.0
+    for nodes, duration, close in requests:
+        if close:
+            a.close_before(last)
+            b.close_before(last)
         if nodes > max(a.free):
             continue  # would never clear; the policy never issues these
-        start_a = a.earliest_start(nodes, duration, not_before=not_before)
+        start_a = a.earliest_start(nodes, duration)
         a.carve(start_a, duration, nodes)
-        start_b = b.reserve(nodes, duration, not_before=not_before)
+        start_b = b.reserve(nodes, duration)
         assert start_b == start_a
+        last = start_a
         assert b.times == a.times
         assert b.free == a.free
 

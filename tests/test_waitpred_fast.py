@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.predictors.base import PointEstimator
 from repro.predictors.simple import ActualRuntimePredictor
 from repro.scheduler.policies import BackfillPolicy, FCFSPolicy, LWFPolicy
+from repro.scheduler.policies.base import MIN_DURATION
 from repro.scheduler.simulator import (
     QueuedJob,
     RunningJob,
@@ -124,6 +125,51 @@ def test_property_batch_walks_bit_identical_to_singles(case):
         assert bf_batch[qj.job_id] == backfill_predicted_start(
             snap, durations, qj.job_id
         )
+
+
+def naive_fcfs_starts(snap, durations):
+    """FCFS starts by brute force: each job takes the first candidate,
+    the floor (the previous start) or any later breakpoint, whose whole
+    ``[start, start + duration)`` window has room."""
+    now = snap.now
+    base = snap.total_nodes - sum(rj.job.nodes for rj in snap.running)
+    releases = [
+        (now + max(durations[rj.job_id] - rj.elapsed(now), MIN_DURATION), rj.job.nodes)
+        for rj in snap.running
+    ]
+    carves: list[tuple[float, float, int]] = []
+
+    def free_at(t):
+        return (
+            base
+            + sum(n for r, n in releases if r <= t)
+            - sum(n for a, e, n in carves if a <= t < e)
+        )
+
+    floor = now
+    out = {}
+    for qj in snap.queued:
+        duration = max(durations[qj.job_id], MIN_DURATION)
+        nodes = qj.job.nodes
+        points = sorted({now, *(r for r, _ in releases), *(x for c in carves for x in c[:2])})
+        for start in [floor] + [t for t in points if t > floor]:
+            end = start + duration
+            window = [start] + [t for t in points if start < t < end]
+            if all(free_at(t) >= nodes for t in window):
+                break
+        out[qj.job_id] = start
+        carves.append((start, end, nodes))
+        floor = start
+    return out
+
+
+@given(case=snapshots())
+@settings(max_examples=150, deadline=None)
+def test_property_fcfs_walk_matches_naive_floored_scan(case):
+    """The FCFS walk, which closes its profile behind each start, gives
+    bit-for-bit the starts of a scan floored at the previous start."""
+    snap, durations, _ = case
+    assert fcfs_predicted_starts(snap, durations) == naive_fcfs_starts(snap, durations)
 
 
 class TestUnknownJobError:

@@ -38,15 +38,18 @@ from repro.workloads.job import Job
 
 
 def assert_worlds_match_scalars(batch, scalars, total):
-    """Each batch world, twins merged, equals its scalar profile."""
+    """Each batch world's open part, twins merged, equals its scalar
+    profile; columns closed before the scalar's origin hold no nodes."""
     for s, scalar in enumerate(scalars):
         c = int(batch.count[s])
-        bt = batch.times[s, :c]
-        bf = batch.free[s, :c]
+        closed = batch.times[s, :c] < scalar.times[0]
+        assert np.all(batch.free[s, :c][closed] == 0)
+        bt = batch.times[s, :c][~closed]
+        bf = batch.free[s, :c][~closed]
         dup = bt[1:] == bt[:-1]
         # A zero-width twin never reports less free than its run-last.
         assert np.all(bf[:-1][dup] >= bf[1:][dup])
-        last = np.ones(c, dtype=bool)
+        last = np.ones(len(bt), dtype=bool)
         last[:-1] = ~dup
         assert np.array_equal(bt[last], np.array(scalar.times))
         assert np.array_equal(bf[last], np.array(scalar.free))
@@ -80,21 +83,22 @@ def profile_scenarios(draw):
             row[1] = row[0]  # exact equal-time run in every world
     ops = []
     for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(["nofloor", "floored", "earliest"]))
+        kind = draw(st.sampled_from(["reserve", "close", "earliest"]))
         nodes = draw(st.integers(1, total))
         durs = [
-            draw(st.floats(1e-6, 15.0)) for _ in range(n_worlds)
+            draw(st.one_of(st.just(0.0), st.floats(1e-6, 15.0)))
+            for _ in range(n_worlds)
         ]
-        floors = [start + draw(st.floats(-1.0, 25.0)) for _ in range(n_worlds)]
-        ops.append((kind, nodes, durs, floors))
+        ops.append((kind, nodes, durs))
     return n_worlds, total, free0, start, rel_times, rel_nodes, ops
 
 
 @given(case=profile_scenarios())
 @settings(max_examples=60, deadline=None)
 def test_property_batch_profile_tracks_scalar_profiles(case):
-    """Random seed + reservation sequences: anchors, state, and errors
-    all match a per-world scalar profile exactly."""
+    """Random seed + reservation sequences, closing each profile at the
+    last anchor the way in-order planning does: anchors, the open state,
+    and errors all match a per-world scalar profile exactly."""
     n_worlds, total, free0, start, rel_times, rel_nodes, ops = case
     batch = BatchAvailabilityProfile.from_releases(
         start, free0, total, np.asarray(rel_times), np.asarray(rel_nodes)
@@ -107,13 +111,18 @@ def test_property_batch_profile_tracks_scalar_profiles(case):
         for s in range(n_worlds)
     ]
     assert_worlds_match_scalars(batch, scalars, total)
-    for kind, nodes, durs, floors in ops:
+    anchor = np.full(n_worlds, float(start))  # every anchor is a breakpoint
+    for kind, nodes, durs in ops:
         durs = np.asarray(durs)
+        if kind == "close":
+            batch.close_before(anchor)
+            for s in range(n_worlds):
+                scalars[s].close_before(float(anchor[s]))
+            assert_worlds_match_scalars(batch, scalars, total)
+            continue
         try:
-            if kind == "nofloor":
+            if kind == "reserve":
                 got = batch.reserve(nodes, durs)
-            elif kind == "floored":
-                got = batch.reserve(nodes, durs, not_before=np.asarray(floors))
             else:
                 got = batch.earliest_start(nodes, durs)
         except RuntimeError:
@@ -128,15 +137,12 @@ def test_property_batch_profile_tracks_scalar_profiles(case):
             assert raised > 0
             return
         for s in range(n_worlds):
-            if kind == "nofloor":
+            if kind == "reserve":
                 expected = scalars[s].reserve(nodes, float(durs[s]))
-            elif kind == "floored":
-                expected = scalars[s].reserve(
-                    nodes, float(durs[s]), not_before=float(floors[s])
-                )
             else:
                 expected = scalars[s].earliest_start(nodes, float(durs[s]))
             assert got[s] == expected
+        anchor = got
         assert_worlds_match_scalars(batch, scalars, total)
 
 
@@ -191,11 +197,24 @@ class TestBatchAvailabilityProfile:
         times = profile.times[:, :w].copy()
         free = profile.free[:, :w].copy()
         profile.earliest_start(4, np.full(2, 2.0))
-        profile.earliest_start(4, np.full(2, 2.0), not_before=np.full(2, 1.0))
         # Capacity buffers may grow, but the tracked state must not move.
         assert np.array_equal(profile.count, count)
         assert np.array_equal(profile.times[:, :w], times)
         assert np.array_equal(profile.free[:, :w], free)
+
+    def test_close_before_requires_a_breakpoint(self):
+        profile = BatchAvailabilityProfile.from_releases(
+            0.0, 2, 8, np.asarray([[4.0], [3.0]]), np.asarray([3])
+        )
+        free = profile.free.copy()
+        for bad in (np.asarray([4.0, 4.0]), np.asarray([2.0, 3.0]),
+                    np.asarray([-1.0, 0.0]), np.asarray([np.inf, np.inf])):
+            with pytest.raises(ValueError):
+                profile.close_before(bad)  # not a breakpoint in every world
+        assert np.array_equal(profile.free, free)
+        profile.close_before(np.asarray([4.0, 3.0]))
+        assert profile.free[:, 0].tolist() == [0, 0]
+        assert profile.earliest_start(1, np.full(2, 1.0)).tolist() == [4.0, 3.0]
 
     def test_capacity_growth_preserves_worlds(self):
         """Many reserves through a deliberately tiny initial capacity."""
