@@ -18,10 +18,12 @@ Hot path
 --------
 Because the profile is pass-local state, two exact shortcuts apply:
 
-- **Seeding** batches the running jobs' releases through
-  :meth:`AvailabilityProfile.rebuild` (sort once, build the step arrays
-  in one append-only sweep) instead of one O(n) ``list.insert`` per
-  release, and reuses one scratch profile object across passes.
+- **Seeding** reads every running job's release from one
+  ``view.releases()`` call (no per-job ``remaining`` method call),
+  batches the releases through :meth:`AvailabilityProfile.rebuild`
+  (sort once, build the step arrays in one append-only sweep) instead
+  of one O(n) ``list.insert`` per release, and reuses one scratch
+  profile object across passes.
 - **Early exit**: reservations carved for jobs that cannot start are
   discarded at the end of the pass, so the walk may stop as soon as no
   remaining job can start *now*.  Free nodes at ``now`` only shrink as
@@ -29,8 +31,11 @@ Because the profile is pass-local state, two exact shortcuts apply:
   the remaining queue suffix, no later job can have an earliest start of
   ``now`` — the selected set is provably unchanged.
 
-Both are equivalence-gated by ``tests/test_simulator_parity.py`` against
-the reference engine in :mod:`repro.scheduler.reference`.
+Each queued job then costs one :meth:`AvailabilityProfile.reserve`,
+which holds the profile's only feasibility scan and carves in place
+with no inner call.  All of it is equivalence-gated by
+``tests/test_simulator_parity.py`` against the reference engine in
+:mod:`repro.scheduler.reference`.
 """
 
 from __future__ import annotations
@@ -43,7 +48,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.scheduler.policies.base import MIN_DURATION, Policy, report_blocker
+from repro.scheduler.policies.base import (
+    MIN_DURATION,
+    Policy,
+    report_blocker,
+    running_ids,
+)
 
 __all__ = ["AvailabilityProfile", "BatchAvailabilityProfile", "BackfillPolicy"]
 
@@ -168,18 +178,24 @@ class AvailabilityProfile:
         Always a segment start; always succeeds inside the backfill
         policy because the final segment has all running jobs finished.
         """
-        anchor, _, _ = self._find_slot(nodes, duration)
-        return anchor
+        return self.reserve(nodes, duration, carve=False)
 
-    def _find_slot(self, nodes: int, duration: float) -> tuple[float, int, int]:
-        """``(anchor, i, j)``: earliest feasible anchor, its segment index,
-        and the first segment index at/after ``anchor + duration``."""
+    def reserve(self, nodes: int, duration: float, *, carve: bool = True) -> float:
+        """Find the earliest start and carve it, in one walk.
+
+        Exactly equivalent to ``start = earliest_start(...)`` followed by
+        ``carve(start, duration, nodes)``, but the carve reuses the
+        feasibility scan's segment indices instead of re-bisecting, and
+        skips the overcommit re-checks the scan already guarantees.  The
+        profile's only feasibility scan: :meth:`earliest_start` is this
+        walk with ``carve=False``.
+        """
         if nodes > self.total_nodes:
             raise ValueError(
                 f"request for {nodes} nodes exceeds machine size {self.total_nodes}"
             )
-        if duration < 0:
-            raise ValueError(f"negative duration {duration}")
+        if not duration >= 0:
+            raise ValueError(f"duration {duration} is negative or NaN")
         times = self.times
         free = self.free
         n = len(times)
@@ -199,27 +215,15 @@ class AvailabilityProfile:
                     break
                 j += 1
             else:
-                return anchor, i, j
-        raise RuntimeError("no feasible start found (profile never clears)")
-
-    def reserve(self, nodes: int, duration: float) -> float:
-        """Find the earliest start and carve it, in one walk.
-
-        Exactly equivalent to ``start = earliest_start(...)`` followed by
-        ``carve(start, duration, nodes)``, but the carve reuses the
-        feasibility scan's segment indices instead of re-bisecting, and
-        skips the overcommit re-checks the scan already guarantees.
-        """
-        anchor, i, j = self._find_slot(nodes, duration)
-        end = anchor + duration
-        if end == anchor:
-            # Zero duration, or a positive one that underflows at the
-            # anchor's magnitude: no segment loses nodes.
+                break  # [anchor, end) fits over segments i..j-1
+        else:
+            raise RuntimeError("no feasible start found (profile never clears)")
+        if not carve or end == anchor:
+            # A query, a zero duration, or a positive one that underflows
+            # at the anchor's magnitude: no segment loses nodes.
             return anchor
-        times = self.times
-        free = self.free
         if math.isfinite(end):
-            if j >= len(times) or times[j] != end:
+            if j >= n or times[j] != end:
                 times.insert(j, end)
                 free.insert(j, free[j - 1])
         else:
@@ -253,8 +257,10 @@ class AvailabilityProfile:
         the *estimated* occupancy of running jobs without being wrong
         (estimates are beliefs; the reservation will simply wait).
         """
-        if duration <= 0:
-            return
+        if not duration > 0:
+            if duration <= 0:
+                return
+            raise ValueError(f"duration {duration} is NaN")
         end = start + duration
         i = self._ensure_breakpoint(start)
         j = self._ensure_breakpoint(end) if math.isfinite(end) else len(self.times)
@@ -474,12 +480,12 @@ class BatchAvailabilityProfile:
         return anchor
 
     def _durations(self, durations: np.ndarray | float) -> np.ndarray:
-        """``durations`` as an ``(S,)`` float vector; negatives raise."""
+        """``durations`` as an ``(S,)`` float vector; negatives and NaN raise."""
         durations = np.broadcast_to(
             np.asarray(durations, dtype=np.float64), (self.n_worlds,)
         )
-        if np.any(durations < 0):
-            raise ValueError("negative duration")
+        if np.any(~(durations >= 0)):
+            raise ValueError("negative or NaN duration")
         return durations
 
     def _scratch(self) -> None:
@@ -642,15 +648,13 @@ class BackfillPolicy(Policy):
         self._last_binding: dict[int, tuple] = {}
         # The release pairs the current pass's profile was seeded from,
         # stashed so _seed_origin can attribute them without re-deriving
-        # each running job's release time (view.remaining is not free).
+        # the running jobs' release times (view.releases is not free).
         self._seed_releases: list[tuple[float, int]] = []
 
     def _seeded_profile(self, view) -> AvailabilityProfile:
         """The pass's availability profile, rebuilt in the scratch object."""
         now = view.now
-        releases = [
-            (now + view.remaining(rj), rj.job.nodes) for rj in view.running
-        ]
+        releases = view.releases()
         for ares in getattr(view, "active_reservations", ()):
             end = ares.end_time
             releases.append((end if end > now else now, ares.nodes))
@@ -680,15 +684,11 @@ class BackfillPolicy(Policy):
         budget.  Release times
         come from the pairs stashed by :meth:`_seeded_profile` (running
         jobs first, then active reservations, in seeding order), not
-        from re-deriving ``view.remaining``.
+        from re-deriving ``view.releases``.
         """
         now = view.now
         releases = self._seed_releases
-        running = view.running
-        if hasattr(running, "ids"):
-            ids = running.ids()
-        else:  # reference views expose plain sequences
-            ids = [rj.job_id for rj in running]
+        ids = running_ids(view)
         # dict(zip(...)) pairs release times with ("running_job", id)
         # tags entirely in C; zip stops at len(ids), leaving the active
         # reservations' trailing entries to the loop below.

@@ -9,7 +9,12 @@ the selections overcommit the pool.
 Run-time estimates are obtained through the :class:`SchedulerView` the
 simulator passes in; the view consults whatever run-time estimator the
 simulation was configured with, so the same policy code runs with actual
-run times, user maxima, or any historical predictor (paper §4).
+run times, user maxima, or any historical predictor (paper §4).  A view
+answers ``estimate(qj)`` for a queued job's total run time and
+``remaining(rj)`` for a running job's remaining time; ``releases()``
+gives every running job's ``(now + remaining(rj), nodes)`` in running
+order from one call, which is how the profile-seeding policies (and
+:class:`ReleaseAttributor`) read them.
 """
 
 from __future__ import annotations
@@ -21,7 +26,13 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.scheduler.simulator import QueuedJob, SchedulerView
 
-__all__ = ["MIN_DURATION", "Policy", "ReleaseAttributor", "report_blocker"]
+__all__ = [
+    "MIN_DURATION",
+    "Policy",
+    "ReleaseAttributor",
+    "report_blocker",
+    "running_ids",
+]
 
 #: Smallest duration/remaining time an estimate may collapse to, so no
 #: schedule stalls on a zero or negative estimate and no reservation
@@ -57,7 +68,7 @@ class ReleaseAttributor:
     myopic view: pending advance reservations (which *consume* future
     capacity) are ignored, exactly as the policies themselves do.
 
-    Estimate calls made here (``view.remaining``) are value-deterministic
+    Estimate calls made here (``view.releases``) are value-deterministic
     within an estimator epoch and never alter schedules, so a ``select``
     walk that builds one under provenance selects exactly what it
     selects with provenance off.
@@ -67,12 +78,10 @@ class ReleaseAttributor:
 
     def __init__(self, view) -> None:
         now = view.now
-        releases: list[tuple[float, int, int, str, int]] = []
-        for rj in view.running:
-            releases.append(
-                (now + view.remaining(rj), 0, rj.job.nodes,
-                 "running_job", rj.job_id)
-            )
+        releases: list[tuple[float, int, int, str, int]] = [
+            (t, 0, nodes, "running_job", jid)
+            for (t, nodes), jid in zip(view.releases(), running_ids(view))
+        ]
         for ares in getattr(view, "active_reservations", ()):
             end = ares.end_time
             releases.append((
@@ -93,6 +102,14 @@ class ReleaseAttributor:
             if free >= nodes_needed:
                 return kind, bid
         return "unknown", None
+
+
+def running_ids(view):
+    """Running jobs' ids, in the order ``view.releases()`` lists them."""
+    running = view.running
+    if hasattr(running, "ids"):
+        return running.ids()
+    return [rj.job_id for rj in running]  # hand-built views: plain lists
 
 
 def report_blocker(

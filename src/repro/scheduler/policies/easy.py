@@ -19,7 +19,12 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.scheduler.policies.backfill import AvailabilityProfile
-from repro.scheduler.policies.base import MIN_DURATION, Policy, report_blocker
+from repro.scheduler.policies.base import (
+    MIN_DURATION,
+    Policy,
+    report_blocker,
+    running_ids,
+)
 
 __all__ = ["EASYBackfillPolicy"]
 
@@ -50,12 +55,10 @@ class EASYBackfillPolicy(Policy):
             return []
         prov = getattr(view, "provenance_tracer", None)
         origin: dict | None = {} if prov is not None else None
-        releases = []
-        for rj in view.running:
-            t = now + view.remaining(rj)
-            releases.append((t, rj.job.nodes))
-            if origin is not None:
-                origin[t] = ("running_job", rj.job_id)
+        releases = view.releases()
+        if origin is not None:
+            for (t, _), jid in zip(releases, running_ids(view)):
+                origin[t] = ("running_job", jid)
         for ares in getattr(view, "active_reservations", ()):
             t = max(ares.end_time, now)
             releases.append((t, ares.nodes))

@@ -153,7 +153,10 @@ class ReferenceBackfillPolicy(Policy):
     def select(self, view):
         profile = AvailabilityProfile(view.now, view.free_nodes, view.total_nodes)
         for rj in view.running:
-            profile.add_release(view.now + view.remaining(rj), rj.job.nodes)
+            # One remaining() call per job: an oracle independent of the
+            # optimized view's batched releases().
+            remaining = view.remaining(rj)
+            profile.add_release(view.now + remaining, rj.job.nodes)
         started = []
         for qj in view.queued:  # arrival order
             duration = max(view.estimate(qj), self.min_duration)

@@ -254,7 +254,7 @@ class SchedulerView:
     within one pass each job's estimate is consistent across the
     policy's comparisons, as the paper's algorithms require.  Remaining
     times of running jobs condition on elapsed time and are memoized per
-    view only.
+    view only; :meth:`releases` reads them for all running jobs at once.
     """
 
     def __init__(self, sim: "Simulator") -> None:
@@ -370,6 +370,48 @@ class SchedulerView:
             est = float(sim.estimator.predict(rj.job, elapsed, sim.now))
             self._remaining[rj.job_id] = est
         return max(est - elapsed, MIN_DURATION)
+
+    def releases(self) -> list[tuple[float, int]]:
+        """``(now + remaining(rj), nodes)`` for every running job, in
+        running order, computed in one loop.
+
+        The same floats, memo reads and ``predict`` calls as one
+        :meth:`remaining` call per job, without the per-job method,
+        ``elapsed()`` and ``job_id`` property calls — the seed of every
+        backfill pass.  The list is fresh; callers may extend it.
+        """
+        sim = self._sim
+        now = sim.now
+        predict = sim.estimator.predict
+        min_duration = MIN_DURATION
+        out: list[tuple[float, int]] = []
+        append = out.append
+        if self._elapsed_invariant:
+            cache = self._cache
+            for rj in sim.running:
+                job = rj.job
+                jid = job.job_id
+                base = cache.get(jid)
+                if base is None:
+                    base = float(predict(job, 0.0, now))
+                    cache[jid] = base
+                elapsed = now - rj.start_time
+                r = (base if base > elapsed else elapsed) - elapsed
+                # max(r, MIN_DURATION), argument order and NaN included.
+                append((now + (min_duration if min_duration > r else r), job.nodes))
+            return out
+        memo = self._remaining
+        for rj in sim.running:
+            job = rj.job
+            jid = job.job_id
+            elapsed = now - rj.start_time
+            est = memo.get(jid)
+            if est is None:
+                est = float(predict(job, elapsed, now))
+                memo[jid] = est
+            r = est - elapsed
+            append((now + (min_duration if min_duration > r else r), job.nodes))
+        return out
 
     def invalidate(self) -> None:
         self._cache.clear()

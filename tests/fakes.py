@@ -39,3 +39,6 @@ class FakeView:
     def remaining(self, rj: RunningJob) -> float:
         est = self._estimates.get(rj.job_id, rj.job.run_time)
         return max(est - rj.elapsed(self.now), 1e-6)
+
+    def releases(self) -> list[tuple[float, int]]:
+        return [(self.now + self.remaining(rj), rj.job.nodes) for rj in self.running]

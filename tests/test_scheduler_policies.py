@@ -149,6 +149,19 @@ class TestAvailabilityProfile:
         with pytest.raises(ValueError, match="machine size"):
             p.earliest_start(11, 1.0)
 
+    def test_nan_duration_raises_and_reserves_nothing(self):
+        p = AvailabilityProfile.from_releases(0.0, 2, 4, [(10.0, 2)])
+        with pytest.raises(ValueError, match="NaN"):
+            p.reserve(1, math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            p.earliest_start(3, math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            p.carve(0.0, math.nan, 1)
+        with pytest.raises(ValueError, match="negative"):
+            p.reserve(1, -1.0)
+        assert p.times == [0.0, 10.0]
+        assert p.free == [2, 4]
+
     def test_close_before_drops_the_prefix(self):
         p = AvailabilityProfile(0.0, 10, 10)
         p.carve(5.0, 10.0, 6)

@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.registry import make_predictor
 from repro.predictors.base import PointEstimator
 from repro.predictors.simple import ActualRuntimePredictor
-from repro.scheduler.policies import FCFSPolicy
-from repro.scheduler.simulator import SchedulerView, Simulator
-from repro.workloads.job import Trace
+from repro.scheduler.policies import BackfillPolicy, FCFSPolicy
+from repro.scheduler.simulator import (
+    InstrumentedSchedulerView,
+    QueuedJob,
+    RunningJob,
+    SchedulerView,
+    Simulator,
+)
+from repro.workloads.job import Job, Trace
 from tests.conftest import make_job
 
 
@@ -99,3 +108,98 @@ class TestSchedulerView:
         view = SchedulerView(sim)
         assert view.remaining(rj) > 0.0
         assert view.remaining(rj) < 1.0
+
+
+# Run times and maxima below MIN_DURATION (1e-6) exercise the floor.
+_TINY = st.sampled_from([0.0, 1e-9, 5e-7])
+_RUN_TIMES = st.one_of(_TINY, st.floats(0.0, 5e4))
+_MAXIMA = st.one_of(st.none(), st.sampled_from([1e-9, 5e-7]), st.floats(1e-3, 5e4))
+# Half the draws run briefly, so most jobs are still within their estimate.
+_ELAPSED = st.one_of(st.floats(0.0, 1e5), st.floats(0.0, 1.0))
+
+
+@st.composite
+def running_states(draw):
+    """A running set under user maxima (elapsed-invariant) or Smith
+    (elapsed-conditioned), with some jobs overdue (elapsed >= estimate)
+    and some estimates already memoized at queue time."""
+    kind = draw(st.sampled_from(["max", "smith"]))
+    view_cls = draw(st.sampled_from([SchedulerView, InstrumentedSchedulerView]))
+    now = draw(st.floats(0.0, 1e6))
+    running = []
+    for i in range(draw(st.integers(0, 8))):
+        job = Job(
+            job_id=i + 1,
+            submit_time=0.0,
+            run_time=draw(_RUN_TIMES),
+            nodes=draw(st.integers(1, 4)),
+            user=draw(st.sampled_from(["a", "b"])),
+            executable="x",
+            max_run_time=draw(_MAXIMA),
+        )
+        running.append((job, now - draw(_ELAPSED)))
+    finished = draw(
+        st.lists(st.tuples(st.sampled_from(["a", "b"]), _RUN_TIMES), max_size=6)
+    )
+    history = [
+        Job(job_id=100 + k, submit_time=0.0, run_time=rt, nodes=1, user=user, executable="x")
+        for k, (user, rt) in enumerate(finished)
+    ]
+    jobs = [job for job, _ in running]
+    warmed = draw(st.lists(st.sampled_from(jobs), unique=True)) if jobs else []
+    return kind, view_cls, now, running, history, warmed
+
+
+def _build(kind, view_cls, now, running, history, warmed):
+    jobs = [job for job, _ in running]
+    estimator = PointEstimator(make_predictor(kind, Trace(jobs + history, total_nodes=64)))
+    for job in history:
+        estimator.on_finish(job, 0.0)
+    sim = Simulator(BackfillPolicy(), estimator, 64)
+    sim.now = now
+    for job, start in running:
+        sim.running.append(RunningJob(job, start))
+    view = view_cls(sim)
+    for job in warmed:
+        view.estimate(QueuedJob(job))
+    return sim, view
+
+
+def _hex(pairs):
+    return [(t.hex(), nodes) for t, nodes in pairs]
+
+
+# now + (base - (now - start)) rounds differently from start + base here.
+_ROUNDING_PROBE = (
+    "max",
+    SchedulerView,
+    0.6423396359627047,
+    [(make_job(job_id=1, run_time=1.0, nodes=1, max_run_time=3.3), 0.1)],
+    [],
+    [],
+)
+
+
+@given(state=running_states())
+@example(state=_ROUNDING_PROBE)
+@settings(max_examples=200, deadline=None)
+def test_property_releases_match_remaining_bit_for_bit(state):
+    """``releases()`` is the per-job ``remaining()`` comprehension: the
+    same floats, and the same memo misses and ``predict`` calls, on a
+    cold view and again on the warm one."""
+    sim_a, view_a = _build(*state)
+    sim_b, view_b = _build(*state)
+    for _ in range(2):
+        got = view_a.releases()
+        want = [
+            (view_b.now + view_b.remaining(rj), rj.job.nodes)
+            for rj in view_b.running
+        ]
+        assert _hex(got) == _hex(want)
+        counters_a = sim_a.metrics_snapshot()["counters"]
+        counters_b = sim_b.metrics_snapshot()["counters"]
+        assert (
+            counters_a["sim.estimate_cache_misses"]
+            == counters_b["sim.estimate_cache_misses"]
+        )
+        assert sim_a.estimator.obs_stats() == sim_b.estimator.obs_stats()

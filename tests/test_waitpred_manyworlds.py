@@ -178,6 +178,19 @@ class TestBatchAvailabilityProfile:
         with pytest.raises(ValueError):
             profile.reserve(1, np.asarray([-1.0, 1.0]))  # negative duration
 
+    def test_nan_duration_raises_and_reserves_nothing(self):
+        profile = BatchAvailabilityProfile.from_releases(
+            0.0, 2, 4, np.asarray([[10.0], [10.0]]), np.asarray([2])
+        )
+        with pytest.raises(ValueError, match="NaN"):
+            profile.reserve(1, np.asarray([np.nan, 1.0]))
+        with pytest.raises(ValueError, match="NaN"):
+            profile.earliest_start(3, np.nan)
+        # Capacity buffers may grow, but the live state must not move.
+        np.testing.assert_array_equal(profile.count, [2, 2])
+        np.testing.assert_array_equal(profile.times[:, :2], [[0.0, 10.0]] * 2)
+        np.testing.assert_array_equal(profile.free[:, :2], [[2, 4]] * 2)
+
     def test_never_clears_raises_like_scalar(self):
         profile = BatchAvailabilityProfile.from_releases(
             0.0, 1, 8, np.asarray([[5.0], [9.0]]), np.asarray([3])
