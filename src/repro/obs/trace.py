@@ -42,6 +42,8 @@ except ImportError:  # pragma: no cover
 # formatting (``1e-06`` vs ``1e-6``) and non-finite floats, which
 # orjson writes as ``null`` where stdlib emits the non-standard
 # ``Infinity``/``NaN`` tokens (trace events are finite by schema).
+_encode_stdlib = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
 if _orjson is not None:
     _ORJSON_OPTS = _orjson.OPT_SORT_KEYS | _orjson.OPT_SERIALIZE_NUMPY
 
@@ -49,9 +51,7 @@ if _orjson is not None:
         return _orjson.dumps(event, option=_ORJSON_OPTS).decode("utf-8")
 
 else:
-    _encode_line = json.JSONEncoder(
-        separators=(",", ":"), sort_keys=True
-    ).encode
+    _encode_line = _encode_stdlib
 
 __all__ = [
     "EventSink",

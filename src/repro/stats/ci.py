@@ -15,6 +15,12 @@ rescales all widths by roughly ``sqrt(n)`` and does not change which
 category wins for same-size categories; the prediction interval is what
 makes small, tight categories beat huge, diffuse ones.)
 
+Because the tightest interval picks the template, the bits of the t
+quantile decide which category predicts, and with it the printed cells of
+Tables 5-9 and 11-15.  :func:`t_quantile` therefore has one kernel on
+every host, ``scipy.special.stdtrit`` (a required dependency), and no
+approximate fallback.
+
 :func:`mean_confidence_interval` is called on every miss of a category's
 memo, mostly on a few hundred points, where NumPy's Python-level
 ``mean``/``std`` wrappers cost more than the arithmetic.  It calls the
@@ -36,67 +42,27 @@ __all__ = ["t_quantile", "mean_confidence_interval", "RunningMoments"]
 _T_CACHE: dict[tuple[int, float], float] = {}
 
 
-def _t_quantile_uncached(df: int, p: float) -> float:
-    # Inverse CDF of Student's t via the inverse incomplete beta function.
-    # Uses scipy when available; otherwise falls back to the Cornish-Fisher
-    # expansion around the normal quantile, which is accurate to ~1e-3 for
-    # df >= 3 and adequate for ranking interval widths.
-    try:  # pragma: no cover - exercised when scipy is installed
-        from scipy.stats import t as _t
-
-        return float(_t.ppf(p, df))
-    except Exception:  # pragma: no cover - scipy always present in CI
-        z = _normal_quantile(p)
-        g1 = (z**3 + z) / 4.0
-        g2 = (5 * z**5 + 16 * z**3 + 3 * z) / 96.0
-        g3 = (3 * z**7 + 19 * z**5 + 17 * z**3 - 15 * z) / 384.0
-        g4 = (79 * z**9 + 776 * z**7 + 1482 * z**5 - 1920 * z**3 - 945 * z) / 92160.0
-        return float(z + g1 / df + g2 / df**2 + g3 / df**3 + g4 / df**4)
-
-
-def _normal_quantile(p: float) -> float:
-    # Acklam's rational approximation to the inverse normal CDF.
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    a = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-         1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-    b = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-         6.680131188771972e01, -1.328068155288572e01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-         -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-         3.754408661907416e00)
-    plow, phigh = 0.02425, 1 - 0.02425
-    if p < plow:
-        q = math.sqrt(-2 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1
-        )
-    if p > phigh:
-        q = math.sqrt(-2 * math.log(1 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1
-        )
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1
-    )
-
-
 def t_quantile(df: int, p: float) -> float:
     """Quantile function of Student's t with ``df`` degrees of freedom.
 
-    Results are memoized — predictors call this with a handful of distinct
-    ``(df, p)`` pairs millions of times during a trace replay.
+    Computed by ``scipy.special.stdtrit``, the kernel SciPy's ``t.ppf``
+    calls, so the bits are the same.  Results are memoized — predictors
+    call this with a handful of distinct ``(df, p)`` pairs millions of
+    times during a trace replay.  Raises :class:`ValueError` unless
+    ``df >= 1`` and ``0 < p < 1``.
     """
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must be in (0, 1), got {p}")
     key = (df, p)
     v = _T_CACHE.get(key)
     if v is None:
-        v = _t_quantile_uncached(df, p)
-        _T_CACHE[key] = v
+        # Imported on the first miss: scipy.special costs ~50 MB and most
+        # replays (user maxima, no intervals) never need a quantile.
+        from scipy.special import stdtrit
+
+        v = _T_CACHE[key] = float(stdtrit(df, p))
     return v
 
 

@@ -132,6 +132,30 @@ class TestJsonlRoundTrip:
         with pytest.raises(TraceSchemaError, match="line 1"):
             read_jsonl(io.StringIO("{not json}\n"))
 
+    def test_encoders_parse_alike_on_a_replay(self):
+        """orjson and the stdlib fallback write lines that parse to the
+        same values for every event of a detail + provenance replay (the
+        bytes may differ in exponent formatting)."""
+        pytest.importorskip("orjson")
+        from repro.core.registry import make_policy, make_predictor
+        from repro.obs import Instrumentation
+        from repro.obs.trace import _encode_line, _encode_stdlib
+        from repro.predictors.base import PointEstimator
+        from repro.scheduler.simulator import Simulator
+        from repro.workloads.archive import load_paper_workload
+
+        trace = load_paper_workload("SDSC96", n_jobs=300)
+        sink = ListSink()
+        for policy in ("fcfs", "lwf", "backfill", "easy"):
+            inst = Instrumentation(tracer=Tracer(sink), detail=True, provenance=True)
+            estimator = PointEstimator(make_predictor("smith", trace), instrumentation=inst)
+            Simulator(
+                make_policy(policy), estimator, trace.total_nodes, instrumentation=inst
+            ).run(trace)
+        assert len(sink.events) > 10_000
+        for event in sink.events:
+            assert json.loads(_encode_line(event)) == json.loads(_encode_stdlib(event))
+
 
 class TestJsonlBuffering:
     def test_holds_until_buffer_full_then_writes_whole_chunk(self):

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.stats import ci
 from repro.stats.ci import RunningMoments, mean_confidence_interval, t_quantile
+
+#: p = (1 + c) / 2 for the confidence levels c = 0.1, 0.5, 0.8, 0.9, 0.95, 0.99.
+_P_LEVELS = (0.55, 0.75, 0.9, 0.95, 0.975, 0.995)
 
 
 class TestTQuantile:
@@ -36,6 +41,37 @@ class TestTQuantile:
 
     def test_cached(self):
         assert t_quantile(9, 0.95) == t_quantile(9, 0.95)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_rejects_bad_p(self, monkeypatch, p):
+        # scipy would answer nan or inf here; the check runs before the
+        # cache, so nothing is computed or stored.
+        monkeypatch.setattr(ci, "_T_CACHE", {})
+        with pytest.raises(ValueError, match="p must be in"):
+            t_quantile(5, p)
+        assert ci._T_CACHE == {}
+
+    def test_rejects_full_confidence(self):
+        with pytest.raises(ValueError, match="p must be in"):
+            mean_confidence_interval([1.0, 2.0, 3.0], confidence=1.0)
+
+    def test_bits_match_scipy_stats(self, monkeypatch):
+        """``t_quantile`` returns ``scipy.stats.t.ppf``'s bits (the oracle)."""
+        stats = pytest.importorskip("scipy.stats")
+        monkeypatch.setattr(ci, "_T_CACHE", {})
+        dfs = np.arange(1, 30_001)
+        for p in _P_LEVELS:
+            want = stats.t.ppf(p, dfs)
+            got = np.array([t_quantile(int(df), p) for df in dfs])
+            mismatched = dfs[got != want]
+            assert mismatched.size == 0, (p, mismatched[:10])
+
+    def test_no_fallback_without_scipy(self, monkeypatch):
+        """A host without scipy fails loudly instead of approximating."""
+        monkeypatch.setattr(ci, "_T_CACHE", {})
+        monkeypatch.setitem(sys.modules, "scipy.special", None)
+        with pytest.raises(ImportError):
+            t_quantile(5, 0.95)
 
 
 #: Sizes on both sides of NumPy's 8-lane unrolled sum and its 128-element
