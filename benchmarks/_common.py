@@ -24,11 +24,7 @@ from repro.core.experiment import (
     run_scheduling_table,
     run_wait_time_table,
 )
-from repro.core.paper_reference import (
-    SCHEDULING_TABLES,
-    WAIT_TIME_TABLES,
-)
-from repro.core.rounding import round_half_up
+from repro.core.paper_reference import paper_table
 from repro.core.tables import format_table
 from repro.workloads.archive import load_paper_workload
 from repro.workloads.job import Trace
@@ -40,8 +36,7 @@ __all__ = [
     "bench_traces",
     "wait_time_rows",
     "scheduling_rows",
-    "print_wait_table",
-    "print_scheduling_table",
+    "print_paper_table",
     "run_once",
     "emit_bench_json",
     "cell_metrics",
@@ -143,55 +138,8 @@ def cell_metrics(cells: Iterable[WaitTimeCell] | Iterable[SchedulingCell]) -> di
     return merge_snapshots(*(c.metrics for c in cells if c.metrics is not None))
 
 
-def print_wait_table(predictor: str, cells: Iterable[WaitTimeCell]) -> None:
-    table_no, ref = WAIT_TIME_TABLES[predictor]
-    rows = []
-    for c in cells:
-        r = ref.get((c.workload, c.algorithm))
-        rows.append(
-            {
-                "Workload": c.workload,
-                "Algorithm": c.algorithm,
-                "Error (min)": round(c.mean_error_minutes, 2),
-                "% of wait": round_half_up(c.percent_of_mean_wait),
-                "Paper err": r.mean_error_minutes if r else "",
-                "Paper %": r.percent_of_mean_wait if r else "",
-            }
-        )
+def print_paper_table(cells: Iterable[object]) -> None:
+    """Print one paper table's measured rows beside the published ones."""
+    title, rows = paper_table(cells)
     print()
-    print(
-        format_table(
-            rows,
-            title=(
-                f"Table {table_no} — wait-time prediction with the "
-                f"{predictor!r} run-time predictor (measured vs. paper)"
-            ),
-        )
-    )
-
-
-def print_scheduling_table(predictor: str, cells: Iterable[SchedulingCell]) -> None:
-    table_no, ref = SCHEDULING_TABLES[predictor]
-    rows = []
-    for c in cells:
-        r = ref.get((c.workload, c.algorithm))
-        rows.append(
-            {
-                "Workload": c.workload,
-                "Algorithm": c.algorithm,
-                "Util %": round(c.utilization_percent, 2),
-                "Wait (min)": round(c.mean_wait_minutes, 2),
-                "Paper util": r.utilization_percent if r else "",
-                "Paper wait": r.mean_wait_minutes if r else "",
-            }
-        )
-    print()
-    print(
-        format_table(
-            rows,
-            title=(
-                f"Table {table_no} — scheduling performance with the "
-                f"{predictor!r} run-time predictor (measured vs. paper)"
-            ),
-        )
-    )
+    print(format_table(rows, title=title))

@@ -11,9 +11,8 @@ import numpy as np
 
 from repro.core.experiment import run_runtime_prediction_experiment
 from repro.core.registry import PREDICTOR_NAMES
-from repro.core.tables import format_table
 
-from _common import bench_traces
+from _common import bench_traces, print_paper_table
 
 
 def _run():
@@ -26,17 +25,7 @@ def _run():
 
 def test_runtime_prediction_error_grid(benchmark):
     cells = benchmark.pedantic(_run, rounds=1, iterations=1)
-    rows = [
-        {
-            "Workload": c.workload,
-            "Predictor": c.predictor,
-            "Error (min)": round(c.mean_error_minutes, 2),
-            "% of mean run": round(c.percent_of_mean_run_time),
-        }
-        for c in cells
-    ]
-    print()
-    print(format_table(rows, title="Run-time prediction error (§3)"))
+    print_paper_table(cells)
 
     by = {(c.workload, c.predictor): c for c in cells}
     workloads = sorted({c.workload for c in cells})

@@ -12,7 +12,7 @@ from repro.core.tables import format_table
 from repro.workloads.archive import PAPER_WORKLOADS
 from repro.workloads.stats import summarize
 
-from _common import bench_traces
+from _common import bench_traces, print_paper_table
 
 
 def _characterize():
@@ -21,23 +21,7 @@ def _characterize():
 
 def test_table01_workload_characteristics(benchmark):
     summaries = benchmark.pedantic(_characterize, rounds=1, iterations=1)
-    rows = []
-    for s in summaries:
-        nodes, requests, mean_rt = TABLE1_WORKLOADS[s.name]
-        rows.append(
-            {
-                "Workload": s.name,
-                "Nodes": s.total_nodes,
-                "Requests": s.n_jobs,
-                "Mean run (min)": round(s.mean_run_time_minutes, 2),
-                "Offered load": round(s.offered_load, 3),
-                "Paper nodes": nodes,
-                "Paper requests": requests,
-                "Paper mean run": mean_rt,
-            }
-        )
-    print()
-    print(format_table(rows, title="Table 1 — workload characteristics"))
+    print_paper_table(summaries)
 
     for s in summaries:
         nodes, requests, mean_rt = TABLE1_WORKLOADS[s.name]

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from _common import cell_metrics, emit_bench_json, print_wait_table, run_once, wait_time_rows
+from _common import cell_metrics, emit_bench_json, print_paper_table, run_once, wait_time_rows
 
 
 def test_table05_wait_prediction_max(benchmark):
     cells = run_once(benchmark, wait_time_rows, "max", ("fcfs", "lwf", "backfill"))
-    print_wait_table("max", cells)
+    print_paper_table(cells)
     emit_bench_json(
         {"table05": [c.as_row() for c in cells]}, metrics=cell_metrics(cells)
     )

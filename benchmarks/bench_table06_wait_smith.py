@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from _common import cell_metrics, emit_bench_json, print_wait_table, run_once, wait_time_rows
+from _common import cell_metrics, emit_bench_json, print_paper_table, run_once, wait_time_rows
 
 
 def _run():
@@ -21,7 +21,7 @@ def _run():
 
 def test_table06_wait_prediction_smith(benchmark):
     smith, mx = run_once(benchmark, _run)
-    print_wait_table("smith", smith)
+    print_paper_table(smith)
     emit_bench_json(
         {"table06": [c.as_row() for c in smith]}, metrics=cell_metrics(smith)
     )

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from _common import cell_metrics, emit_bench_json, print_wait_table, run_once, wait_time_rows
+from _common import cell_metrics, emit_bench_json, print_paper_table, run_once, wait_time_rows
 
 
 def test_table08_wait_prediction_downey_average(benchmark):
     cells = run_once(
         benchmark, wait_time_rows, "downey-average", ("fcfs", "lwf", "backfill")
     )
-    print_wait_table("downey-average", cells)
+    print_paper_table(cells)
     emit_bench_json(
         {"table08": [c.as_row() for c in cells]}, metrics=cell_metrics(cells)
     )

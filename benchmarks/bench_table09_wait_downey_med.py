@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from _common import cell_metrics, emit_bench_json, print_wait_table, run_once, wait_time_rows
+from _common import cell_metrics, emit_bench_json, print_paper_table, run_once, wait_time_rows
 
 
 def _run():
@@ -19,7 +19,7 @@ def _run():
 
 def test_table09_wait_prediction_downey_median(benchmark):
     med, smith = run_once(benchmark, _run)
-    print_wait_table("downey-median", med)
+    print_paper_table(med)
     emit_bench_json(
         {"table09": [c.as_row() for c in med]}, metrics=cell_metrics(med)
     )

@@ -3,12 +3,12 @@ upper bound of §4)."""
 
 from __future__ import annotations
 
-from _common import cell_metrics, emit_bench_json, print_scheduling_table, run_once, scheduling_rows
+from _common import cell_metrics, emit_bench_json, print_paper_table, run_once, scheduling_rows
 
 
 def test_table10_scheduling_actual(benchmark):
     cells = run_once(benchmark, scheduling_rows, "actual")
-    print_scheduling_table("actual", cells)
+    print_paper_table(cells)
     emit_bench_json(
         {"table10": [c.as_row() for c in cells]}, metrics=cell_metrics(cells)
     )

@@ -6,7 +6,7 @@ effect on utilization: utilizations here must track Table 10's.
 
 from __future__ import annotations
 
-from _common import cell_metrics, emit_bench_json, print_scheduling_table, run_once, scheduling_rows
+from _common import cell_metrics, emit_bench_json, print_paper_table, run_once, scheduling_rows
 
 
 def _run():
@@ -15,7 +15,7 @@ def _run():
 
 def test_table11_scheduling_max(benchmark):
     mx, oracle = run_once(benchmark, _run)
-    print_scheduling_table("max", mx)
+    print_paper_table(mx)
     emit_bench_json(
         {"table11": [c.as_row() for c in mx]}, metrics=cell_metrics(mx)
     )

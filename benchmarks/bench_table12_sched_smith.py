@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from _common import cell_metrics, emit_bench_json, print_scheduling_table, run_once, scheduling_rows
+from _common import cell_metrics, emit_bench_json, print_paper_table, run_once, scheduling_rows
 
 
 def _run():
@@ -18,7 +18,7 @@ def _run():
 
 def test_table12_scheduling_smith(benchmark):
     smith, mx = run_once(benchmark, _run)
-    print_scheduling_table("smith", smith)
+    print_paper_table(smith)
     emit_bench_json(
         {"table12": [c.as_row() for c in smith]}, metrics=cell_metrics(smith)
     )

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from _common import cell_metrics, emit_bench_json, print_scheduling_table, run_once, scheduling_rows
+from _common import cell_metrics, emit_bench_json, print_paper_table, run_once, scheduling_rows
 
 
 def test_table13_scheduling_gibbons(benchmark):
     cells = run_once(benchmark, scheduling_rows, "gibbons")
-    print_scheduling_table("gibbons", cells)
+    print_paper_table(cells)
     emit_bench_json(
         {"table13": [c.as_row() for c in cells]}, metrics=cell_metrics(cells)
     )

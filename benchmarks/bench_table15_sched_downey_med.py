@@ -6,7 +6,7 @@ predictor posts lower mean waits than the Downey predictors.
 
 from __future__ import annotations
 
-from _common import cell_metrics, emit_bench_json, print_scheduling_table, run_once, scheduling_rows
+from _common import cell_metrics, emit_bench_json, print_paper_table, run_once, scheduling_rows
 
 
 def _run():
@@ -15,7 +15,7 @@ def _run():
 
 def test_table15_scheduling_downey_median(benchmark):
     med, smith = run_once(benchmark, _run)
-    print_scheduling_table("downey-median", med)
+    print_paper_table(med)
     emit_bench_json(
         {"table15": [c.as_row() for c in med]}, metrics=cell_metrics(med)
     )

@@ -3,6 +3,9 @@
 Every benchmark prints its measured rows next to these reference rows so
 a reader can check the *shape* correspondence (who wins, by what rough
 factor) without digging out the PDF.  Keys are (workload, algorithm).
+:func:`paper_table` is the one row builder behind every printed paper
+table: each measured cell's own ``as_row()`` beside the published
+columns.
 
 Units: mean errors and mean waits in minutes; percentages as integers as
 printed in the paper; utilization in percent.
@@ -11,6 +14,10 @@ printed in the paper; utilization in percent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
+
+from repro.core.experiment import RuntimePredictionCell, SchedulingCell, WaitTimeCell
+from repro.workloads.stats import TraceSummary
 
 __all__ = [
     "WaitTimeRef",
@@ -30,6 +37,7 @@ __all__ = [
     "WAIT_TIME_TABLES",
     "SCHEDULING_TABLES",
     "TABLE1_WORKLOADS",
+    "paper_table",
 ]
 
 
@@ -40,6 +48,12 @@ class WaitTimeRef:
     mean_error_minutes: float
     percent_of_mean_wait: int
 
+    def as_row(self) -> dict[str, object]:
+        return {
+            "Paper Mean Error (minutes)": self.mean_error_minutes,
+            "Paper Percentage": self.percent_of_mean_wait,
+        }
+
 
 @dataclass(frozen=True)
 class SchedulingRef:
@@ -47,6 +61,12 @@ class SchedulingRef:
 
     utilization_percent: float
     mean_wait_minutes: float
+
+    def as_row(self) -> dict[str, object]:
+        return {
+            "Paper Utilization (percent)": self.utilization_percent,
+            "Paper Mean Wait Time (minutes)": self.mean_wait_minutes,
+        }
 
 
 #: Table 1 — (nodes, requests, mean run time in minutes).
@@ -234,3 +254,41 @@ SCHEDULING_TABLES: dict[str, tuple[int, dict[tuple[str, str], SchedulingRef]]] =
     "downey-average": (14, TABLE14_DOWNEY_AVG),
     "downey-median": (15, TABLE15_DOWNEY_MED),
 }
+
+
+def _table1_paper_row(summary: TraceSummary) -> dict[str, object]:
+    nodes, requests, mean_rt = TABLE1_WORKLOADS[summary.name]
+    return {
+        "Paper Nodes": nodes,
+        "Paper Requests": requests,
+        "Paper Mean Run Time (minutes)": mean_rt,
+    }
+
+
+def paper_table(
+    cells: Iterable[TraceSummary | RuntimePredictionCell | WaitTimeCell | SchedulingCell],
+) -> tuple[str, list[dict[str, object]]]:
+    """Title and rows of the paper table the measured ``cells`` fill.
+
+    ``cells`` are one table's worth of one kind: Table 1 workload
+    summaries, §3 run-time prediction cells, or one predictor's Tables
+    4-9 wait-time or Tables 10-15 scheduling cells.  Each row is the
+    cell's own ``as_row()`` followed by the paper's published columns
+    (§3 has none), so every cell must be one the paper reports.
+    """
+    cells = list(cells)
+    first = cells[0]
+    if isinstance(first, TraceSummary):
+        title, paper = "Table 1 — workload characteristics", _table1_paper_row
+    elif isinstance(first, RuntimePredictionCell):
+        title, paper = "§3 text — run-time prediction error per predictor", lambda c: {}
+    else:
+        wait = isinstance(first, WaitTimeCell)
+        table_no, ref = (WAIT_TIME_TABLES if wait else SCHEDULING_TABLES)[first.predictor]
+        kind = "wait-time prediction" if wait else "scheduling performance"
+        title = f"Table {table_no} — {kind}, predictor `{first.predictor}`"
+
+        def paper(c):
+            return ref[(c.workload, c.algorithm)].as_row()
+
+    return title, [dict(c.as_row(), **paper(c)) for c in cells]

@@ -3,24 +3,19 @@
 :func:`generate_experiments_report` runs the full experiment grid at a
 chosen scale and renders an EXPERIMENTS.md-style markdown document with
 one section per paper table, each showing measured values beside the
-published ones.  The benchmark harness prints the same rows; this module
-exists so the comparison document can be regenerated with one call.
+published ones.  Every section's rows come from
+:func:`repro.core.paper_reference.paper_table`, the builder the
+benchmark harness prints too; ``repro-sched report`` writes the
+document.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.core.experiment import (
-    run_runtime_prediction_experiment,
-    run_scheduling_table,
-    run_wait_time_table,
-)
-from repro.core.paper_reference import (
-    SCHEDULING_TABLES,
-    TABLE1_WORKLOADS,
-    WAIT_TIME_TABLES,
-)
+from repro.core.experiment import run_runtime_prediction_experiment
+from repro.core.paper_reference import WAIT_TIME_TABLES, paper_table
+from repro.core.parallel import run_grid
 from repro.core.registry import PREDICTOR_NAMES
 from repro.workloads.archive import load_paper_workload
 from repro.workloads.job import Trace
@@ -39,137 +34,28 @@ def markdown_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> s
     return "\n".join([head, sep, *body])
 
 
-def _table1_section(traces: dict[str, Trace]) -> str:
-    rows = []
-    for name in _WORKLOADS:
-        s = summarize(traces[name])
-        nodes, requests, mean_rt = TABLE1_WORKLOADS[name]
-        rows.append(
-            [
-                name,
-                s.total_nodes,
-                f"{s.n_jobs} (paper {requests})",
-                f"{s.mean_run_time_minutes:.1f} (paper {mean_rt})",
-                f"{s.offered_load:.2f}",
-            ]
-        )
-    return "\n".join(
-        [
-            "## Table 1 — workload characteristics",
-            "",
-            markdown_table(
-                ["Workload", "Nodes", "Requests", "Mean run time (min)", "Offered load"],
-                rows,
-            ),
-        ]
-    )
+def _section(cells: Sequence[object], *notes: str) -> str:
+    """One paper table as a markdown section (see :func:`paper_table`)."""
+    title, rows = paper_table(cells)
+    table = markdown_table(list(rows[0]), [list(r.values()) for r in rows])
+    return "\n\n".join([f"## {title}", *notes, table])
 
 
-def _wait_section(predictor: str, traces: dict[str, Trace]) -> str:
-    table_no, ref = WAIT_TIME_TABLES[predictor]
-    algorithms = ("lwf", "backfill") if predictor == "actual" else (
-        "fcfs", "lwf", "backfill"
-    )
-    cells = run_wait_time_table(
-        predictor,
+def _grid_section(kind: str, predictor: str, traces: dict[str, Trace]) -> str:
+    """Tables 4-15: one predictor's wait-time or scheduling grid."""
+    # The paper reports no FCFS scheduling rows, and Table 4 omits FCFS
+    # (an oracle's FCFS wait prediction has zero error).
+    if kind == "scheduling" or predictor == "actual":
+        algorithms = ("lwf", "backfill")
+    else:
+        algorithms = ("fcfs", "lwf", "backfill")
+    cells = run_grid(
+        kind,
         workloads=[traces[w] for w in _WORKLOADS],
         algorithms=algorithms,
+        predictors=(predictor,),
     )
-    rows = []
-    for c in cells:
-        r = ref.get((c.workload, c.algorithm))
-        rows.append(
-            [
-                c.workload,
-                c.algorithm,
-                f"{c.mean_error_minutes:.2f}",
-                f"{c.percent_of_mean_wait:.0f}",
-                f"{r.mean_error_minutes}" if r else "—",
-                f"{r.percent_of_mean_wait}" if r else "—",
-            ]
-        )
-    return "\n".join(
-        [
-            f"## Table {table_no} — wait-time prediction, predictor `{predictor}`",
-            "",
-            markdown_table(
-                [
-                    "Workload",
-                    "Algorithm",
-                    "Error (min)",
-                    "% of wait",
-                    "Paper error (min)",
-                    "Paper %",
-                ],
-                rows,
-            ),
-        ]
-    )
-
-
-def _sched_section(predictor: str, traces: dict[str, Trace]) -> str:
-    table_no, ref = SCHEDULING_TABLES[predictor]
-    cells = run_scheduling_table(
-        predictor, workloads=[traces[w] for w in _WORKLOADS]
-    )
-    rows = []
-    for c in cells:
-        r = ref.get((c.workload, c.algorithm))
-        rows.append(
-            [
-                c.workload,
-                c.algorithm,
-                f"{c.utilization_percent:.2f}",
-                f"{c.mean_wait_minutes:.2f}",
-                f"{r.utilization_percent}" if r else "—",
-                f"{r.mean_wait_minutes}" if r else "—",
-            ]
-        )
-    return "\n".join(
-        [
-            f"## Table {table_no} — scheduling performance, predictor `{predictor}`",
-            "",
-            markdown_table(
-                [
-                    "Workload",
-                    "Algorithm",
-                    "Util %",
-                    "Mean wait (min)",
-                    "Paper util %",
-                    "Paper wait (min)",
-                ],
-                rows,
-            ),
-        ]
-    )
-
-
-def _runtime_error_section(traces: dict[str, Trace]) -> str:
-    rows = []
-    for name in _WORKLOADS:
-        for predictor in PREDICTOR_NAMES:
-            c = run_runtime_prediction_experiment(traces[name], predictor)
-            rows.append(
-                [
-                    name,
-                    predictor,
-                    f"{c.mean_error_minutes:.2f}",
-                    f"{c.percent_of_mean_run_time:.0f}",
-                ]
-            )
-    return "\n".join(
-        [
-            "## §3 text — run-time prediction error per predictor",
-            "",
-            "The paper quotes Smith's run-time prediction error at 33-73% of the",
-            "mean run time, and 39-92% better than the alternatives.",
-            "",
-            markdown_table(
-                ["Workload", "Predictor", "Error (min)", "% of mean run time"],
-                rows,
-            ),
-        ]
-    )
+    return _section(cells)
 
 
 def generate_experiments_report(
@@ -189,26 +75,30 @@ def generate_experiments_report(
     )
     sections = [
         "# EXPERIMENTS — paper vs. measured",
-        "",
-        "Generated by `python scripts/make_experiments_report.py` against the",
-        f"synthetic workload stand-ins at **{scale}** (see DESIGN.md for the",
-        "substitution rationale).  Absolute minutes differ from the paper —",
-        "the traces are synthetic and smaller — but the *shapes* the paper",
-        "claims are asserted programmatically by `benchmarks/` and visible in",
-        "every section below.",
-        "",
-        _table1_section(traces),
+        f"Generated by `repro-sched report` against the synthetic workload "
+        f"stand-ins at **{scale}** (see DESIGN.md for the substitution "
+        "rationale).  Absolute minutes differ from the paper — the traces "
+        "are synthetic and smaller — but the *shapes* the paper claims are "
+        "asserted programmatically by `benchmarks/` and visible in every "
+        "section below.",
+        _section([summarize(traces[w]) for w in _WORKLOADS]),
     ]
     note("table 1 done")
-    for predictor in ("actual", "max", "smith", "gibbons",
-                      "downey-average", "downey-median"):
-        sections.append(_wait_section(predictor, traces))
-        note(f"wait-time table for {predictor} done")
-    for predictor in ("actual", "max", "smith", "gibbons",
-                      "downey-average", "downey-median"):
-        sections.append(_sched_section(predictor, traces))
-        note(f"scheduling table for {predictor} done")
-    sections.append(_runtime_error_section(traces))
+    for kind in ("wait-time", "scheduling"):
+        for predictor in WAIT_TIME_TABLES:  # the paper's six, in table order
+            sections.append(_grid_section(kind, predictor, traces))
+            note(f"{kind} table for {predictor} done")
+    sections.append(
+        _section(
+            [
+                run_runtime_prediction_experiment(traces[w], predictor)
+                for w in _WORKLOADS
+                for predictor in PREDICTOR_NAMES
+            ],
+            "The paper quotes Smith's run-time prediction error at 33-73% of "
+            "the mean run time, and 39-92% better than the alternatives.",
+        )
+    )
     note("run-time error grid done")
     sections.append(
         "\n".join(

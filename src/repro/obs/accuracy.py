@@ -280,29 +280,3 @@ class AccuracyMonitor:
             "total_observations": self.total_observations,
             "groups": [g.snapshot() for g in self.groups()],
         }
-
-    def summary_rows(self) -> list[dict]:
-        """Table-ready rows (one per group), most-observed first."""
-        rows = []
-        for g in sorted(self._groups.values(), key=lambda g: (-g.n, g.kind, g.predictor)):
-            snap = g.snapshot()
-            rows.append(
-                {
-                    "Kind": g.kind,
-                    "Predictor": g.predictor,
-                    "N": g.n,
-                    "MAE (min)": round(g.mae / 60.0, 2),
-                    "p50 (min)": round((snap["p50"] or 0.0) / 60.0, 2),
-                    "p90 (min)": round((snap["p90"] or 0.0) / 60.0, 2),
-                    "p99 (min)": round((snap["p99"] or 0.0) / 60.0, 2),
-                    "Under %": round(100.0 * g.under_fraction),
-                    "Over %": round(100.0 * g.over_fraction),
-                    "Tail": round(snap["tail_ratio"], 1)
-                    if snap["tail_ratio"] is not None
-                    else "-",
-                    "Drift": round(snap["drift_ratio"], 2)
-                    if snap["drift_ratio"] is not None
-                    else "-",
-                }
-            )
-        return rows

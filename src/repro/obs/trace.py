@@ -22,36 +22,25 @@ the sink is disabled.
 from __future__ import annotations
 
 import io
-import json
 import time
 from typing import IO, Any, Protocol, runtime_checkable
 
+import orjson
+
 from repro.obs.metrics import Histogram
 
-try:  # pragma: no cover - exercised when the wheel ships orjson
-    import orjson as _orjson
-except ImportError:  # pragma: no cover
-    _orjson = None
+# Serializing the event line dominates JsonlSink.emit; orjson is ~8x
+# faster than the stdlib encoder on the flat event dicts the tracer
+# produces, and one encoder on every host keeps trace bytes (and their
+# hashes) host-independent.  Lines are sorted and separator-free;
+# non-finite floats would be written as ``null`` (trace events are
+# finite by schema).
+_ORJSON_OPTS = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
 
-# Serializing the event line dominates JsonlSink.emit, so the encoder is
-# chosen once at import: orjson when available (~8x faster on the flat
-# event dicts the tracer produces), else one reused stdlib encoder —
-# ``json.dumps`` with non-default options rebuilds a JSONEncoder per
-# call, which roughly doubles the cost.  Both produce the same sorted,
-# separator-free lines; the only divergences are cosmetic exponent
-# formatting (``1e-06`` vs ``1e-6``) and non-finite floats, which
-# orjson writes as ``null`` where stdlib emits the non-standard
-# ``Infinity``/``NaN`` tokens (trace events are finite by schema).
-_encode_stdlib = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
-if _orjson is not None:
-    _ORJSON_OPTS = _orjson.OPT_SORT_KEYS | _orjson.OPT_SERIALIZE_NUMPY
+def _encode_line(event: dict) -> str:
+    return orjson.dumps(event, option=_ORJSON_OPTS).decode("utf-8")
 
-    def _encode_line(event: dict) -> str:
-        return _orjson.dumps(event, option=_ORJSON_OPTS).decode("utf-8")
-
-else:
-    _encode_line = _encode_stdlib
 
 __all__ = [
     "EventSink",

@@ -4,13 +4,29 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.experiment import run_runtime_prediction_experiment
 from repro.core.paper_reference import (
     SCHEDULING_TABLES,
     TABLE4_ACTUAL,
     TABLE10_ACTUAL,
     WAIT_TIME_TABLES,
 )
+from repro.core.parallel import run_grid
+from repro.core.registry import PREDICTOR_NAMES
 from repro.core.report import generate_experiments_report, markdown_table
+from repro.workloads.archive import load_paper_workload
+from repro.workloads.stats import summarize
+
+
+def _printed_tables(report: str) -> list[list[dict[str, str]]]:
+    """Each section's markdown table as header -> printed-cell dicts."""
+    tables = []
+    for section in report.split("\n## ")[1:]:
+        lines = [ln for ln in section.splitlines() if ln.startswith("| ")]
+        if lines:
+            header, *body = ([c.strip() for c in ln.strip("|").split("|")] for ln in lines)
+            tables.append([dict(zip(header, cells)) for cells in body])
+    return tables
 
 
 class TestMarkdownTable:
@@ -67,6 +83,35 @@ class TestGenerateReport:
 
     def test_scale_note(self, report):
         assert "40 jobs per workload" in report
+
+    def test_every_printed_cell_is_its_cells_as_row(self, report):
+        """Table 1, Tables 4-15 and §3 print exactly ``as_row()`` of
+        independently computed cells — one rounding rule everywhere."""
+        traces = [load_paper_workload(w, n_jobs=40) for w in ("ANL", "CTC", "SDSC95", "SDSC96")]
+        expected = [[summarize(t).as_row() for t in traces]]
+        for kind in ("wait-time", "scheduling"):
+            for predictor in WAIT_TIME_TABLES:
+                full = kind == "wait-time" and predictor != "actual"
+                algorithms = ("fcfs", "lwf", "backfill") if full else ("lwf", "backfill")
+                cells = run_grid(
+                    kind, workloads=traces, algorithms=algorithms, predictors=(predictor,)
+                )
+                expected.append([c.as_row() for c in cells])
+        expected.append(
+            [
+                run_runtime_prediction_experiment(t, p).as_row()
+                for t in traces
+                for p in PREDICTOR_NAMES
+            ]
+        )
+        printed = _printed_tables(report)
+        assert len(printed) == len(expected)
+        for rows, want in zip(printed, expected):
+            assert len(rows) == len(want)
+            for row, cell_row in zip(rows, want):
+                assert {k: row.get(k) for k in cell_row} == {
+                    k: str(v) for k, v in cell_row.items()
+                }
 
     def test_progress_callback(self):
         messages = []

@@ -152,15 +152,3 @@ class TestAccuracyMonitor:
         events.append({"type": "job_submitted", "job_id": 9, "sim_time": 0.0})
         rebuilt = AccuracyMonitor.from_events(events)
         assert rebuilt.snapshot() == mon.snapshot()
-
-    def test_summary_rows_most_observed_first(self):
-        mon = AccuracyMonitor()
-        mon.observe("wait_time", "state-based", 60.0, 0.0)
-        for _ in range(3):
-            mon.observe("run_time", "smith", 120.0, 60.0)
-        rows = mon.summary_rows()
-        assert [r["Predictor"] for r in rows] == ["smith", "state-based"]
-        assert rows[0]["N"] == 3
-        assert rows[0]["MAE (min)"] == pytest.approx(1.0)
-        assert rows[0]["Over %"] == 100
-        assert rows[1]["Tail"] == 1.0  # single sample: p99 == p50

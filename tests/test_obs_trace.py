@@ -132,29 +132,25 @@ class TestJsonlRoundTrip:
         with pytest.raises(TraceSchemaError, match="line 1"):
             read_jsonl(io.StringIO("{not json}\n"))
 
-    def test_encoders_parse_alike_on_a_replay(self):
-        """orjson and the stdlib fallback write lines that parse to the
-        same values for every event of a detail + provenance replay (the
-        bytes may differ in exponent formatting)."""
-        pytest.importorskip("orjson")
-        from repro.core.registry import make_policy, make_predictor
-        from repro.obs import Instrumentation
-        from repro.obs.trace import _encode_line, _encode_stdlib
-        from repro.predictors.base import PointEstimator
-        from repro.scheduler.simulator import Simulator
-        from repro.workloads.archive import load_paper_workload
-
-        trace = load_paper_workload("SDSC96", n_jobs=300)
-        sink = ListSink()
-        for policy in ("fcfs", "lwf", "backfill", "easy"):
-            inst = Instrumentation(tracer=Tracer(sink), detail=True, provenance=True)
-            estimator = PointEstimator(make_predictor("smith", trace), instrumentation=inst)
-            Simulator(
-                make_policy(policy), estimator, trace.total_nodes, instrumentation=inst
-            ).run(trace)
-        assert len(sink.events) > 10_000
-        for event in sink.events:
-            assert json.loads(_encode_line(event)) == json.loads(_encode_stdlib(event))
+    def test_line_bytes_are_pinned(self):
+        """One encoder on every host: the exact line for a fixed event,
+        exponents included (stdlib json would write ``1e-06``/``1e+20``)."""
+        buf = io.BytesIO()
+        with JsonlSink(buf) as sink:
+            sink.emit(
+                {
+                    "type": "span",
+                    "wall_time": 0.1,
+                    "name": "x",
+                    "duration_s": 1e-06,
+                    "work": 1e20,
+                    "job_id": 7,
+                }
+            )
+        assert buf.getvalue() == (
+            b'{"duration_s":1e-6,"job_id":7,"name":"x",'
+            b'"type":"span","wall_time":0.1,"work":1e20}\n'
+        )
 
 
 class TestJsonlBuffering:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.predictors.base import PointEstimator
 from repro.predictors.simple import ActualRuntimePredictor
-from repro.scheduler.policies import BackfillPolicy, FCFSPolicy, LWFPolicy
+from repro.scheduler.policies import BackfillPolicy, EASYBackfillPolicy, FCFSPolicy, LWFPolicy
 from repro.scheduler.reservations import Reservation
 from repro.scheduler.simulator import Simulator
 from repro.workloads.job import Job, Trace
@@ -41,7 +41,9 @@ def scenario(draw):
     return jobs, reservations
 
 
-@pytest.mark.parametrize("policy_cls", [FCFSPolicy, LWFPolicy, BackfillPolicy])
+@pytest.mark.parametrize(
+    "policy_cls", [FCFSPolicy, LWFPolicy, BackfillPolicy, EASYBackfillPolicy]
+)
 @given(case=scenario())
 @settings(max_examples=40, deadline=None)
 def test_property_reservations_never_break_invariants(policy_cls, case):
