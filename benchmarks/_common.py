@@ -18,13 +18,9 @@ import os
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from repro.core.experiment import (
-    SchedulingCell,
-    WaitTimeCell,
-    run_scheduling_table,
-    run_wait_time_table,
-)
+from repro.core.experiment import SchedulingCell, WaitTimeCell
 from repro.core.paper_reference import paper_table
+from repro.core.parallel import run_grid
 from repro.core.tables import format_table
 from repro.workloads.archive import load_paper_workload
 from repro.workloads.job import Trace
@@ -53,7 +49,7 @@ def bench_jobs() -> int | None:
 
 
 def bench_parallel() -> int:
-    """Worker processes for the table drivers (``REPRO_BENCH_PARALLEL``).
+    """Worker processes for ``run_grid`` (``REPRO_BENCH_PARALLEL``).
 
     Default 1 keeps every bench on the serial path; ``0`` means one
     worker per CPU (see :mod:`repro.core.parallel`).
@@ -72,17 +68,22 @@ def bench_traces() -> list[Trace]:
 
 
 def wait_time_rows(predictor: str, algorithms: Sequence[str]) -> list[WaitTimeCell]:
-    return run_wait_time_table(
-        predictor,
+    return run_grid(
+        "wait-time",
         workloads=bench_traces(),
         algorithms=algorithms,
+        predictors=(predictor,),
         max_workers=bench_parallel(),
     )
 
 
 def scheduling_rows(predictor: str) -> list[SchedulingCell]:
-    return run_scheduling_table(
-        predictor, workloads=bench_traces(), max_workers=bench_parallel()
+    return run_grid(
+        "scheduling",
+        workloads=bench_traces(),
+        algorithms=("lwf", "backfill"),
+        predictors=(predictor,),
+        max_workers=bench_parallel(),
     )
 
 

@@ -1,8 +1,8 @@
 """Engineering bench — parallel table execution (speedup vs the serial driver).
 
 The paper's tables are grids of independent replay cells;
-``run_scheduling_table(..., max_workers=N)`` fans them across a process
-pool (:mod:`repro.core.parallel`).  This bench runs one reduced-scale
+``run_grid(..., max_workers=N)`` fans them across a process pool
+(:mod:`repro.core.parallel`).  This bench runs one reduced-scale
 table serially and at 2 and 4 workers, asserts cell-for-cell equality
 with the serial result at every width, and emits the measured wall
 clocks plus speedups as standard bench JSON.
@@ -32,7 +32,7 @@ import time
 
 from _common import bench_jobs, emit_bench_json, run_once
 
-from repro.core.experiment import run_scheduling_table
+from repro.core.parallel import run_grid
 from repro.obs.campaign import CampaignTelemetry, check_campaign_journal, read_campaign_journal
 
 WORKLOADS = ("ANL", "CTC", "SDSC95", "SDSC96")
@@ -40,13 +40,15 @@ ALGORITHMS = ("lwf", "backfill")
 WIDTHS = (2, 4)
 
 
-def _table(max_workers: int):
-    return run_scheduling_table(
-        "max",
-        workloads=list(WORKLOADS),
+def _table(max_workers: int, telemetry=None):
+    return run_grid(
+        "scheduling",
+        workloads=WORKLOADS,
         algorithms=ALGORITHMS,
+        predictors=("max",),
         n_jobs=bench_jobs(),
         max_workers=max_workers,
+        telemetry=telemetry,
     )
 
 
@@ -95,14 +97,7 @@ TELEMETRY_WORKERS = 2
 
 def _timed_table(telemetry=None):
     t0 = time.perf_counter()
-    cells = run_scheduling_table(
-        "max",
-        workloads=list(WORKLOADS),
-        algorithms=ALGORITHMS,
-        n_jobs=bench_jobs(),
-        max_workers=TELEMETRY_WORKERS,
-        telemetry=telemetry,
-    )
+    cells = _table(TELEMETRY_WORKERS, telemetry)
     return time.perf_counter() - t0, cells
 
 

@@ -80,8 +80,7 @@ from repro.core import (
     run_wait_time_experiment,
     run_scheduling_experiment,
     run_runtime_prediction_experiment,
-    run_wait_time_table,
-    run_scheduling_table,
+    run_grid,
     make_policy,
     make_predictor,
     format_table,
@@ -130,8 +129,7 @@ __all__ = [
     "run_wait_time_experiment",
     "run_scheduling_experiment",
     "run_runtime_prediction_experiment",
-    "run_wait_time_table",
-    "run_scheduling_table",
+    "run_grid",
     "make_policy",
     "make_predictor",
     "format_table",

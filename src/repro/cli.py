@@ -28,8 +28,8 @@ import os
 import sys
 from typing import Sequence
 
-from repro.config import ExperimentConfig
 from repro.core.experiment import load_trace, run_runtime_prediction_experiment
+from repro.core.parallel import run_grid
 from repro.core.registry import POLICY_NAMES, PREDICTOR_NAMES
 from repro.core.tables import format_table
 from repro.experiments.misprediction import DEFAULT_ERROR_LEVELS, ERROR_KINDS
@@ -37,9 +37,30 @@ from repro.obs.timeseries import TIMESERIES_METRICS
 from repro.workloads.archive import PAPER_WORKLOADS, load_paper_workload
 from repro.workloads.stats import summarize
 
-__all__ = ["main", "build_parser", "run_config", "run_trace",
+__all__ = ["main", "build_parser", "run_trace",
            "run_report_from_trace", "run_misprediction", "run_campaign",
            "run_explain", "run_timeline", "run_serve", "run_query"]
+
+
+def job_count(text: str) -> int | None:
+    """``--n-jobs``: jobs per workload; 0 (or less) means the full paper
+    size, which the workload loaders spell ``None``."""
+    n = int(text)
+    return None if n <= 0 else n
+
+
+def worker_count(text: str) -> int:
+    """``--parallel``: worker processes; 0 (or less) means one per CPU."""
+    n = int(text)
+    return (os.cpu_count() or 1) if n <= 0 else n
+
+
+def positive_float(text: str) -> float:
+    """``--compress``: a factor that must be > 0."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,12 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
             choices=PREDICTOR_NAMES,
             metavar="P",
         )
-        p.add_argument("--n-jobs", type=int, default=1000,
+        p.add_argument("--n-jobs", type=job_count, default=1000,
                        help="jobs per workload (0 = full paper size)")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--compress", type=float, default=1.0,
+        p.add_argument("--compress", type=positive_float, default=1.0,
                        help="divide interarrival gaps by this factor")
-        p.add_argument("--parallel", type=int, default=1, metavar="N",
+        p.add_argument("--parallel", type=worker_count, default=1, metavar="N",
                        help="fan the grid's cells across N worker "
                        "processes (1 = serial; 0 = one per CPU)")
         add_campaign_args(p)
@@ -135,12 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_mis.add_argument("--base-predictor", default="actual",
                        choices=PREDICTOR_NAMES,
                        help="predictor the noise wraps (default: the oracle)")
-    p_mis.add_argument("--n-jobs", type=int, default=300,
+    p_mis.add_argument("--n-jobs", type=job_count, default=300,
                        help="jobs per workload (0 = full paper size)")
     p_mis.add_argument("--seed", type=int, default=None)
-    p_mis.add_argument("--compress", type=float, default=1.0,
+    p_mis.add_argument("--compress", type=positive_float, default=1.0,
                        help="divide interarrival gaps by this factor")
-    p_mis.add_argument("--parallel", type=int, default=1, metavar="N",
+    p_mis.add_argument("--parallel", type=worker_count, default=1, metavar="N",
                        help="fan the (workload x policy x level) cells "
                        "across N worker processes (1 = serial; 0 = one "
                        "per CPU)")
@@ -164,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit the summary as JSON")
 
     p_sum = sub.add_parser("summarize", help="Table 1 style characterization")
-    p_sum.add_argument("--n-jobs", type=int, default=1000)
+    p_sum.add_argument("--n-jobs", type=job_count, default=1000,
+                       help="jobs per workload (0 = full paper size)")
 
     p_rep = sub.add_parser(
         "report",
@@ -177,8 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSONL trace from `repro-sched trace`; when given, build a "
         "run report from it instead of the EXPERIMENTS.md grid",
     )
-    p_rep.add_argument("--n-jobs", type=int, default=1000,
-                       help="(grid mode) jobs per workload")
+    p_rep.add_argument("--n-jobs", type=job_count, default=1000,
+                       help="(grid mode) jobs per workload (0 = full paper "
+                       "size)")
     p_rep.add_argument("-o", "--output", default=None,
                        help="output file (grid mode default: EXPERIMENTS.md; "
                        "run-report mode default: stdout)")
@@ -206,10 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="A",
     )
     p_tr.add_argument("--predictor", default="max", choices=PREDICTOR_NAMES)
-    p_tr.add_argument("--n-jobs", type=int, default=300,
+    p_tr.add_argument("--n-jobs", type=job_count, default=300,
                       help="jobs to replay (0 = full paper size)")
     p_tr.add_argument("--seed", type=int, default=None)
-    p_tr.add_argument("--compress", type=float, default=1.0,
+    p_tr.add_argument("--compress", type=positive_float, default=1.0,
                       help="divide interarrival gaps by this factor")
     p_tr.add_argument("-o", "--out", default="trace.jsonl",
                       help="JSONL event file to write")
@@ -290,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scheduling policy the predictions assume")
     p_srv.add_argument("--predictor", default="max", choices=PREDICTOR_NAMES,
                        help="run-time predictor supplying believed durations")
-    p_srv.add_argument("--n-jobs", type=int, default=300,
+    p_srv.add_argument("--n-jobs", type=job_count, default=300,
                        help="jobs used to size/warm the predictor "
                        "(0 = full paper size)")
     p_srv.add_argument("--slow", action="store_true",
@@ -316,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "use the one the server was started with")
     p_q.add_argument("--predictor", default="max", choices=PREDICTOR_NAMES,
                      help="(--replay) estimator driving the local replay")
-    p_q.add_argument("--compress", type=float, default=1.0,
+    p_q.add_argument("--compress", type=positive_float, default=1.0,
                      help="(--replay) divide interarrival gaps by this "
                      "factor — raises contention so a queue builds up")
     p_q.add_argument("--drain", action="store_true",
@@ -335,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ga = sub.add_parser("ga-search", help="genetic template search (§2.1)")
     p_ga.add_argument("--workload", default="ANL", choices=sorted(PAPER_WORKLOADS))
-    p_ga.add_argument("--n-jobs", type=int, default=800)
+    p_ga.add_argument("--n-jobs", type=job_count, default=800,
+                      help="jobs of the workload (0 = full paper size)")
     p_ga.add_argument("--population", type=int, default=16)
     p_ga.add_argument("--generations", type=int, default=8)
     p_ga.add_argument("--eval-jobs", type=int, default=400)
@@ -348,20 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of the submit-time replay",
     )
     return parser
-
-
-def _config_from_args(args: argparse.Namespace, kind: str) -> ExperimentConfig:
-    raw_parallel = getattr(args, "parallel", 1)
-    return ExperimentConfig(
-        kind=kind,
-        workloads=tuple(args.workloads),
-        algorithms=tuple(getattr(args, "algorithms", ("lwf", "backfill"))),
-        predictors=tuple(args.predictors),
-        n_jobs=None if args.n_jobs <= 0 else args.n_jobs,
-        seed=args.seed,
-        compress=args.compress,
-        parallel=(os.cpu_count() or 1) if raw_parallel <= 0 else raw_parallel,
-    )
 
 
 def _make_telemetry(args: argparse.Namespace, *, parallel_active: bool):
@@ -390,44 +400,15 @@ def _make_telemetry(args: argparse.Namespace, *, parallel_active: bool):
     )
 
 
-def run_config(config: ExperimentConfig, *, telemetry=None) -> list[dict[str, object]]:
-    """Execute a config and return printable row dicts.
-
-    ``telemetry`` (a :class:`repro.obs.campaign.CampaignTelemetry`)
-    applies to the parallel path only; the caller owns its lifecycle.
-    """
-    if config.kind == "runtime-error":
-        rows: list[dict[str, object]] = []
-        for workload in config.workloads:
-            trace = load_trace(workload, config.n_jobs, config.seed, config.compress)
-            for predictor in config.predictors:
-                cell = run_runtime_prediction_experiment(trace, predictor)
-                rows.append(cell.as_row())
-        return rows
-    from repro.core.parallel import run_grid
-
-    cells = run_grid(
-        config.kind,
-        workloads=config.workloads,
-        algorithms=config.algorithms,
-        predictors=config.predictors,
-        n_jobs=config.n_jobs,
-        seed=config.seed,
-        compress=config.compress,
-        max_workers=config.parallel,
-        telemetry=telemetry,
-    )
-    return [dict(cell.as_row(), Predictor=cell.predictor) for cell in cells]
-
-
 def run_misprediction(args: argparse.Namespace) -> int:
     """The ``misprediction`` subcommand: degradation curves per policy."""
     from repro.experiments.misprediction import run_misprediction_campaign
 
-    n_jobs = None if args.n_jobs <= 0 else args.n_jobs
-    traces = [load_trace(w, n_jobs, args.seed, args.compress) for w in args.workloads]
-    max_workers = (os.cpu_count() or 1) if args.parallel <= 0 else args.parallel
-    telemetry = _make_telemetry(args, parallel_active=max_workers > 1)
+    traces = [
+        load_trace(w, args.n_jobs, args.seed, args.compress)
+        for w in args.workloads
+    ]
+    telemetry = _make_telemetry(args, parallel_active=args.parallel > 1)
     try:
         curves = run_misprediction_campaign(
             workloads=traces,
@@ -436,7 +417,7 @@ def run_misprediction(args: argparse.Namespace) -> int:
             kind=args.error_kind,
             noise_seed=args.noise_seed,
             base_predictor=args.base_predictor,
-            max_workers=max_workers,
+            max_workers=args.parallel,
             telemetry=telemetry,
         )
     finally:
@@ -514,10 +495,7 @@ def run_trace(args: argparse.Namespace) -> int:
     if args.from_file:
         return _inspect_trace_file(args)
 
-    wl = load_trace(
-        args.workload, None if args.n_jobs <= 0 else args.n_jobs, args.seed,
-        args.compress,
-    )
+    wl = load_trace(args.workload, args.n_jobs, args.seed, args.compress)
 
     job_counts: dict[str, int] = {}
     snapshots = []
@@ -839,9 +817,7 @@ def run_serve(args: argparse.Namespace) -> int:
     from repro.predictors.base import PointEstimator
     from repro.service import PredictionServer, PredictionService
 
-    wl = load_paper_workload(
-        args.workload, n_jobs=None if args.n_jobs <= 0 else args.n_jobs
-    )
+    wl = load_paper_workload(args.workload, n_jobs=args.n_jobs)
     policy = make_policy(args.algorithm)
     estimator = PointEstimator(make_predictor(args.predictor, wl))
     service = PredictionService(
@@ -940,11 +916,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "summarize":
         rows = [
-            summarize(
-                load_paper_workload(
-                    w, n_jobs=None if args.n_jobs <= 0 else args.n_jobs
-                )
-            ).as_row()
+            summarize(load_paper_workload(w, n_jobs=args.n_jobs)).as_row()
             for w in PAPER_WORKLOADS
         ]
         print(format_table(rows, title="Workload characteristics (Table 1)"))
@@ -1009,7 +981,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         output = args.output if args.output is not None else "EXPERIMENTS.md"
         body = generate_experiments_report(
-            None if args.n_jobs <= 0 else args.n_jobs,
+            args.n_jobs,
             progress=lambda msg: print(f"  {msg}", file=sys.stderr),
         )
         with open(output, "w", encoding="utf-8") as fh:
@@ -1017,23 +989,38 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"wrote {output}")
         return 0
 
-    kind = {"scheduling": "scheduling", "wait-time": "wait-time",
-            "runtime-error": "runtime-error"}[args.command]
-    config = _config_from_args(args, kind)
+    # The grid commands: scheduling, wait-time, runtime-error.
     telemetry = _make_telemetry(
         args,
-        parallel_active=(
-            config.parallel > 1 and kind in ("scheduling", "wait-time")
-        ),
+        parallel_active=args.parallel > 1 and args.command != "runtime-error",
     )
     try:
-        rows = run_config(config, telemetry=telemetry)
+        if args.command == "runtime-error":
+            rows = []
+            for workload in args.workloads:
+                trace = load_trace(workload, args.n_jobs, args.seed, args.compress)
+                for predictor in args.predictors:
+                    rows.append(
+                        run_runtime_prediction_experiment(trace, predictor).as_row()
+                    )
+        else:
+            cells = run_grid(
+                args.command,
+                workloads=args.workloads,
+                algorithms=args.algorithms,
+                predictors=args.predictors,
+                n_jobs=args.n_jobs,
+                seed=args.seed,
+                compress=args.compress,
+                max_workers=args.parallel,
+                telemetry=telemetry,
+            )
+            rows = [dict(cell.as_row(), Predictor=cell.predictor) for cell in cells]
     finally:
         if telemetry is not None:
             telemetry.close()
-    print(format_table(rows, title=f"{kind} experiment"))
+    print(format_table(rows, title=f"{args.command} experiment"))
     return 0
-
 
 if __name__ == "__main__":  # pragma: no cover - exercised via console script
     sys.exit(main())

@@ -6,9 +6,10 @@
   prediction accuracy (Tables 4-9) and scheduling performance
   (Tables 10-15), plus run-time prediction accuracy and the compressed-
   interarrival study;
-- :mod:`repro.core.parallel` — process-pool execution of a table's
-  (workload, algorithm, predictor) cell grid with deterministic per-cell
-  regeneration, bounded retry, and metrics merging;
+- :mod:`repro.core.parallel` — ``run_grid``, the one driver of a
+  table's (workload, algorithm, predictor) cell grid, in process or on a
+  process pool with deterministic per-cell regeneration and bounded
+  retry;
 - :mod:`repro.core.tables` — plain-text rendering in the paper's layout.
 """
 
@@ -26,6 +27,7 @@ from repro.core.parallel import (
     ParallelExecutionError,
     TableRun,
     execute_cell,
+    run_grid,
     run_table_parallel,
 )
 from repro.core.rounding import round_half_up
@@ -34,9 +36,7 @@ from repro.core.experiment import (
     WaitTimeCell,
     RuntimePredictionCell,
     run_scheduling_experiment,
-    run_scheduling_table,
     run_wait_time_experiment,
-    run_wait_time_table,
     run_runtime_prediction_experiment,
 )
 from repro.core.tables import format_table
@@ -50,9 +50,7 @@ __all__ = [
     "WaitTimeCell",
     "RuntimePredictionCell",
     "run_scheduling_experiment",
-    "run_scheduling_table",
     "run_wait_time_experiment",
-    "run_wait_time_table",
     "run_runtime_prediction_experiment",
     "CellSpec",
     "CellResult",
@@ -61,6 +59,7 @@ __all__ = [
     "TableRun",
     "ParallelExecutionError",
     "execute_cell",
+    "run_grid",
     "run_table_parallel",
     "round_half_up",
     "format_table",

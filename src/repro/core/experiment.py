@@ -41,8 +41,6 @@ __all__ = [
     "run_scheduling_experiment",
     "run_runtime_prediction_experiment",
     "load_trace",
-    "run_wait_time_table",
-    "run_scheduling_table",
 ]
 
 
@@ -232,7 +230,7 @@ def run_runtime_prediction_experiment(
 
 
 # ----------------------------------------------------------------------
-# whole-table drivers
+# grid workloads (the grid driver itself is repro.core.parallel.run_grid)
 # ----------------------------------------------------------------------
 def load_trace(
     workload: str | Trace,
@@ -261,59 +259,3 @@ def _resolve_traces(
     if workloads is None:
         workloads = tuple(PAPER_WORKLOADS)
     return [load_trace(w, n_jobs, seed, compress) for w in workloads]
-
-
-def run_wait_time_table(
-    predictor_name: str,
-    *,
-    workloads: Sequence[str] | Sequence[Trace] | None = None,
-    algorithms: Sequence[str] = ("fcfs", "lwf", "backfill"),
-    n_jobs: int | None = None,
-    templates: Iterable[Template] | None = None,
-    max_workers: int = 1,
-    cell_timeout: float | None = None,
-    retries: int = 1,
-    telemetry=None,
-) -> list[WaitTimeCell]:
-    """All cells of one of Tables 4-9 (one predictor, all workloads/algos).
-
-    ``max_workers > 1`` runs the grid on a process pool (see
-    :func:`repro.core.parallel.run_grid`); ``telemetry`` applies to the
-    parallel path only.
-    """
-    from repro.core.parallel import run_grid
-
-    return run_grid(
-        "wait-time", workloads=workloads, algorithms=algorithms,
-        predictors=(predictor_name,), n_jobs=n_jobs, templates=templates,
-        max_workers=max_workers, timeout=cell_timeout, retries=retries,
-        telemetry=telemetry,
-    )
-
-
-def run_scheduling_table(
-    predictor_name: str,
-    *,
-    workloads: Sequence[str] | Sequence[Trace] | None = None,
-    algorithms: Sequence[str] = ("lwf", "backfill"),
-    n_jobs: int | None = None,
-    templates: Iterable[Template] | None = None,
-    max_workers: int = 1,
-    cell_timeout: float | None = None,
-    retries: int = 1,
-    telemetry=None,
-) -> list[SchedulingCell]:
-    """All cells of one of Tables 10-15 (one predictor).
-
-    ``max_workers > 1`` runs the grid on a process pool (see
-    :func:`repro.core.parallel.run_grid`); ``telemetry`` applies to the
-    parallel path only.
-    """
-    from repro.core.parallel import run_grid
-
-    return run_grid(
-        "scheduling", workloads=workloads, algorithms=algorithms,
-        predictors=(predictor_name,), n_jobs=n_jobs, templates=templates,
-        max_workers=max_workers, timeout=cell_timeout, retries=retries,
-        telemetry=telemetry,
-    )

@@ -2,12 +2,12 @@
 
 The paper's results are 12 tables of independent (workload, algorithm,
 predictor) replay cells; the misprediction harness adds an error-level
-axis.  Every grid — the Tables 4-15 drivers, the CLI and the harness —
-runs through :func:`run_grid`: :func:`grid_cells` fixes the cell order,
-:func:`run_cell` replays one cell of any kind, and ``max_workers``
-picks between replaying in process and executing an
-:class:`ExperimentPlan` of :class:`CellSpec` records on a
-:class:`concurrent.futures.ProcessPoolExecutor`:
+axis.  Every grid — the CLI's table commands, the report generator, the
+table benches and the harness — runs through :func:`run_grid`:
+:func:`grid_cells` fixes the cell order, :func:`run_cell` replays one
+cell of any kind, and ``max_workers`` picks between replaying in
+process and executing an :class:`ExperimentPlan` of :class:`CellSpec`
+records on a :class:`concurrent.futures.ProcessPoolExecutor`:
 
 - **Determinism.**  Nothing unpicklable crosses the process boundary: a
   spec names its workload plus the ``(n_jobs, seed, compress)``
@@ -25,8 +25,8 @@ picks between replaying in process and executing an
   mid-task; it occupies its pool slot until the task returns, so pick
   timeouts generously.)
 - **Metrics.**  Each cell carries its own registry snapshot;
-  :meth:`TableRun.merged_metrics` folds them with
-  :func:`repro.obs.metrics.merge_snapshots` into one run-level view.
+  :func:`repro.obs.metrics.merge_snapshots` folds them into one
+  run-level view.
 - **Telemetry.**  Pass a :class:`~repro.obs.campaign.CampaignTelemetry`
   and the driver journals the campaign event schema (dispatch, finish,
   retry, failure, heartbeats) and ships each cell's worker-side
@@ -37,9 +37,8 @@ picks between replaying in process and executing an
   way (the resource probe wraps the cell function; it never reaches
   into it).
 
-``run_wait_time_table`` / ``run_scheduling_table`` /
-``run_misprediction_campaign`` expose this through their
-``max_workers=`` parameter (default 1 replays in process), the CLI
+:func:`run_grid` and ``run_misprediction_campaign`` expose this through
+their ``max_workers=`` parameter (default 1 replays in process), the CLI
 through ``--parallel N`` on the grid subcommands.
 """
 
@@ -72,7 +71,6 @@ from repro.obs.campaign import (
     capture_resources,
     resource_probe,
 )
-from repro.obs.metrics import merge_snapshots
 from repro.predictors.templates import Template
 from repro.workloads.archive import PAPER_WORKLOADS
 from repro.workloads.job import Trace
@@ -319,12 +317,6 @@ class TableRun:
     @property
     def failures(self) -> list[CellFailure]:
         return [r.failure for r in self.results if r.failure is not None]
-
-    def merged_metrics(self) -> dict:
-        """One run-level registry snapshot folded from every cell's."""
-        return merge_snapshots(
-            *(r.cell.metrics for r in self.results if r.ok and r.cell.metrics)
-        )
 
 
 # ----------------------------------------------------------------------
@@ -590,8 +582,11 @@ def run_grid(
 ) -> "list[WaitTimeCell | SchedulingCell | MispredictionCell]":
     """Run every cell of a grid, in process or on a process pool.
 
-    The one driver behind the Tables 4-15 drivers, the CLI and the
+    The one driver of every grid — the CLI's ``scheduling`` and
+    ``wait-time`` commands, the Tables 4-15 report and benches, and the
     misprediction harness; cells come back in :func:`grid_cells` order.
+    ``kind`` is one of :data:`CELL_KINDS`; ``workloads=None`` means all
+    four paper workloads.
 
     ``max_workers == 1`` replays the cells in process on the caller's
     own traces (names are generated here, provenance is not needed) and
@@ -601,6 +596,8 @@ def run_grid(
     any cell still failing after its retries raises
     :class:`ParallelExecutionError`.
     """
+    if kind not in CELL_KINDS:
+        raise ValueError(f"kind must be one of {CELL_KINDS}, got {kind!r}")
     if templates is not None:
         templates = tuple(templates)
     axes = dict(algorithms=algorithms, predictors=predictors, levels=levels)

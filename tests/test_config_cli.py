@@ -1,131 +1,152 @@
-"""Tests for repro.config and repro.cli."""
+"""Tests for repro.cli: argument parsing and the grid commands."""
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-from repro.cli import build_parser, main, run_config
-from repro.config import ExperimentConfig
+from repro.cli import build_parser, main
 
 
-class TestExperimentConfig:
+def _printed_rows(out: str) -> list[dict[str, str]]:
+    """Parse the one ``format_table`` block a grid command prints.
+
+    The dash rule under the header gives each column's span.
+    """
+    lines = out.rstrip("\n").splitlines()
+    spans, start = [], 0
+    for dashes in lines[2].split("  "):
+        spans.append((start, start + len(dashes)))
+        start += len(dashes) + 2
+    header = [lines[1][a:b].strip() for a, b in spans]
+    return [
+        dict(zip(header, (line[a:b].strip() for a, b in spans)))
+        for line in lines[3:]
+    ]
+
+
+def _run(capsys, argv: list[str]) -> str:
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+class TestGridArgs:
+    """Names, counts and factors are checked once, by argparse."""
+
     def test_defaults_valid(self):
-        cfg = ExperimentConfig()
-        assert cfg.kind == "scheduling"
-        assert cfg.n_jobs == 1000
+        args = build_parser().parse_args(["scheduling"])
+        assert args.command == "scheduling"
+        assert args.n_jobs == 1000
+        assert args.workloads == ["ANL", "CTC", "SDSC95", "SDSC96"]
+        assert (args.compress, args.parallel) == (1.0, 1)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            ExperimentConfig(kind="throughput")
-
-    def test_unknown_workload(self):
-        with pytest.raises(ValueError, match="workload"):
-            ExperimentConfig(workloads=("LANL",))
-
-    def test_unknown_algorithm(self):
-        with pytest.raises(ValueError, match="algorithm"):
-            ExperimentConfig(algorithms=("sjf",))
-
-    def test_unknown_predictor(self):
-        with pytest.raises(ValueError, match="predictor"):
-            ExperimentConfig(predictors=("oracle",))
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["throughput"],
+            ["scheduling", "--workloads", "LANL"],
+            ["scheduling", "--algorithms", "sjf"],
+            ["wait-time", "--predictors", "oracle"],
+        ],
+        ids=["kind", "workload", "algorithm", "predictor"],
+    )
+    def test_unknown_name(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_bad_n_jobs(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(n_jobs=0)
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["scheduling", "--n-jobs", "many"])
+        assert exc.value.code == 2
 
-    def test_bad_compress(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(compress=-1.0)
+    @pytest.mark.parametrize(
+        "command",
+        ["scheduling", "wait-time", "runtime-error", "misprediction",
+         "summarize", "report", "trace", "serve", "ga-search"],
+    )
+    def test_zero_n_jobs_means_full_paper_size(self, command):
+        parser = build_parser()
+        assert parser.parse_args([command, "--n-jobs", "0"]).n_jobs is None
+        assert parser.parse_args([command, "--n-jobs", "-3"]).n_jobs is None
+        assert parser.parse_args([command, "--n-jobs", "7"]).n_jobs == 7
 
     def test_bad_parallel(self):
-        with pytest.raises(ValueError, match="parallel"):
-            ExperimentConfig(parallel=0)
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["scheduling", "--parallel", "two"])
+        assert exc.value.code == 2
 
-    def test_dict_roundtrip(self):
-        cfg = ExperimentConfig(workloads=("ANL",), predictors=("actual",))
-        assert ExperimentConfig.from_dict(cfg.as_dict()) == cfg
+    @pytest.mark.parametrize("command", ["scheduling", "misprediction"])
+    def test_zero_parallel_means_one_worker_per_cpu(self, command):
+        args = build_parser().parse_args([command, "--parallel", "0"])
+        assert args.parallel == (os.cpu_count() or 1)
 
-    def test_from_dict_coerces_lists(self):
-        cfg = ExperimentConfig.from_dict(
-            {"workloads": ["ANL"], "predictors": ["actual"], "algorithms": ["lwf"]}
-        )
-        assert cfg.workloads == ("ANL",)
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown config keys"):
-            ExperimentConfig.from_dict({"wrkloads": ["ANL"]})
+    def test_bad_compress(self, capsys):
+        """A non-positive factor is a usage error, not a traceback."""
+        for argv in (
+            ["scheduling", "--compress", "0"],
+            ["wait-time", "--compress", "-2"],
+            ["runtime-error", "--compress", "0"],
+            ["misprediction", "--compress", "-1"],
+            ["trace", "--compress", "0"],
+            ["query", "--compress", "nan"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            err = capsys.readouterr().err
+            assert "--compress: must be positive" in err, argv
+            assert "Traceback" not in err
 
 
 class TestRunConfig:
-    def test_scheduling_grid(self):
-        cfg = ExperimentConfig(
-            workloads=("ANL",),
-            algorithms=("lwf",),
-            predictors=("actual",),
-            n_jobs=120,
-        )
-        rows = run_config(cfg)
+    """The grid commands' printed rows, end to end through ``main``."""
+
+    def test_scheduling_grid(self, capsys):
+        rows = _printed_rows(_run(capsys, [
+            "scheduling", "--workloads", "ANL", "--algorithms", "lwf",
+            "--predictors", "actual", "--n-jobs", "120",
+        ]))
         assert len(rows) == 1
         assert rows[0]["Workload"] == "ANL"
         assert "Utilization (percent)" in rows[0]
 
-    def test_runtime_error_grid(self):
-        cfg = ExperimentConfig(
-            kind="runtime-error",
-            workloads=("SDSC95",),
-            predictors=("actual", "max"),
-            n_jobs=120,
-        )
-        rows = run_config(cfg)
+    def test_runtime_error_grid(self, capsys):
+        rows = _printed_rows(_run(capsys, [
+            "runtime-error", "--workloads", "SDSC95",
+            "--predictors", "actual", "max", "--n-jobs", "120",
+        ]))
         assert len(rows) == 2
         assert {r["Predictor"] for r in rows} == {"actual", "max"}
 
-    def test_wait_time_grid(self):
-        cfg = ExperimentConfig(
-            kind="wait-time",
-            workloads=("ANL",),
-            algorithms=("fcfs",),
-            predictors=("actual",),
-            n_jobs=120,
-        )
-        rows = run_config(cfg)
-        assert rows[0]["Mean Error (minutes)"] == pytest.approx(0.0, abs=1e-6)
+    def test_wait_time_grid(self, capsys):
+        rows = _printed_rows(_run(capsys, [
+            "wait-time", "--workloads", "ANL", "--algorithms", "fcfs",
+            "--predictors", "actual", "--n-jobs", "120",
+        ]))
+        assert float(rows[0]["Mean Error (minutes)"]) == pytest.approx(0.0, abs=1e-6)
 
-    def test_parallel_rows_equal_serial(self):
-        serial = ExperimentConfig(
-            workloads=("ANL",), algorithms=("lwf", "backfill"),
-            predictors=("actual", "max"), n_jobs=120,
-        )
-        parallel = ExperimentConfig(
-            workloads=("ANL",), algorithms=("lwf", "backfill"),
-            predictors=("actual", "max"), n_jobs=120, parallel=2,
-        )
-        assert run_config(parallel) == run_config(serial)
+    def test_parallel_rows_equal_serial(self, capsys):
+        argv = ["scheduling", "--workloads", "ANL", "--algorithms", "lwf",
+                "backfill", "--predictors", "actual", "max", "--n-jobs", "120"]
+        serial = _run(capsys, argv)
+        assert _run(capsys, [*argv, "--parallel", "2"]) == serial
 
-    def test_parallel_wait_time_rows_equal_serial(self):
-        serial = ExperimentConfig(
-            kind="wait-time", workloads=("ANL",), algorithms=("fcfs",),
-            predictors=("actual",), n_jobs=120,
-        )
-        parallel = ExperimentConfig(
-            kind="wait-time", workloads=("ANL",), algorithms=("fcfs",),
-            predictors=("actual",), n_jobs=120, parallel=2,
-        )
-        assert run_config(parallel) == run_config(serial)
+    def test_parallel_wait_time_rows_equal_serial(self, capsys):
+        argv = ["wait-time", "--workloads", "ANL", "--algorithms", "fcfs",
+                "--predictors", "actual", "--n-jobs", "120"]
+        serial = _run(capsys, argv)
+        assert _run(capsys, [*argv, "--parallel", "2"]) == serial
 
-    def test_compress_applied(self):
-        base = ExperimentConfig(
-            workloads=("SDSC95",), algorithms=("lwf",),
-            predictors=("actual",), n_jobs=300,
-        )
-        hard = ExperimentConfig(
-            workloads=("SDSC95",), algorithms=("lwf",),
-            predictors=("actual",), n_jobs=300, compress=4.0,
-        )
-        u_base = run_config(base)[0]["Utilization (percent)"]
-        u_hard = run_config(hard)[0]["Utilization (percent)"]
-        assert u_hard > u_base
+    def test_compress_applied(self, capsys):
+        argv = ["scheduling", "--workloads", "SDSC95", "--algorithms", "lwf",
+                "--predictors", "actual", "--n-jobs", "300"]
+        [base] = _printed_rows(_run(capsys, argv))
+        [hard] = _printed_rows(_run(capsys, [*argv, "--compress", "4"]))
+        key = "Utilization (percent)"
+        assert float(hard[key]) > float(base[key])
 
 
 class TestCLI:

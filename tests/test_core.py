@@ -7,10 +7,9 @@ import pytest
 from repro.core.experiment import (
     run_runtime_prediction_experiment,
     run_scheduling_experiment,
-    run_scheduling_table,
     run_wait_time_experiment,
-    run_wait_time_table,
 )
+from repro.core.parallel import run_grid
 from repro.core.registry import PREDICTOR_NAMES, POLICY_NAMES, make_policy, make_predictor
 from repro.core.tables import format_table
 from repro.predictors.downey import DowneyPredictor
@@ -89,8 +88,9 @@ class TestExperimentDrivers:
         assert cell_max.mean_error_minutes > 0.0
 
     def test_table_driver_covers_grid(self, anl_trace, sdsc_trace):
-        cells = run_scheduling_table(
-            "actual", workloads=[anl_trace, sdsc_trace], algorithms=("lwf",)
+        cells = run_grid(
+            "scheduling", workloads=[anl_trace, sdsc_trace], algorithms=("lwf",),
+            predictors=("actual",),
         )
         assert [(c.workload, c.algorithm) for c in cells] == [
             ("ANL", "LWF"),
@@ -98,8 +98,9 @@ class TestExperimentDrivers:
         ]
 
     def test_wait_table_driver(self, anl_trace):
-        cells = run_wait_time_table(
-            "actual", workloads=[anl_trace], algorithms=("lwf", "backfill")
+        cells = run_grid(
+            "wait-time", workloads=[anl_trace], algorithms=("lwf", "backfill"),
+            predictors=("actual",),
         )
         assert len(cells) == 2
         assert {c.algorithm for c in cells} == {"LWF", "Backfill"}

@@ -1,15 +1,11 @@
-"""Additional tests for the whole-table experiment drivers."""
+"""Additional tests for the whole-table grid driver and its workloads."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.experiment import (
-    _resolve_traces,
-    run_scheduling_table,
-    run_wait_time_table,
-    run_wait_time_experiment,
-)
+from repro.core.experiment import _resolve_traces, run_wait_time_experiment
+from repro.core.parallel import run_grid
 
 
 class TestResolveTraces:
@@ -29,16 +25,18 @@ class TestResolveTraces:
 
 class TestTableDriversByName:
     def test_scheduling_table_by_names(self):
-        cells = run_scheduling_table(
-            "actual", workloads=["SDSC95"], algorithms=("lwf",), n_jobs=80
+        cells = run_grid(
+            "scheduling", workloads=["SDSC95"], algorithms=("lwf",),
+            predictors=("actual",), n_jobs=80,
         )
         assert len(cells) == 1
         assert cells[0].workload == "SDSC95"
         assert cells[0].n_jobs == 80
 
     def test_wait_table_by_names(self):
-        cells = run_wait_time_table(
-            "actual", workloads=["ANL"], algorithms=("fcfs",), n_jobs=80
+        cells = run_grid(
+            "wait-time", workloads=["ANL"], algorithms=("fcfs",),
+            predictors=("actual",), n_jobs=80,
         )
         assert len(cells) == 1
         assert cells[0].mean_error_minutes == pytest.approx(0.0, abs=1e-6)
@@ -46,13 +44,22 @@ class TestTableDriversByName:
     def test_templates_forwarded(self, anl_trace):
         from repro.predictors.templates import Template
 
-        cells = run_scheduling_table(
-            "smith",
+        cells = run_grid(
+            "scheduling",
             workloads=[anl_trace],
             algorithms=("lwf",),
+            predictors=("smith",),
             templates=[Template()],
         )
         assert len(cells) == 1
+
+    def test_unknown_kind_rejected(self, small_trace):
+        """A misspelt kind must not fall through to another grid's cells."""
+        with pytest.raises(ValueError, match="kind"):
+            run_grid(
+                "runtime-error", workloads=[small_trace], algorithms=("fcfs",),
+                predictors=("actual",),
+            )
 
     def test_custom_scheduler_predictor(self, anl_trace):
         """§3 default is max; an oracle-driven scheduler is also allowed."""

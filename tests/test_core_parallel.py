@@ -11,15 +11,12 @@ import time
 
 import pytest
 
-from repro.core.experiment import (
-    run_scheduling_table,
-    run_wait_time_table,
-)
 from repro.core.parallel import (
     CellSpec,
     ExperimentPlan,
     ParallelExecutionError,
     execute_cell,
+    run_grid,
     run_table_parallel,
 )
 from repro.obs.metrics import merge_snapshots
@@ -72,30 +69,18 @@ def _fail_first_attempt(spec: CellSpec):
 class TestParity:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_scheduling_table_parity(self, workers):
-        serial = run_scheduling_table(
-            "actual", workloads=WORKLOADS, algorithms=ALGORITHMS, n_jobs=N_JOBS
-        )
-        parallel = run_scheduling_table(
-            "actual",
-            workloads=WORKLOADS,
-            algorithms=ALGORITHMS,
-            n_jobs=N_JOBS,
-            max_workers=workers,
+        serial = _scheduling_grid(WORKLOADS, ALGORITHMS, n_jobs=N_JOBS)
+        parallel = _scheduling_grid(
+            WORKLOADS, ALGORITHMS, n_jobs=N_JOBS, max_workers=workers
         )
         # Dataclass equality *and* identical (stable) ordering.
         assert parallel == serial
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_wait_time_table_parity(self, workers):
-        serial = run_wait_time_table(
-            "max", workloads=["ANL"], algorithms=("fcfs", "lwf"), n_jobs=N_JOBS
-        )
-        parallel = run_wait_time_table(
-            "max",
-            workloads=["ANL"],
-            algorithms=("fcfs", "lwf"),
-            n_jobs=N_JOBS,
-            max_workers=workers,
+        serial = _wait_time_grid(["ANL"], ("fcfs", "lwf"), n_jobs=N_JOBS)
+        parallel = _wait_time_grid(
+            ["ANL"], ("fcfs", "lwf"), n_jobs=N_JOBS, max_workers=workers
         )
         assert parallel == serial
 
@@ -103,19 +88,15 @@ class TestParity:
         from repro.workloads.archive import load_paper_workload
 
         trace = load_paper_workload("SDSC95", n_jobs=N_JOBS)
-        serial = run_scheduling_table("actual", workloads=[trace], algorithms=("lwf",))
-        parallel = run_scheduling_table(
-            "actual", workloads=[trace], algorithms=("lwf",), max_workers=2
-        )
+        serial = _scheduling_grid([trace], ("lwf",))
+        parallel = _scheduling_grid([trace], ("lwf",), max_workers=2)
         assert parallel == serial
 
     def test_trace_without_provenance_rejected(self, small_trace):
         with pytest.raises(ValueError, match="provenance"):
-            run_scheduling_table(
-                "actual", workloads=[small_trace], algorithms=("lwf",), max_workers=2
-            )
+            _scheduling_grid([small_trace], ("lwf",), max_workers=2)
 
-    def test_merged_metrics_equal_sum_of_cell_snapshots(self):
+    def test_folded_metrics_equal_sum_of_cell_snapshots(self):
         plan = ExperimentPlan.for_grid(
             "scheduling",
             predictors=("actual",),
@@ -125,15 +106,20 @@ class TestParity:
         )
         run = run_table_parallel(plan, max_workers=2)
         assert not run.failures
-        expected = merge_snapshots(*(c.metrics for c in run.cells))
-        merged = run.merged_metrics()
-        assert merged["counters"] == expected["counters"]
-        assert merged["histograms"] == expected["histograms"]
+        merged = merge_snapshots(*(c.metrics for c in run.cells))
+        assert merged["counters"] == {
+            name: sum(c.metrics["counters"].get(name, 0) for c in run.cells)
+            for name in merged["counters"]
+        }
+        for name, hist in merged["histograms"].items():
+            assert hist["count"] == sum(
+                c.metrics["histograms"][name]["count"]
+                for c in run.cells
+                if name in c.metrics["histograms"]
+            )
 
     def test_parallel_metrics_totals_match_serial(self):
-        serial = run_scheduling_table(
-            "actual", workloads=WORKLOADS, algorithms=ALGORITHMS, n_jobs=N_JOBS
-        )
+        serial = _scheduling_grid(WORKLOADS, ALGORITHMS, n_jobs=N_JOBS)
         plan = ExperimentPlan.for_grid(
             "scheduling",
             predictors=("actual",),
@@ -143,7 +129,8 @@ class TestParity:
         )
         run = run_table_parallel(plan, max_workers=4)
         serial_counters = merge_snapshots(*(c.metrics for c in serial))["counters"]
-        assert run.merged_metrics()["counters"] == serial_counters
+        parallel_counters = merge_snapshots(*(c.metrics for c in run.cells))["counters"]
+        assert parallel_counters == serial_counters
 
 
 # ----------------------------------------------------------------------
@@ -184,9 +171,7 @@ class TestPlan:
 
     def test_execute_cell_inline_equals_serial_driver(self):
         spec = CellSpec("scheduling", "ANL", "lwf", "actual", n_jobs=N_JOBS)
-        [serial] = run_scheduling_table(
-            "actual", workloads=["ANL"], algorithms=("lwf",), n_jobs=N_JOBS
-        )
+        [serial] = _scheduling_grid(["ANL"], ("lwf",), n_jobs=N_JOBS)
         assert execute_cell(spec) == serial
 
 
@@ -235,9 +220,7 @@ class TestFailures:
         [result] = run.results
         assert result.ok
         assert result.attempts == 2
-        [serial] = run_scheduling_table(
-            "actual", workloads=["ANL"], algorithms=("lwf",), n_jobs=N_JOBS
-        )
+        [serial] = _scheduling_grid(["ANL"], ("lwf",), n_jobs=N_JOBS)
         assert result.cell == serial
 
     def test_timeout_becomes_cell_failure(self):
@@ -384,14 +367,16 @@ def _misprediction_grid(workloads, algorithms, **kwargs):
 
 
 def _scheduling_grid(workloads, algorithms, **kwargs):
-    return run_scheduling_table(
-        "actual", workloads=workloads, algorithms=algorithms, **kwargs
+    return run_grid(
+        "scheduling", workloads=workloads, algorithms=algorithms,
+        predictors=("actual",), **kwargs
     )
 
 
 def _wait_time_grid(workloads, algorithms, **kwargs):
-    return run_wait_time_table(
-        "max", workloads=workloads, algorithms=algorithms, **kwargs
+    return run_grid(
+        "wait-time", workloads=workloads, algorithms=algorithms,
+        predictors=("max",), **kwargs
     )
 
 

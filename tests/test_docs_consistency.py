@@ -64,3 +64,29 @@ class TestDesignInventory:
         assert "# EXPERIMENTS" in text
         for no in (1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15):
             assert f"## Table {no} " in text
+
+
+class TestApiReference:
+    def test_constants_not_described_by_their_types_docstring(self):
+        """A module constant's line names its type, never the type's own
+        docstring ("dict() -> new empty dictionary" says nothing true
+        about a table of published numbers)."""
+        import importlib.util
+        import inspect
+
+        spec = importlib.util.spec_from_file_location(
+            "gen_api_docs", ROOT / "scripts" / "gen_api_docs.py"
+        )
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        builtin_docs = {
+            inspect.getdoc(t).splitlines()[0].rstrip(".")
+            for t in (dict, list, tuple, set, frozenset, str, bytes, int,
+                      float, bool)
+        }
+        for text in (gen.render(), (ROOT / "docs" / "api.md").read_text()):
+            bad = [
+                line for line in text.splitlines()
+                if any(doc in line for doc in builtin_docs)
+            ]
+            assert not bad, bad
