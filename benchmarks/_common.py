@@ -18,6 +18,7 @@ import os
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from repro.cli import job_count, worker_count
 from repro.core.experiment import SchedulingCell, WaitTimeCell
 from repro.core.paper_reference import paper_table
 from repro.core.parallel import run_grid
@@ -43,19 +44,19 @@ WORKLOAD_ORDER = ("ANL", "CTC", "SDSC95", "SDSC96")
 
 
 def bench_jobs() -> int | None:
-    """Jobs per workload for benches; ``None`` means full paper size."""
-    raw = int(os.environ.get("REPRO_BENCH_JOBS", "1000"))
-    return None if raw <= 0 else raw
+    """Jobs per workload for benches (``REPRO_BENCH_JOBS``, parsed like
+    ``--n-jobs``); ``None`` means full paper size."""
+    return job_count(os.environ.get("REPRO_BENCH_JOBS", "1000"))
 
 
 def bench_parallel() -> int:
-    """Worker processes for ``run_grid`` (``REPRO_BENCH_PARALLEL``).
+    """Worker processes for ``run_grid`` (``REPRO_BENCH_PARALLEL``,
+    parsed like ``--parallel``).
 
     Default 1 keeps every bench on the serial path; ``0`` means one
-    worker per CPU (see :mod:`repro.core.parallel`).
+    worker per CPU.
     """
-    raw = int(os.environ.get("REPRO_BENCH_PARALLEL", "1"))
-    return (os.cpu_count() or 1) if raw <= 0 else raw
+    return worker_count(os.environ.get("REPRO_BENCH_PARALLEL", "1"))
 
 
 @lru_cache(maxsize=None)

@@ -63,6 +63,15 @@ def positive_float(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    """A count or size that must be > 0 (``--window``, ``--width``,
+    ``--total-nodes``)."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-sched",
@@ -73,7 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_grid_args(p: argparse.ArgumentParser, *, algorithms: bool) -> None:
+    def add_grid_args(p: argparse.ArgumentParser, *, replay: bool) -> None:
+        """The grid options; ``replay=False`` (``runtime-error``) scores
+        predictors without a scheduler, so it has no algorithm axis and
+        runs serially: no ``--algorithms``, ``--parallel`` or campaign
+        flags."""
         p.add_argument(
             "--workloads",
             nargs="+",
@@ -81,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
             choices=sorted(PAPER_WORKLOADS),
             metavar="W",
         )
-        if algorithms:
+        if replay:
             p.add_argument(
                 "--algorithms",
                 nargs="+",
@@ -101,10 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--compress", type=positive_float, default=1.0,
                        help="divide interarrival gaps by this factor")
-        p.add_argument("--parallel", type=worker_count, default=1, metavar="N",
-                       help="fan the grid's cells across N worker "
-                       "processes (1 = serial; 0 = one per CPU)")
-        add_campaign_args(p)
+        if replay:
+            p.add_argument("--parallel", type=worker_count, default=1,
+                           metavar="N",
+                           help="fan the grid's cells across N worker "
+                           "processes (1 = serial; 0 = one per CPU)")
+            add_campaign_args(p)
 
     def add_campaign_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--progress", action="store_true",
@@ -116,11 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
                        "campaign` to inspect")
 
     p_sched = sub.add_parser("scheduling", help="Tables 10-15 style grid")
-    add_grid_args(p_sched, algorithms=True)
+    add_grid_args(p_sched, replay=True)
     p_wait = sub.add_parser("wait-time", help="Tables 4-9 style grid")
-    add_grid_args(p_wait, algorithms=True)
+    add_grid_args(p_wait, replay=True)
     p_rt = sub.add_parser("runtime-error", help="§3 run-time accuracy grid")
-    add_grid_args(p_rt, algorithms=False)
+    add_grid_args(p_rt, replay=False)
 
     p_mis = sub.add_parser(
         "misprediction",
@@ -213,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--check", action="store_true",
                        help="(run-report mode) validate the report against "
                        "the minimal report schema")
-    p_rep.add_argument("--window", type=int, default=200,
+    p_rep.add_argument("--window", type=positive_int, default=200,
                        help="(run-report mode) rolling window for the drift "
                        "signal")
 
@@ -285,10 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tl.add_argument("--policy", default=None,
                       help="policy name when the trace interleaves several "
                       "replays")
-    p_tl.add_argument("--total-nodes", type=int, default=None,
+    p_tl.add_argument("--total-nodes", type=positive_int, default=None,
                       help="machine size (default: inferred from peak "
                       "concurrent allocation)")
-    p_tl.add_argument("--width", type=int, default=60,
+    p_tl.add_argument("--width", type=positive_int, default=60,
                       help="sparkline width in columns")
     p_tl.add_argument("--max-points", type=int, default=2048,
                       help="reservoir size of the rebuilt series")
@@ -374,19 +389,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_telemetry(args: argparse.Namespace, *, parallel_active: bool):
+def _make_telemetry(args: argparse.Namespace):
     """Build the campaign telemetry a grid command asked for, or ``None``.
 
-    ``--progress``/``--journal`` only make sense on the parallel path;
-    a serial run gets a stderr note and no telemetry, so serial output
-    (and the absence of a journal file) stays bit-identical to a run
-    without the flags.
+    ``--progress``/``--journal`` only make sense on the parallel path
+    (``--parallel`` > 1); a serial run gets a stderr note and no
+    telemetry, so serial output (and the absence of a journal file)
+    stays bit-identical to a run without the flags.
     """
-    progress = getattr(args, "progress", False)
-    journal = getattr(args, "journal", None)
+    progress, journal = args.progress, args.journal
     if not progress and journal is None:
         return None
-    if not parallel_active:
+    if args.parallel <= 1:
         print(
             "note: --progress/--journal apply to parallel runs only "
             "(--parallel > 1); ignoring",
@@ -408,7 +422,7 @@ def run_misprediction(args: argparse.Namespace) -> int:
         load_trace(w, args.n_jobs, args.seed, args.compress)
         for w in args.workloads
     ]
-    telemetry = _make_telemetry(args, parallel_active=args.parallel > 1)
+    telemetry = _make_telemetry(args)
     try:
         curves = run_misprediction_campaign(
             workloads=traces,
@@ -989,21 +1003,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"wrote {output}")
         return 0
 
-    # The grid commands: scheduling, wait-time, runtime-error.
-    telemetry = _make_telemetry(
-        args,
-        parallel_active=args.parallel > 1 and args.command != "runtime-error",
-    )
-    try:
-        if args.command == "runtime-error":
-            rows = []
-            for workload in args.workloads:
-                trace = load_trace(workload, args.n_jobs, args.seed, args.compress)
-                for predictor in args.predictors:
-                    rows.append(
-                        run_runtime_prediction_experiment(trace, predictor).as_row()
-                    )
-        else:
+    # The grid commands: runtime-error (serial, no scheduler), and the
+    # scheduling and wait-time replay grids.
+    if args.command == "runtime-error":
+        rows = []
+        for workload in args.workloads:
+            trace = load_trace(workload, args.n_jobs, args.seed, args.compress)
+            for predictor in args.predictors:
+                rows.append(
+                    run_runtime_prediction_experiment(trace, predictor).as_row()
+                )
+    else:
+        telemetry = _make_telemetry(args)
+        try:
             cells = run_grid(
                 args.command,
                 workloads=args.workloads,
@@ -1015,10 +1027,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 max_workers=args.parallel,
                 telemetry=telemetry,
             )
-            rows = [dict(cell.as_row(), Predictor=cell.predictor) for cell in cells]
-    finally:
-        if telemetry is not None:
-            telemetry.close()
+        finally:
+            if telemetry is not None:
+                telemetry.close()
+        rows = [dict(cell.as_row(), Predictor=cell.predictor) for cell in cells]
     print(format_table(rows, title=f"{args.command} experiment"))
     return 0
 

@@ -18,13 +18,12 @@ percentage-of-mean-run-time numbers) via the online replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.registry import make_policy, make_predictor
 from repro.core.rounding import round_half_up
 from repro.predictors.base import PointEstimator
 from repro.predictors.replay import replay_prediction_error
-from repro.predictors.templates import Template
 from repro.scheduler.metrics import ScheduleResult
 from repro.scheduler.simulator import Simulator
 from repro.waitpred.evaluation import WaitPredictionReport, evaluate_wait_predictions
@@ -113,11 +112,11 @@ class RuntimePredictionCell:
 # ----------------------------------------------------------------------
 # single-cell drivers
 # ----------------------------------------------------------------------
-def _resolve_templates(predictor_name, trace, policy_name, templates):
+def _resolve_templates(predictor_name, trace, policy_name):
     """For ``smith-tuned``, prefer the per-(workload, algorithm) searched
     set — the paper's 12-search methodology — over the workload-level one."""
-    if templates is not None or predictor_name != "smith-tuned":
-        return templates
+    if predictor_name != "smith-tuned":
+        return None
     from repro.predictors.tuned import TUNED_TEMPLATES_BY_ALGORITHM
 
     return TUNED_TEMPLATES_BY_ALGORITHM.get((trace.base_name, policy_name), None)
@@ -127,36 +126,20 @@ def run_wait_time_experiment(
     trace: Trace,
     policy_name: str,
     predictor_name: str,
-    *,
-    templates: Iterable[Template] | None = None,
-    scheduler_predictor: str = "max",
-    instrumentation=None,
 ) -> tuple[WaitTimeCell, WaitPredictionReport, ScheduleResult]:
     """Tables 4-9 cell: wait-time prediction accuracy.
 
-    The scheduler's own estimates come from ``scheduler_predictor``
-    (user maxima, per §3); the observer's come from ``predictor_name``.
-    An :class:`repro.obs.Instrumentation` bundle, when given, is shared
-    by the simulator, the scheduler's estimator and the observer — with
-    ``audit=True`` the replay leaves a full prediction audit trail.
+    The scheduler's own estimates are user maxima (§3); the observer's
+    come from ``predictor_name``.
     """
     policy = make_policy(policy_name)
-    templates = _resolve_templates(predictor_name, trace, policy_name, templates)
-    scheduler_estimator = PointEstimator(
-        make_predictor(scheduler_predictor, trace),
-        instrumentation=instrumentation,
-    )
-    sim = Simulator(
-        policy,
-        scheduler_estimator,
-        trace.total_nodes,
-        instrumentation=instrumentation,
-    )
+    templates = _resolve_templates(predictor_name, trace, policy_name)
+    scheduler_estimator = PointEstimator(make_predictor("max", trace))
+    sim = Simulator(policy, scheduler_estimator, trace.total_nodes)
     observer = WaitTimePredictor(
         policy,
         make_predictor(predictor_name, trace, templates=templates),
         scheduler_estimator=scheduler_estimator,
-        instrumentation=instrumentation,
     )
     sim.add_observer(observer)
     result = sim.run(trace)
@@ -178,25 +161,14 @@ def run_scheduling_experiment(
     trace: Trace,
     policy_name: str,
     predictor_name: str,
-    *,
-    templates: Iterable[Template] | None = None,
-    instrumentation=None,
 ) -> tuple[SchedulingCell, ScheduleResult]:
-    """Tables 10-15 cell: scheduling performance under a predictor.
-
-    ``instrumentation`` (an :class:`repro.obs.Instrumentation`) is shared
-    by the simulator and the estimator; with ``audit=True`` every
-    run-time prediction is paired with its outcome.
-    """
+    """Tables 10-15 cell: scheduling performance under a predictor."""
     policy = make_policy(policy_name)
-    templates = _resolve_templates(predictor_name, trace, policy_name, templates)
+    templates = _resolve_templates(predictor_name, trace, policy_name)
     estimator = PointEstimator(
-        make_predictor(predictor_name, trace, templates=templates),
-        instrumentation=instrumentation,
+        make_predictor(predictor_name, trace, templates=templates)
     )
-    sim = Simulator(
-        policy, estimator, trace.total_nodes, instrumentation=instrumentation
-    )
+    sim = Simulator(policy, estimator, trace.total_nodes)
     result = sim.run(trace)
     cell = SchedulingCell(
         workload=trace.name,
@@ -211,15 +183,10 @@ def run_scheduling_experiment(
 
 
 def run_runtime_prediction_experiment(
-    trace: Trace,
-    predictor_name: str,
-    *,
-    templates: Iterable[Template] | None = None,
+    trace: Trace, predictor_name: str
 ) -> RuntimePredictionCell:
     """Run-time prediction accuracy via online replay (§3 text numbers)."""
-    report = replay_prediction_error(
-        trace, make_predictor(predictor_name, trace, templates=templates)
-    )
+    report = replay_prediction_error(trace, make_predictor(predictor_name, trace))
     return RuntimePredictionCell(
         workload=trace.name,
         predictor=predictor_name,

@@ -52,7 +52,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.experiment import (
     SchedulingCell,
@@ -71,7 +71,6 @@ from repro.obs.campaign import (
     capture_resources,
     resource_probe,
 )
-from repro.predictors.templates import Template
 from repro.workloads.archive import PAPER_WORKLOADS
 from repro.workloads.job import Trace
 
@@ -103,7 +102,7 @@ class ParallelExecutionError(RuntimeError):
     exact cells without digging through a journal.
     """
 
-    def __init__(self, failures: Sequence["CellFailure"]) -> None:
+    def __init__(self, failures: Sequence[CellFailure]) -> None:
         self.failures = tuple(failures)
         lines = [f"{len(self.failures)} cell(s) failed:"]
         for f in self.failures:
@@ -133,7 +132,6 @@ class CellSpec:
     n_jobs: int | None = None
     seed: int | None = None
     compress: float = 1.0
-    templates: tuple[Template, ...] | None = None
     #: Misprediction cells only: the injected error distribution (see
     #: repro.experiments.misprediction.ErrorModel).  ``predictor`` then
     #: names the *base* predictor the noise wraps.
@@ -170,11 +168,10 @@ class CellSpec:
         algorithm: str,
         predictor: str,
         *,
-        templates: tuple[Template, ...] | None = None,
         error_kind: str | None = None,
         error_level: float = 0.0,
         error_seed: int = 0,
-    ) -> "CellSpec":
+    ) -> CellSpec:
         """Describe a cell over an already-loaded paper trace.
 
         Requires the trace's regeneration ``provenance`` (stamped by
@@ -196,7 +193,6 @@ class CellSpec:
             n_jobs=p.get("n_jobs"),
             seed=p.get("seed"),
             compress=p.get("compress", 1.0),
-            templates=templates,
             error_kind=error_kind,
             error_level=error_level,
             error_seed=error_seed,
@@ -219,7 +215,7 @@ class CellResult:
 
     spec: CellSpec
     index: int
-    cell: "WaitTimeCell | SchedulingCell | MispredictionCell | None" = None
+    cell: WaitTimeCell | SchedulingCell | MispredictionCell | None = None
     failure: CellFailure | None = None
     attempts: int = 0
     duration_s: float = 0.0
@@ -252,10 +248,9 @@ class ExperimentPlan:
         n_jobs: int | None = None,
         seed: int | None = None,
         compress: float = 1.0,
-        templates: tuple[Template, ...] | None = None,
         error_kind: str | None = None,
         error_seed: int = 0,
-    ) -> "ExperimentPlan":
+    ) -> ExperimentPlan:
         """The specs of :func:`grid_cells`, in its order.
 
         A workload name carries the ``(n_jobs, seed, compress)`` recipe
@@ -271,7 +266,6 @@ class ExperimentPlan:
             coords = dict(
                 algorithm=algo,
                 predictor=pred,
-                templates=templates,
                 error_kind=error_kind,
                 error_level=level,
                 error_seed=error_seed,
@@ -310,7 +304,7 @@ class TableRun:
     results: list[CellResult] = field(default_factory=list)
 
     @property
-    def cells(self) -> "list[WaitTimeCell | SchedulingCell | MispredictionCell]":
+    def cells(self) -> list[WaitTimeCell | SchedulingCell | MispredictionCell]:
         """Successful cells in plan order."""
         return [r.cell for r in self.results if r.ok]
 
@@ -341,20 +335,17 @@ def run_cell(
     algorithm: str,
     predictor: str,
     *,
-    templates: tuple[Template, ...] | None = None,
     error_kind: str | None = None,
     error_level: float = 0.0,
     error_seed: int = 0,
-) -> "WaitTimeCell | SchedulingCell | MispredictionCell":
+) -> WaitTimeCell | SchedulingCell | MispredictionCell:
     """Replay one grid cell of any kind over an in-memory trace.
 
     The one per-kind dispatch: both the in-process driver and pool
     workers (:func:`execute_cell`) call it.
     """
     if kind == "wait-time":
-        cell, _, _ = run_wait_time_experiment(
-            trace, algorithm, predictor, templates=templates
-        )
+        cell, _, _ = run_wait_time_experiment(trace, algorithm, predictor)
         return cell
     if kind == "misprediction":
         # Imported here: repro.experiments depends on this module for
@@ -371,13 +362,11 @@ def run_cell(
             base_predictor=predictor,
         )
         return cell
-    cell, _ = run_scheduling_experiment(
-        trace, algorithm, predictor, templates=templates
-    )
+    cell, _ = run_scheduling_experiment(trace, algorithm, predictor)
     return cell
 
 
-def execute_cell(spec: CellSpec) -> "WaitTimeCell | SchedulingCell | MispredictionCell":
+def execute_cell(spec: CellSpec) -> WaitTimeCell | SchedulingCell | MispredictionCell:
     """Run one cell from scratch — the function shipped to pool workers.
 
     Also usable inline: ``execute_cell(spec)`` in the parent process is
@@ -388,7 +377,6 @@ def execute_cell(spec: CellSpec) -> "WaitTimeCell | SchedulingCell | Mispredicti
         _cell_trace(spec),
         spec.algorithm,
         spec.predictor,
-        templates=spec.templates,
         error_kind=spec.error_kind,
         error_level=spec.error_level,
         error_seed=spec.error_seed,
@@ -426,7 +414,7 @@ def run_table_parallel(
     max_workers: int | None = None,
     timeout: float | None = None,
     retries: int = 1,
-    cell_fn: "Callable[[CellSpec], WaitTimeCell | SchedulingCell | MispredictionCell] | None" = None,
+    cell_fn: Callable[[CellSpec], WaitTimeCell | SchedulingCell | MispredictionCell] | None = None,
     telemetry: CampaignTelemetry | None = None,
 ) -> TableRun:
     """Execute every cell of ``plan`` across a process pool.
@@ -572,14 +560,11 @@ def run_grid(
     n_jobs: int | None = None,
     seed: int | None = None,
     compress: float = 1.0,
-    templates: Iterable[Template] | None = None,
     error_kind: str | None = None,
     error_seed: int = 0,
     max_workers: int | None = 1,
-    timeout: float | None = None,
-    retries: int = 1,
     telemetry: CampaignTelemetry | None = None,
-) -> "list[WaitTimeCell | SchedulingCell | MispredictionCell]":
+) -> list[WaitTimeCell | SchedulingCell | MispredictionCell]:
     """Run every cell of a grid, in process or on a process pool.
 
     The one driver of every grid — the CLI's ``scheduling`` and
@@ -592,26 +577,20 @@ def run_grid(
     own traces (names are generated here, provenance is not needed) and
     lets a failing cell raise its own exception; ``telemetry`` is then
     ignored.  Otherwise the cells run through :func:`run_table_parallel`
-    — traces named by workload are generated only in the workers — and
-    any cell still failing after its retries raises
-    :class:`ParallelExecutionError`.
+    — traces named by workload are generated only in the workers, with
+    its defaults of one retry and no per-cell deadline — and any cell
+    still failing after its retry raises :class:`ParallelExecutionError`.
     """
     if kind not in CELL_KINDS:
         raise ValueError(f"kind must be one of {CELL_KINDS}, got {kind!r}")
-    if templates is not None:
-        templates = tuple(templates)
     axes = dict(algorithms=algorithms, predictors=predictors, levels=levels)
-    cell_args = dict(templates=templates, error_kind=error_kind,
-                     error_seed=error_seed)
+    cell_args = dict(error_kind=error_kind, error_seed=error_seed)
     if max_workers != 1:
         plan = ExperimentPlan.for_grid(
             kind, workloads=workloads, n_jobs=n_jobs, seed=seed,
             compress=compress, **axes, **cell_args,
         )
-        run = run_table_parallel(
-            plan, max_workers=max_workers, timeout=timeout, retries=retries,
-            telemetry=telemetry,
-        )
+        run = run_table_parallel(plan, max_workers=max_workers, telemetry=telemetry)
         if run.failures:
             raise ParallelExecutionError(run.failures)
         return run.cells

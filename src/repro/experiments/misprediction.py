@@ -266,7 +266,6 @@ def run_misprediction_experiment(
     model: ErrorModel,
     *,
     base_predictor: str = "actual",
-    instrumentation=None,
 ) -> tuple[MispredictionCell, ScheduleResult]:
     """One cell: replay ``trace`` under ``policy_name`` with injected error.
 
@@ -280,8 +279,7 @@ def run_misprediction_experiment(
 
     policy = make_policy(policy_name)
     noisy = NoisyPredictor(make_predictor(base_predictor, trace), model)
-    estimator = PointEstimator(noisy, instrumentation=instrumentation)
-    sim = Simulator(policy, estimator, trace.total_nodes, instrumentation=instrumentation)
+    sim = Simulator(policy, PointEstimator(noisy), trace.total_nodes)
     result = sim.run(trace)
 
     monitor = _injection_audit(trace, noisy, window=min(len(trace), 200) or 1)
@@ -318,8 +316,6 @@ def run_misprediction_campaign(
     n_jobs: int | None = None,
     seed: int | None = None,
     max_workers: int = 1,
-    cell_timeout: float | None = None,
-    retries: int = 1,
     telemetry=None,
 ) -> list[DegradationCurve]:
     """The (workload × policy × error-level) grid, as degradation curves.
@@ -328,8 +324,8 @@ def run_misprediction_campaign(
     0 still produces curves, but their baseline is the lowest level
     rather than the exact oracle.  The grid runs on
     :func:`repro.core.parallel.run_grid`: ``max_workers > 1`` fans the
-    cells across worker processes with the usual plan-order, timeout,
-    and retry semantics; ``telemetry`` (a
+    cells across worker processes with its plan order and one retry per
+    failed cell; ``telemetry`` (a
     :class:`repro.obs.campaign.CampaignTelemetry`) makes that run an
     observable campaign and applies to the parallel path only.
     """
@@ -348,8 +344,6 @@ def run_misprediction_campaign(
         error_kind=kind,
         error_seed=noise_seed,
         max_workers=max_workers,
-        timeout=cell_timeout,
-        retries=retries,
         telemetry=telemetry,
     )
     # Grid order makes each (workload, policy) ladder a run of len(levels).

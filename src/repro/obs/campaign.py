@@ -16,8 +16,8 @@ replayable run:
   tracks cells/sec throughput, ETA, per-worker utilization, tail-aware
   cell-duration quantiles (p50/p90/p99 over the shared
   :data:`~repro.obs.metrics.CELL_DURATION_BUCKETS` histogram), and
-  straggler detection (cells exceeding ``straggler_factor`` × the
-  running median).
+  straggler detection (cells exceeding ``DEFAULT_STRAGGLER_FACTOR`` ×
+  the running median).
 - :class:`ProgressRenderer` — a rate-limited single-line stderr status
   display fed by the monitor (the table CLIs' ``--progress`` flag).
 - :func:`capture_resources` — worker-process resource capture (wall
@@ -153,16 +153,7 @@ class CampaignMonitor:
     live monitor saw.
     """
 
-    def __init__(
-        self,
-        *,
-        straggler_factor: float = DEFAULT_STRAGGLER_FACTOR,
-    ) -> None:
-        if straggler_factor <= 1.0:
-            raise ValueError(
-                f"straggler_factor must be > 1, got {straggler_factor}"
-            )
-        self.straggler_factor = straggler_factor
+    def __init__(self) -> None:
         self.registry = MetricsRegistry()
         self._duration_hist = self.registry.histogram(
             "campaign.cell_duration_seconds", CELL_DURATION_BUCKETS
@@ -196,14 +187,9 @@ class CampaignMonitor:
 
     # -- feeding -------------------------------------------------------
     @classmethod
-    def from_events(
-        cls,
-        events: Iterable[Mapping],
-        *,
-        straggler_factor: float = DEFAULT_STRAGGLER_FACTOR,
-    ) -> "CampaignMonitor":
+    def from_events(cls, events: Iterable[Mapping]) -> "CampaignMonitor":
         """Rebuild a monitor offline from journaled events."""
-        monitor = cls(straggler_factor=straggler_factor)
+        monitor = cls()
         for event in events:
             monitor.observe(event)
         return monitor
@@ -326,7 +312,7 @@ class CampaignMonitor:
         return 0.5 * (self._sorted_durations[mid - 1] + self._sorted_durations[mid])
 
     def stragglers(self, now: float | None = None) -> list[dict]:
-        """Cells exceeding ``straggler_factor`` × the running median.
+        """Cells exceeding ``DEFAULT_STRAGGLER_FACTOR`` × the running median.
 
         Covers both finished cells whose duration blew the threshold and
         still-running cells whose elapsed time already has (``now``
@@ -337,7 +323,7 @@ class CampaignMonitor:
         median = self.median_duration()
         if median is None or len(self.completed) < MIN_STRAGGLER_SAMPLES:
             return []
-        threshold = self.straggler_factor * median
+        threshold = DEFAULT_STRAGGLER_FACTOR * median
         if now is None:
             now = self.last_wall if self.last_wall is not None else 0.0
         out = []
@@ -718,17 +704,11 @@ def check_campaign_journal(events: Iterable[Mapping]) -> dict:
     }
 
 
-def summarize_campaign(
-    events: Iterable[Mapping],
-    *,
-    straggler_factor: float = DEFAULT_STRAGGLER_FACTOR,
-) -> dict:
+def summarize_campaign(events: Iterable[Mapping]) -> dict:
     """Offline campaign summary: the monitor's snapshot plus the cell
     manifest (completed / still-dispatched / failed indexes with their
     spec coordinates) a resuming driver needs."""
-    monitor = CampaignMonitor.from_events(
-        events, straggler_factor=straggler_factor
-    )
+    monitor = CampaignMonitor.from_events(events)
     summary = monitor.snapshot()
     summary["cells"] = {
         "completed": [

@@ -44,7 +44,7 @@ LINKS = ("predicted", "fallback_max", "fallback_mean", "fallback_default")
 _MEAN_LINKS = frozenset(LINKS[2:])
 
 
-def warm_start(predictor: "RuntimePredictor", jobs) -> "RuntimePredictor":
+def warm_start(predictor: RuntimePredictor, jobs) -> RuntimePredictor:
     """Pre-load a predictor's history from a training set.
 
     The paper notes (§2.1) that the initial ramp-up — no predictions

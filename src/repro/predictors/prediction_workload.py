@@ -120,21 +120,16 @@ class _Recorder:
         self.inner.on_finish(job, now)
 
 
-def record_prediction_workload(
-    trace: Trace,
-    policy_name: str,
-    *,
-    driver: str = "max",
-) -> PredictionWorkload:
+def record_prediction_workload(trace: Trace, policy_name: str) -> PredictionWorkload:
     """Record the prediction stream a scheduling simulation generates.
 
-    The simulation is driven by ``driver`` estimates (user maxima by
-    default, per the paper); every ``predict`` the policy issues through
-    the scheduler view and every completion is captured in order.
+    The simulation is driven by user maxima, per the paper; every
+    ``predict`` the policy issues through the scheduler view and every
+    completion is captured in order.
     """
     from repro.core.registry import make_policy, make_predictor
 
-    recorder = _Recorder(PointEstimator(make_predictor(driver, trace)))
+    recorder = _Recorder(PointEstimator(make_predictor("max", trace)))
     sim = Simulator(make_policy(policy_name), recorder, trace.total_nodes)
     sim.run(trace)
     return PredictionWorkload(

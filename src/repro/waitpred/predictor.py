@@ -137,13 +137,11 @@ class WaitTimePredictor:
         predictor: RuntimePredictor,
         *,
         scheduler_estimator: RuntimeEstimator | None = None,
-        fast: bool = True,
         instrumentation=None,
     ) -> None:
         self.policy = policy
         self.estimator = PointEstimator(predictor)
         self.scheduler_estimator = scheduler_estimator
-        self.fast = fast
         self._duration_cache = EstimateMemo()
         self._estimate_cache = EstimateMemo()
         #: job_id -> predicted wait in seconds, recorded at submission.
@@ -167,7 +165,6 @@ class WaitTimePredictor:
             self.estimator,
             qj.job_id,
             scheduler_estimator=self.scheduler_estimator,
-            fast=self.fast,
             duration_cache=self._duration_cache,
             estimate_cache=self._estimate_cache,
         )

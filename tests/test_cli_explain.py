@@ -110,3 +110,24 @@ def test_timeline_empty_trace_fails(tmp_path, capsys):
     code = main(["timeline", str(empty)])
     assert code == 1
     assert "empty trace (0 events)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "{trace}", "--window", "0"],
+        ["timeline", "{trace}", "--width", "0"],
+        ["timeline", "{trace}", "--total-nodes", "0"],
+        ["timeline", "{trace}", "--width", "-3"],
+    ],
+    ids=["report-window", "timeline-width", "timeline-total-nodes",
+         "timeline-negative-width"],
+)
+def test_non_positive_sizes_are_usage_errors(detail_trace, argv, capsys):
+    """A zero drift window, sparkline width or machine size is refused
+    by argparse — not a ValueError traceback, and not an all-zero
+    utilization series."""
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(trace=detail_trace) for arg in argv])
+    assert exc.value.code == 2
+    assert "must be positive" in capsys.readouterr().err

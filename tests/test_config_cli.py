@@ -83,6 +83,24 @@ class TestGridArgs:
         args = build_parser().parse_args([command, "--parallel", "0"])
         assert args.parallel == (os.cpu_count() or 1)
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--parallel", "2"], ["--progress"], ["--journal", "rt.jsonl"]],
+        ids=["parallel", "progress", "journal"],
+    )
+    def test_runtime_error_has_no_parallel_path(
+        self, flags, capsys, tmp_path, monkeypatch
+    ):
+        """``runtime-error`` scores predictors serially; a parallel-only
+        flag is a usage error, not silently ignored."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["runtime-error", "--workloads", "ANL", "--predictors",
+                  "actual", "--n-jobs", "30", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "rt.jsonl").exists()
+
     def test_bad_compress(self, capsys):
         """A non-positive factor is a usage error, not a traceback."""
         for argv in (

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.experiment import _resolve_traces, run_wait_time_experiment
+from repro.core.experiment import _resolve_traces
 from repro.core.parallel import run_grid
 
 
@@ -41,18 +41,6 @@ class TestTableDriversByName:
         assert len(cells) == 1
         assert cells[0].mean_error_minutes == pytest.approx(0.0, abs=1e-6)
 
-    def test_templates_forwarded(self, anl_trace):
-        from repro.predictors.templates import Template
-
-        cells = run_grid(
-            "scheduling",
-            workloads=[anl_trace],
-            algorithms=("lwf",),
-            predictors=("smith",),
-            templates=[Template()],
-        )
-        assert len(cells) == 1
-
     def test_unknown_kind_rejected(self, small_trace):
         """A misspelt kind must not fall through to another grid's cells."""
         with pytest.raises(ValueError, match="kind"):
@@ -60,14 +48,3 @@ class TestTableDriversByName:
                 "runtime-error", workloads=[small_trace], algorithms=("fcfs",),
                 predictors=("actual",),
             )
-
-    def test_custom_scheduler_predictor(self, anl_trace):
-        """§3 default is max; an oracle-driven scheduler is also allowed."""
-        cell_default, _, _ = run_wait_time_experiment(anl_trace, "backfill", "actual")
-        cell_oracle, _, _ = run_wait_time_experiment(
-            anl_trace, "backfill", "actual", scheduler_predictor="actual"
-        )
-        # With the scheduler itself on actual run times and the predictor
-        # on actual run times, the only error source is later arrivals —
-        # strictly fewer divergences than the max-driven default.
-        assert cell_oracle.mean_error_minutes <= cell_default.mean_error_minutes + 1e-6

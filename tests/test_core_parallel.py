@@ -396,4 +396,4 @@ class TestSerialContract:
 
     def test_unknown_algorithm_fails_the_parallel_run(self, driver):
         with pytest.raises(ParallelExecutionError, match="unknown policy"):
-            driver(["ANL"], ("nope",), n_jobs=20, max_workers=2, retries=0)
+            driver(["ANL"], ("nope",), n_jobs=20, max_workers=2)

@@ -66,27 +66,40 @@ class TestDesignInventory:
             assert f"## Table {no} " in text
 
 
+def _api_texts() -> tuple[str, str]:
+    """``gen_api_docs.render()`` and the committed ``docs/api.md``."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "gen_api_docs", ROOT / "scripts" / "gen_api_docs.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.render(), (ROOT / "docs" / "api.md").read_text()
+
+
 class TestApiReference:
     def test_constants_not_described_by_their_types_docstring(self):
         """A module constant's line names its type, never the type's own
         docstring ("dict() -> new empty dictionary" says nothing true
         about a table of published numbers)."""
-        import importlib.util
         import inspect
 
-        spec = importlib.util.spec_from_file_location(
-            "gen_api_docs", ROOT / "scripts" / "gen_api_docs.py"
-        )
-        gen = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gen)
         builtin_docs = {
             inspect.getdoc(t).splitlines()[0].rstrip(".")
             for t in (dict, list, tuple, set, frozenset, str, bytes, int,
                       float, bool)
         }
-        for text in (gen.render(), (ROOT / "docs" / "api.md").read_text()):
+        for text in _api_texts():
             bad = [
                 line for line in text.splitlines()
                 if any(doc in line for doc in builtin_docs)
             ]
+            assert not bad, bad
+
+    def test_no_doubly_quoted_annotations(self):
+        """A quoted annotation in a ``from __future__ import annotations``
+        module is a string of a string, and prints as ``"'Trace'"``."""
+        for text in _api_texts():
+            bad = [line for line in text.splitlines() if "\"'" in line]
             assert not bad, bad

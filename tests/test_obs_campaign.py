@@ -194,10 +194,6 @@ class TestMonitor:
         assert parsed["complete"] is True
         assert parsed["metrics"]["counters"]["campaign.cells_finished"] == 2
 
-    def test_straggler_factor_validated(self):
-        with pytest.raises(ValueError, match="straggler_factor"):
-            CampaignMonitor(straggler_factor=1.0)
-
 
 # ----------------------------------------------------------------------
 # progress rendering

@@ -241,30 +241,37 @@ class TestShortcutEdgeCases:
         durations = {1: 100.0, 2: 5.0, 3: 50.0}
         assert backfill_predicted_start(snap, durations, 2) == pytest.approx(1.0)
 
-    def test_observer_fast_and_slow_agree_end_to_end(self, anl_trace):
-        """Full replay: fast observer equals the reference observer."""
+    def test_observer_fast_and_slow_agree_end_to_end(self, anl_trace, monkeypatch):
+        """Full replay: every observer answer equals
+        ``predict_wait(..., fast=False)`` on the same snapshot."""
+        from repro.waitpred import predictor as waitpred
         from repro.workloads.transform import head
 
+        predict_wait = waitpred.predict_wait
+        answers = {}
+
+        def against_reference(snapshot, policy, estimator, job_id, **kwargs):
+            fast = predict_wait(snapshot, policy, estimator, job_id, **kwargs)
+            slow = predict_wait(
+                snapshot, policy, estimator, job_id, **dict(kwargs, fast=False)
+            )
+            answers[job_id] = (fast, slow)
+            return fast
+
+        monkeypatch.setattr(waitpred, "predict_wait", against_reference)
         trace = head(anl_trace, 150)
-        waits = {}
-        for fast in (True, False):
-            policy = FCFSPolicy()
-            estimator = PointEstimator(ActualRuntimePredictor())
-            sim = Simulator(policy, estimator, trace.total_nodes)
-            obs = WaitTimePredictor(
-                policy,
-                ActualRuntimePredictor(),
-                scheduler_estimator=estimator,
-                fast=fast,
-            )
-            sim.add_observer(obs)
-            sim.run(trace)
-            waits[fast] = obs.predicted_waits
-        assert waits[True].keys() == waits[False].keys()
-        for jid in waits[True]:
-            assert waits[True][jid] == pytest.approx(
-                waits[False][jid], rel=1e-9, abs=1e-3
-            )
+        policy = FCFSPolicy()
+        estimator = PointEstimator(ActualRuntimePredictor())
+        sim = Simulator(policy, estimator, trace.total_nodes)
+        obs = WaitTimePredictor(
+            policy, ActualRuntimePredictor(), scheduler_estimator=estimator
+        )
+        sim.add_observer(obs)
+        sim.run(trace)
+        assert answers.keys() == obs.predicted_waits.keys() == {j.job_id for j in trace}
+        for jid, (fast, slow) in answers.items():
+            assert obs.predicted_waits[jid] == fast
+            assert fast == pytest.approx(slow, rel=1e-9, abs=1e-3)
 
 
 def test_one_duration_floor_serves_both_shortcuts():
