@@ -65,10 +65,20 @@ def positive_float(text: str) -> float:
 
 def positive_int(text: str) -> int:
     """A count or size that must be > 0 (``--window``, ``--width``,
-    ``--total-nodes``)."""
+    ``--total-nodes``, ``--generations``)."""
     value = int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def ga_population(text: str) -> int:
+    """``ga-search --population``: an even number >= 4, as
+    :class:`~repro.predictors.ga.GAConfig` requires (pairs of parents,
+    two elites)."""
+    value = int(text)
+    if value < 4 or value % 2:
+        raise argparse.ArgumentTypeError(f"must be an even number >= 4, got {text!r}")
     return value
 
 
@@ -375,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ga.add_argument("--workload", default="ANL", choices=sorted(PAPER_WORKLOADS))
     p_ga.add_argument("--n-jobs", type=job_count, default=800,
                       help="jobs of the workload (0 = full paper size)")
-    p_ga.add_argument("--population", type=int, default=16)
-    p_ga.add_argument("--generations", type=int, default=8)
+    p_ga.add_argument("--population", type=ga_population, default=16)
+    p_ga.add_argument("--generations", type=positive_int, default=8)
     p_ga.add_argument("--eval-jobs", type=int, default=400)
     p_ga.add_argument("--seed", type=int, default=0)
     p_ga.add_argument(

@@ -33,17 +33,54 @@ wrappers.  A mean miss gathers only the values; node counts are
 gathered for the regressions alone.  Scaling, the regression's
 evaluation at the queried job's nodes and the floor at ``elapsed`` are
 applied per call.
+
+:meth:`Category.miss_bound` lets the Smith contest skip a ``mean`` miss
+that cannot win.  For an elapsed-conditioned lookup that would miss the
+memo it returns a lower bound on the half-width the miss would compute,
+read from the suffix sums ``S1 = Σv`` and ``S2 = Σv²`` of the ``k``
+qualifying values.  A side array ``_sorted_values`` is kept aligned with
+``_sorted_run_times``, so the qualifying values are its last ``k``
+entries.  The first bound after a mutation takes ``np.cumsum`` of the
+reversed array and of its squares, without copying it out of Python
+(``np.frombuffer`` over an ``array('d')``); every suffix is then one
+lookup.  Bounds are memoised per ``(k, confidence)``, and sums and
+bounds are dropped with the statistics on :meth:`Category.add`.  The
+bound never exceeds the computed half-width:
+
+- values are non-negative (run times, or ratios to positive maxima), so
+  a sequential sum of ``k`` of them (each ``v*v`` rounded once) is
+  within ``γ_k = k·u/(1 − k·u)`` of the exact sum, ``u = 2⁻⁵³``; the
+  reversed cumulative sum adds no subtraction.  Inflating
+  ``S1`` and deflating ``S2`` by ``c = 4(k+2)u`` (twice that error,
+  plus the roundings of the expression itself) makes
+  ``num = S2(1 − c) − (S1(1 + c))²/k`` at most the exact
+  ``N = Σ(x − m)² = (k − 1)·V``.  When ``num`` is not a finite number
+  above ``2⁻⁹⁰⁰`` (near-zero variance, cancellation, overflow, or
+  squares so small that underflow, not ``u``, sets their error) the
+  bound is 0.0 and the category is computed;
+- the two-pass kernel sums ``d = fl(x − m̂)`` squared, and
+  ``Σ(x − m̂)² = N + k(m − m̂)² ≥ N`` for the float ``m̂`` it subtracts.
+  Each ``d²`` is within ``3u`` of ``(x − m̂)²`` and NumPy's pairwise sum
+  of non-negative terms is within its tree depth (under 64) times ``u``,
+  so the computed sum is at least ``N(1 − 70u)``;
+- the bound takes ``t`` and ``√(1 + 1/k)`` from the same expressions as
+  the kernel and multiplies by ``1 − 1e-9``, which absorbs the few
+  remaining roundings (each ``≤ u``) of both sides;
+- relative templates scale by the job's maximum with a further
+  ``1 − 1e-12``: both sides round that product once.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+import math
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.stats.ci import RunningMoments, mean_confidence_interval
+from repro.stats.ci import RunningMoments, mean_confidence_interval, t_quantile
 from repro.stats.regression import fit_inverse, fit_linear, fit_logarithmic
 from repro.predictors.templates import Template
 from repro.workloads.job import Job
@@ -62,6 +99,13 @@ _MIN_POINTS_MEAN = 2
 _MIN_POINTS_REGRESSION = 3
 
 _UNSET = object()
+
+#: Unit roundoff of a double.
+_U = 2.0**-53
+#: Below this variance numerator subnormal squares could break the
+#: relative error argument of Category.miss_bound; such a category is
+#: computed.
+_TINY = 2.0**-900
 
 
 @dataclass(frozen=True)
@@ -83,9 +127,18 @@ class Category:
         # Run times in ascending order: the count of points qualifying
         # for an elapsed time is one bisection away.
         self._sorted_run_times: list[float] = []
+        # Each point's value, aligned with _sorted_run_times.
+        self._sorted_values = array("d")
+        # Cumulative sums of the reversed values and of their squares:
+        # entry k-1 sums the k values with the longest run times.  Built
+        # on the first bound after a mutation.
+        self._suffix_sums: tuple[np.ndarray, np.ndarray] | None = None
         # (qualifying count, confidence) -> unscaled statistic, or None
         # for a failed fit.  Valid until the next add.
         self._memo: dict[tuple[int, float], object] = {}
+        # (qualifying count, confidence) -> unscaled half-width lower
+        # bound of a mean miss.  Valid until the next add.
+        self._bounds: dict[tuple[int, float], float] = {}
         # (run_time, value, nodes) columns in insertion order, built on
         # the first memo miss after a mutation.
         self._columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -97,6 +150,9 @@ class Category:
         self.memo_hits = 0
         self.memo_misses = 0
         self.points_scanned = 0
+        #: Mean misses the Smith contest skipped on their bound; counted
+        #: by SmithPredictor.predict, folded the same way.
+        self.bound_pruned = 0
 
     def __len__(self) -> int:
         return len(self._points)
@@ -118,14 +174,23 @@ class Category:
             value = job.run_time
         limit = self.template.max_history
         run_times = self._sorted_run_times
+        values = self._sorted_values
         if limit is not None and len(self._points) >= limit:
             old = self._points.popleft()
             self._moments.remove(old.value)
-            del run_times[bisect_left(run_times, old.run_time)]
+            # Inserting after equal run times keeps each tie group in
+            # arrival order, so the oldest point is its group's first
+            # entry and both sides lose the same (run time, value).
+            i = bisect_left(run_times, old.run_time)
+            del run_times[i], values[i]
         self._points.append(DataPoint(run_time=job.run_time, nodes=job.nodes, value=value))
-        insort(run_times, job.run_time)
+        i = bisect_right(run_times, job.run_time)
+        run_times.insert(i, job.run_time)
+        values.insert(i, value)
         self._moments.add(value)
         self._memo.clear()
+        self._bounds.clear()
+        self._suffix_sums = None
         self._columns = None
 
     def predict(
@@ -174,6 +239,55 @@ class Category:
             hw *= job.max_run_time
         est = max(est, elapsed)
         return est, max(hw, 0.0)
+
+    def miss_bound(self, job: Job, elapsed: float, confidence: float) -> float | None:
+        """A lower bound on the half-width :meth:`predict` would compute.
+
+        Only for an elapsed-conditioned ``mean`` lookup that would miss
+        the memo; ``None`` otherwise (a hit, an unconditioned or
+        regression lookup, too few qualifying points, or a relative
+        template without the job's maximum), and :meth:`predict` then
+        answers at the cost it always had.  The module docstring argues
+        the bound.
+        """
+        template = self.template
+        if template.estimator != "mean" or elapsed <= 0.0:
+            return None
+        if template.relative and job.max_run_time is None:
+            return None
+        run_times = self._sorted_run_times
+        k = len(run_times) - bisect_left(run_times, elapsed)
+        if k < _MIN_POINTS_MEAN:
+            return None
+        key = (k, confidence)
+        if key in self._memo:
+            return None
+        bound = self._bounds.get(key)
+        if bound is None:
+            bound = self._bounds[key] = self._half_width_bound(k, confidence)
+        if template.relative:
+            return bound * job.max_run_time * (1.0 - 1e-12)
+        return bound
+
+    def _half_width_bound(self, k: int, confidence: float) -> float:
+        """Unscaled half-width lower bound over the last ``k`` sorted points."""
+        sums = self._suffix_sums
+        if sums is None:
+            # A view, not a copy; dropped before the array can resize.
+            reversed_values = np.frombuffer(self._sorted_values)[::-1]
+            sums = self._suffix_sums = (
+                np.cumsum(reversed_values),
+                np.cumsum(reversed_values * reversed_values),
+            )
+        s1 = sums[0].item(k - 1)
+        s2 = sums[1].item(k - 1)
+        c = 4 * (k + 2) * _U
+        high = s1 * (1.0 + c)
+        num = s2 * (1.0 - c) - high * high / k
+        if not _TINY < num < math.inf:
+            return 0.0
+        t = t_quantile(k - 1, 0.5 + confidence / 2.0)
+        return t * math.sqrt(num / (k - 1)) * math.sqrt(1.0 + 1.0 / k) * (1.0 - 1e-9)
 
     def _statistic(self, elapsed: float, confidence: float):
         """The unscaled statistic over the points qualifying for ``elapsed``.

@@ -13,6 +13,21 @@ claim to know.
 A job's category keys are computed once: they are cached per job id,
 guarded by the identity of the :class:`Job` they were computed for, and
 evicted when the job finishes.
+
+An elapsed-conditioned contest runs in two phases.  Categories whose
+answer is cheap (a memo hit, a regression, too few points) answer
+first, in template order.  The ``mean`` categories that would miss
+their memo offer :meth:`~repro.predictors.category.Category.miss_bound`
+instead, a lower bound on the half-width the miss would compute; they
+are visited in ascending ``(bound, template index)`` order, and once a
+bound is strictly greater than the best half-width so far, that
+category and every later one is skipped (counted in ``bound_pruned``).
+A skipped category's half-width exceeds the winner's, so it could
+neither win nor tie.  Candidates compare as ``(half-width, template
+index)``, which keeps the first template among equal half-widths, the
+rule of a single pass in template order; the winner is always computed
+by the category's own statistic, so estimate, interval and source are
+those of the full contest to the bit.
 """
 
 from __future__ import annotations
@@ -80,24 +95,47 @@ class SmithPredictor(RuntimePredictor):
         return result
 
     def predict(self, job: Job, elapsed: float = 0.0, now: float = 0.0) -> Prediction | None:
-        best: tuple[float, float, int] | None = None  # (interval, estimate, idx)
+        best: tuple[float, int] | None = None  # (interval, idx)
+        best_est = 0.0
+        confidence = self.confidence
+        conditioned = elapsed > 0.0
         categories = self._categories
+        pending: list[tuple[float, int, Category]] = []  # (bound, idx, category)
         for full_key in self._category_keys(job):
             cat = categories.get(full_key)
             if cat is None:
                 continue
-            result = cat.predict(job, elapsed, self.confidence)
+            idx = full_key[0]
+            if conditioned:
+                bound = cat.miss_bound(job, elapsed, confidence)
+                if bound is not None:
+                    pending.append((bound, idx, cat))
+                    continue
+            result = cat.predict(job, elapsed, confidence)
             if result is None:
                 continue
             est, hw = result
             if best is None or hw < best[0]:
-                best = (hw, est, full_key[0])
+                best = (hw, idx)
+                best_est = est
+        # Template indices are distinct, so the sort never compares categories.
+        pending.sort()
+        for pos, (bound, idx, cat) in enumerate(pending):
+            if best is not None and bound > best[0]:
+                for skipped in pending[pos:]:
+                    skipped[2].bound_pruned += 1
+                break
+            # A pending mean lookup has at least two points: never None.
+            est, hw = cat.predict(job, elapsed, confidence)
+            if best is None or (hw, idx) < best:
+                best = (hw, idx)
+                best_est = est
         if best is None:
             self._misses += 1
             return None
-        hw, est, idx = best
+        hw, idx = best
         self._wins[idx] += 1
-        return Prediction(estimate=est, interval=hw, source=self._sources[idx])
+        return Prediction(estimate=best_est, interval=hw, source=self._sources[idx])
 
     def on_finish(self, job: Job, now: float) -> None:
         for full_key in self._category_keys(job):
@@ -129,14 +167,17 @@ class SmithPredictor(RuntimePredictor):
 
         ``memo_hits``/``memo_misses`` count elapsed-conditioned lookups
         of memoised category statistics; ``points_scanned`` counts the
-        history points the misses scanned.  Folded here, at snapshot
-        time, from plain ints the categories keep.
+        history points the misses scanned; ``bound_pruned`` counts the
+        misses the contest skipped because their half-width bound could
+        not win.  Folded here, at snapshot time, from plain ints the
+        categories keep.
         """
         cats = self._categories.values()
         return {
             "memo_hits": sum(c.memo_hits for c in cats),
             "memo_misses": sum(c.memo_misses for c in cats),
             "points_scanned": sum(c.points_scanned for c in cats),
+            "bound_pruned": sum(c.bound_pruned for c in cats),
         }
 
     def categories_for(self, job: Job) -> Sequence[Category]:

@@ -101,6 +101,27 @@ class TestGridArgs:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "rt.jsonl").exists()
 
+    @pytest.mark.parametrize("population", ["0", "2", "-4", "7", "17", "six"])
+    def test_bad_ga_population(self, population, capsys):
+        """A population GAConfig would reject is a usage error, not a
+        traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(["ga-search", "--population", population])
+        assert exc.value.code == 2
+        assert "--population" in capsys.readouterr().err
+
+    def test_bad_ga_generations(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ga-search", "--generations", "0"])
+        assert exc.value.code == 2
+        assert "--generations" in capsys.readouterr().err
+
+    def test_ga_population_accepts_even_from_four(self):
+        parser = build_parser()
+        for population in (4, 6, 24):
+            args = parser.parse_args(["ga-search", "--population", str(population)])
+            assert args.population == population
+
     def test_bad_compress(self, capsys):
         """A non-positive factor is a usage error, not a traceback."""
         for argv in (

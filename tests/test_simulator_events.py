@@ -116,7 +116,8 @@ _ESTIMATOR_COUNTS = {
 
 
 def _counters(flushes, hits, misses, backfilled, passes, calls, predicted,
-              fallback_max, memo_hits, memo_misses, scanned, *, statebased=True):
+              fallback_max, memo_hits, memo_misses, scanned, pruned, *,
+              statebased=True):
     return {
         **_SIM_COUNTS,
         **(_STATEBASED_COUNTS if statebased else {}),
@@ -132,17 +133,22 @@ def _counters(flushes, hits, misses, backfilled, passes, calls, predicted,
         "estimator.predictor.memo_hits": memo_hits,
         "estimator.predictor.memo_misses": memo_misses,
         "estimator.predictor.points_scanned": scanned,
+        "estimator.predictor.bound_pruned": pruned,
     }
 
 
 #: policy -> metrics_snapshot()["counters"] of the full replay.
 EXPECTED_COUNTERS = {
-    "FCFS": _counters(0, 0, 163, 0, 409, 2129, 1911, 218, 6929, 3371, 252552),
-    "LWF": _counters(279, 975, 1200, 272, 559, 5048, 4661, 387, 11467, 7877, 703453),
-    "Backfill": _counters(
-        278, 854, 1179, 270, 574, 4941, 4551, 390, 10162, 7524, 674021
+    "FCFS": _counters(0, 0, 163, 0, 409, 2129, 1911, 218, 2666, 1247, 115242, 6387),
+    "LWF": _counters(
+        279, 975, 1200, 272, 559, 5048, 4661, 387, 4485, 3010, 318209, 11849
     ),
-    "EASY": _counters(191, 872, 883, 270, 573, 3190, 2976, 214, 6083, 5736, 506846),
+    "Backfill": _counters(
+        278, 854, 1179, 270, 574, 4941, 4551, 390, 3338, 2931, 313375, 11417
+    ),
+    "EASY": _counters(
+        191, 872, 883, 270, 573, 3190, 2976, 214, 1875, 2048, 215353, 7896
+    ),
 }
 
 
@@ -280,10 +286,14 @@ EXPECTED_TRACING_ONLY_STREAMS = {
 EXPECTED_DETAIL_ONLY_COUNTERS = {
     name: _counters(*args, statebased=False)
     for name, args in {
-        "FCFS": (0, 0, 0, 0, 409, 0, 0, 0, 0, 0, 0),
-        "LWF": (164, 219, 854, 272, 559, 854, 850, 4, 0, 0, 0),
-        "Backfill": (203, 432, 917, 270, 574, 3194, 2967, 227, 5580, 5388, 459789),
-        "EASY": (191, 872, 883, 270, 573, 3190, 2976, 214, 6083, 5736, 506846),
+        "FCFS": (0, 0, 0, 0, 409, 0, 0, 0, 0, 0, 0, 0),
+        "LWF": (164, 219, 854, 272, 559, 854, 850, 4, 0, 0, 0, 0),
+        "Backfill": (
+            203, 432, 917, 270, 574, 3194, 2967, 227, 1826, 2055, 214361, 7087
+        ),
+        "EASY": (
+            191, 872, 883, 270, 573, 3190, 2976, 214, 1875, 2048, 215353, 7896
+        ),
     }.items()
 }
 
