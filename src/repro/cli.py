@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="jobs of the workload (0 = full paper size)")
     p_ga.add_argument("--population", type=ga_population, default=16)
     p_ga.add_argument("--generations", type=positive_int, default=8)
-    p_ga.add_argument("--eval-jobs", type=int, default=400)
+    p_ga.add_argument("--eval-jobs", type=positive_int, default=400)
     p_ga.add_argument("--seed", type=int, default=0)
     p_ga.add_argument(
         "--algorithm",
@@ -632,8 +632,6 @@ def _format_campaign_summary(summary: dict) -> str:
             f"  p90 {summary['duration_p90_s']:.3g}s"
             f"  p99 {summary['duration_p99_s']:.3g}s"
         )
-    if summary["cells_retried"]:
-        lines.append(f"  retries: {summary['cells_retried']}")
     for s in summary["stragglers"]:
         state = "still running" if s["running"] else "finished"
         lines.append(

@@ -8,8 +8,8 @@
   interarrival study;
 - :mod:`repro.core.parallel` — ``run_grid``, the one driver of a
   table's (workload, algorithm, predictor) cell grid, in process or on a
-  process pool with deterministic per-cell regeneration and bounded
-  retry;
+  process pool with deterministic per-cell regeneration, each cell
+  once;
 - :mod:`repro.core.tables` — plain-text rendering in the paper's layout.
 """
 

@@ -18,18 +18,16 @@ records on a :class:`concurrent.futures.ProcessPoolExecutor`:
 - **Stable order.**  Results come back in plan order regardless of
   completion order, so a parallel table equals the serial one
   cell-for-cell.
-- **Failure containment.**  A worker exception or per-cell timeout is
-  retried up to ``retries`` times and then recorded as a structured
-  :class:`CellFailure` on the cell's :class:`CellResult` instead of
-  crashing the run.  (A timed-out cell's worker cannot be killed
-  mid-task; it occupies its pool slot until the task returns, so pick
-  timeouts generously.)
+- **Failure containment.**  Every cell runs exactly once.  A worker
+  exception is recorded as a structured :class:`CellFailure` on the
+  cell's :class:`CellResult` instead of crashing the run; the cells are
+  deterministic, so running a failed one again would fail the same way.
 - **Metrics.**  Each cell carries its own registry snapshot;
   :func:`repro.obs.metrics.merge_snapshots` folds them into one
   run-level view.
 - **Telemetry.**  Pass a :class:`~repro.obs.campaign.CampaignTelemetry`
   and the driver journals the campaign event schema (dispatch, finish,
-  retry, failure, heartbeats) and ships each cell's worker-side
+  failure, heartbeats) and ships each cell's worker-side
   resource bill (wall/CPU/peak-RSS) back on its :class:`CellResult`.
   The default ``telemetry=None`` keeps the original zero-cost path:
   the worker callable submitted to the pool is then *identical* to the
@@ -44,7 +42,6 @@ through ``--parallel N`` on the grid subcommands.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -97,8 +94,7 @@ class ParallelExecutionError(RuntimeError):
     """Raised by the grid driver when parallel cells failed.
 
     The message names every failed cell by its full spec coordinates
-    (:meth:`CellSpec.describe`) with its failure kind, attempt count,
-    and how many of those attempts were retries — enough to re-run the
+    (:meth:`CellSpec.describe`) with its error — enough to re-run the
     exact cells without digging through a journal.
     """
 
@@ -106,12 +102,7 @@ class ParallelExecutionError(RuntimeError):
         self.failures = tuple(failures)
         lines = [f"{len(self.failures)} cell(s) failed:"]
         for f in self.failures:
-            retries = f.attempts - 1
-            noun = "retry" if retries == 1 else "retries"
-            lines.append(
-                f"  - {f.spec.describe()}: {f.kind} after {f.attempts} "
-                f"attempt(s) ({retries} {noun}): {f.error}"
-            )
+            lines.append(f"  - {f.spec.describe()}: {f.error}")
         super().__init__("\n".join(lines))
 
 
@@ -201,12 +192,10 @@ class CellSpec:
 
 @dataclass(frozen=True)
 class CellFailure:
-    """A cell that exhausted its attempts, kept as data instead of a crash."""
+    """A cell whose worker raised, kept as data instead of a crash."""
 
     spec: CellSpec
-    kind: str  #: "error" (worker raised) or "timeout" (per-cell deadline)
     error: str
-    attempts: int
 
 
 @dataclass
@@ -217,7 +206,6 @@ class CellResult:
     index: int
     cell: WaitTimeCell | SchedulingCell | MispredictionCell | None = None
     failure: CellFailure | None = None
-    attempts: int = 0
     duration_s: float = 0.0
     #: Worker-side resource bill — populated only on telemetered runs.
     resources: CellResources | None = None
@@ -411,142 +399,91 @@ def _spec_coords(spec: CellSpec) -> dict:
 def run_table_parallel(
     plan: ExperimentPlan,
     *,
-    max_workers: int | None = None,
-    timeout: float | None = None,
-    retries: int = 1,
+    max_workers: int,
     cell_fn: Callable[[CellSpec], WaitTimeCell | SchedulingCell | MispredictionCell] | None = None,
     telemetry: CampaignTelemetry | None = None,
 ) -> TableRun:
     """Execute every cell of ``plan`` across a process pool.
 
-    ``timeout`` is a per-cell wall-clock deadline measured from the
-    moment the cell's task is handed to a free worker (submission is
-    throttled to pool width, so queue time never counts).  A raising or
-    timed-out cell is retried up to ``retries`` more times; when the
-    budget is exhausted its :class:`CellResult` carries a
-    :class:`CellFailure` and the run continues.  ``cell_fn`` swaps the
-    worker entry point (it must be a picklable module-level callable) —
-    the failure-path tests inject crashes and stalls through it.
+    Each cell runs exactly once; a cell whose worker raises gets a
+    :class:`CellFailure` on its :class:`CellResult` and the run
+    continues.  Submission is throttled to pool width, so a cell's
+    ``duration_s`` counts from the moment a free worker takes it, never
+    its queue time.  ``cell_fn`` swaps the worker entry point (it must
+    be a picklable module-level callable) — the failure-path tests
+    inject crashes and parked cells through it.
 
     ``telemetry`` turns the run into an observable *campaign*: events
     journal through the telemetry's sink, each result carries its
-    worker's resource bill, and the driver's poll period is capped at
-    the telemetry's heartbeat so progress stays live during long cells.
+    worker's resource bill, and the driver polls at the telemetry's
+    heartbeat so progress stays live during long cells.
     ``campaign_finished`` is emitted only when the plan drains — a
     journal without one marks a killed or crashed campaign.  The caller
     owns the telemetry's lifecycle (close it to flush progress output).
 
     Results are returned in plan order regardless of completion order.
     """
-    if max_workers is None:
-        max_workers = os.cpu_count() or 1
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
     fn = cell_fn if cell_fn is not None else execute_cell
     worker_fn = fn if telemetry is None else partial(_profiled_cell, fn)
-
-    poll = None if timeout is None else min(timeout / 4, 0.05)
-    if telemetry is not None:
-        poll = (
-            telemetry.heartbeat_s if poll is None
-            else min(poll, telemetry.heartbeat_s)
-        )
+    poll = None if telemetry is None else telemetry.heartbeat_s
 
     run = TableRun(results=[CellResult(spec, i) for i, spec in enumerate(plan.cells)])
     queue: deque[int] = deque(range(len(plan.cells)))
     in_flight: dict[Future, tuple[int, float]] = {}
-    abandoned = False
     if telemetry is not None:
         telemetry.campaign_started(
             cells_total=len(plan.cells), max_workers=max_workers
         )
 
-    def retry_or_fail(index: int, kind: str, error: str) -> None:
-        """Re-queue a failed attempt, or record its ``CellFailure``."""
-        result = run.results[index]
-        if result.attempts <= retries:
-            queue.append(index)
-            if telemetry is not None:
-                telemetry.cell_retried(index, attempt=result.attempts, error=error)
-            return
-        result.failure = CellFailure(
-            spec=result.spec, kind=kind, error=error, attempts=result.attempts
-        )
-        if telemetry is not None:
-            telemetry.cell_failed(
-                index,
-                kind=kind,
-                error=error,
-                attempts=result.attempts,
-                **_spec_coords(result.spec),
-            )
-
     pool = ProcessPoolExecutor(max_workers=max_workers)
     try:
         while queue or in_flight:
-            # Throttle submission to pool width so a task's deadline
+            # Throttle submission to pool width so a cell's duration
             # starts when a worker actually picks it up.
             while queue and len(in_flight) < max_workers:
                 index = queue.popleft()
-                result = run.results[index]
-                result.attempts += 1
-                future = pool.submit(worker_fn, result.spec)
+                spec = run.results[index].spec
+                future = pool.submit(worker_fn, spec)
                 in_flight[future] = (index, time.monotonic())
                 if telemetry is not None:
-                    telemetry.cell_dispatched(
-                        index, attempt=result.attempts, **_spec_coords(result.spec)
-                    )
+                    telemetry.cell_dispatched(index, **_spec_coords(spec))
 
-            done, _ = wait(in_flight, timeout=poll, return_when=FIRST_COMPLETED)
+            done, _ = wait(in_flight, poll, FIRST_COMPLETED)
             for future in done:
                 index, started = in_flight.pop(future)
                 result = run.results[index]
                 result.duration_s = time.monotonic() - started
                 try:
                     payload = future.result()
-                    if telemetry is None:
-                        result.cell = payload
-                    else:
-                        result.cell, result.resources = payload
-                    result.failure = None
                 except BrokenProcessPool:
                     raise
                 except Exception as exc:
-                    retry_or_fail(index, "error", f"{type(exc).__name__}: {exc}")
+                    error = f"{type(exc).__name__}: {exc}"
+                    result.failure = CellFailure(spec=result.spec, error=error)
+                    if telemetry is not None:
+                        telemetry.cell_failed(
+                            index, error=error, **_spec_coords(result.spec)
+                        )
                     continue
-                if telemetry is not None:
+                if telemetry is None:
+                    result.cell = payload
+                else:
+                    result.cell, result.resources = payload
                     telemetry.cell_finished(
                         index,
                         duration_s=result.duration_s,
-                        attempt=result.attempts,
                         resources=result.resources,
                         **_spec_coords(result.spec),
                     )
-
-            if timeout is not None:
-                now = time.monotonic()
-                for future, (index, started) in list(in_flight.items()):
-                    if now - started < timeout:
-                        continue
-                    # The worker can't be interrupted mid-task; drop the
-                    # future and let the task run its slot dry.
-                    future.cancel()
-                    in_flight.pop(future)
-                    abandoned = True
-                    run.results[index].duration_s = now - started
-                    retry_or_fail(index, "timeout", f"cell exceeded {timeout}s")
 
             if telemetry is not None:
                 telemetry.heartbeat(running=len(in_flight))
         if telemetry is not None:
             telemetry.campaign_finished()
     finally:
-        # With abandoned (timed-out) tasks still running, a blocking
-        # shutdown would wait for them; detach instead — the workers
-        # exit once those tasks finish.
-        pool.shutdown(wait=not abandoned, cancel_futures=True)
+        pool.shutdown(cancel_futures=True)
     return run
 
 
@@ -562,7 +499,7 @@ def run_grid(
     compress: float = 1.0,
     error_kind: str | None = None,
     error_seed: int = 0,
-    max_workers: int | None = 1,
+    max_workers: int = 1,
     telemetry: CampaignTelemetry | None = None,
 ) -> list[WaitTimeCell | SchedulingCell | MispredictionCell]:
     """Run every cell of a grid, in process or on a process pool.
@@ -577,9 +514,9 @@ def run_grid(
     own traces (names are generated here, provenance is not needed) and
     lets a failing cell raise its own exception; ``telemetry`` is then
     ignored.  Otherwise the cells run through :func:`run_table_parallel`
-    — traces named by workload are generated only in the workers, with
-    its defaults of one retry and no per-cell deadline — and any cell
-    still failing after its retry raises :class:`ParallelExecutionError`.
+    — traces named by workload are generated only in the workers, each
+    cell once — and any failing cell raises
+    :class:`ParallelExecutionError`.
     """
     if kind not in CELL_KINDS:
         raise ValueError(f"kind must be one of {CELL_KINDS}, got {kind!r}")

@@ -27,7 +27,7 @@ Design constraints, all load-bearing:
 
 Cells fan across worker processes through the existing parallel table
 layer (:mod:`repro.core.parallel`) — ``kind="misprediction"`` specs ride
-the same plan/retry/timeout machinery as the paper tables.
+the same plan and failure containment as the paper tables.
 """
 
 from __future__ import annotations
@@ -324,8 +324,8 @@ def run_misprediction_campaign(
     0 still produces curves, but their baseline is the lowest level
     rather than the exact oracle.  The grid runs on
     :func:`repro.core.parallel.run_grid`: ``max_workers > 1`` fans the
-    cells across worker processes with its plan order and one retry per
-    failed cell; ``telemetry`` (a
+    cells across worker processes with its plan order, each cell once;
+    ``telemetry`` (a
     :class:`repro.obs.campaign.CampaignTelemetry`) makes that run an
     observable campaign and applies to the parallel path only.
     """

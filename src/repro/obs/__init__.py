@@ -60,7 +60,6 @@ from repro.obs.report import (
 from repro.obs.schema import (
     BLOCKER_KINDS,
     CAMPAIGN_EVENT_TYPES,
-    CELL_FAILURE_KINDS,
     EVENT_TYPES,
     PREDICTION_RESOLVED_KINDS,
     PROVENANCE_EVENT_TYPES,
@@ -112,7 +111,6 @@ __all__ = [
     "NULL_TRACER",
     "EVENT_TYPES",
     "CAMPAIGN_EVENT_TYPES",
-    "CELL_FAILURE_KINDS",
     "PREDICTION_RESOLVED_KINDS",
     "PROVENANCE_EVENT_TYPES",
     "BLOCKER_KINDS",

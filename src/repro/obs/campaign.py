@@ -164,7 +164,6 @@ class CampaignMonitor:
         self._dispatched = self.registry.counter("campaign.cells_dispatched")
         self._finished = self.registry.counter("campaign.cells_finished")
         self._failed = self.registry.counter("campaign.cells_failed")
-        self._retried = self.registry.counter("campaign.cells_retried")
         self._rss_gauge = self.registry.gauge("campaign.max_rss_kb_peak")
 
         self.campaign_id: str | None = None
@@ -173,9 +172,9 @@ class CampaignMonitor:
         self.started_wall: float | None = None
         self.finished_wall: float | None = None
         self.last_wall: float | None = None
-        #: cell_index -> dispatch wall_time of the attempt in flight.
+        #: cell_index -> dispatch wall_time of a cell in flight.
         self.running: dict[int, float] = {}
-        #: cell_index -> wall duration of the successful attempt.
+        #: cell_index -> wall duration of a finished cell.
         self.completed: dict[int, float] = {}
         #: cell_index -> terminal failure description.
         self.failed: dict[int, str] = {}
@@ -218,7 +217,6 @@ class CampaignMonitor:
             duration = float(event.get("duration_s", 0.0))
             self.running.pop(index, None)
             self.completed[index] = duration
-            self.failed.pop(index, None)
             self._finished.value += 1
             self._duration_hist.observe(duration)
             insort(self._sorted_durations, duration)
@@ -235,9 +233,6 @@ class CampaignMonitor:
             self.running.pop(index, None)
             self.failed[index] = str(event.get("error", ""))
             self._failed.value += 1
-        elif etype == "cell_retried":
-            self.running.pop(int(event["cell_index"]), None)
-            self._retried.value += 1
         elif etype == "campaign_finished":
             self.finished_wall = wall
 
@@ -358,7 +353,6 @@ class CampaignMonitor:
             "cells_done": self.cells_done,
             "cells_failed": self.cells_failed,
             "cells_running": len(self.running),
-            "cells_retried": self._retried.value,
             "max_workers": self.max_workers,
             "complete": self.finished_wall is not None,
             "elapsed_s": self.elapsed_s(),
@@ -522,15 +516,14 @@ class CampaignTelemetry:
             max_workers=max_workers,
         )
 
-    def cell_dispatched(self, index: int, *, attempt: int, **coords) -> None:
-        self._emit("cell_dispatched", cell_index=index, attempt=attempt, **coords)
+    def cell_dispatched(self, index: int, **coords) -> None:
+        self._emit("cell_dispatched", cell_index=index, **coords)
 
     def cell_finished(
         self,
         index: int,
         *,
         duration_s: float,
-        attempt: int,
         resources: CellResources | None = None,
         **coords,
     ) -> None:
@@ -539,25 +532,12 @@ class CampaignTelemetry:
             "cell_finished",
             cell_index=index,
             duration_s=duration_s,
-            attempt=attempt,
             **fields,
             **coords,
         )
 
-    def cell_retried(self, index: int, *, attempt: int, error: str = "") -> None:
-        self._emit("cell_retried", cell_index=index, attempt=attempt, error=error)
-
-    def cell_failed(
-        self, index: int, *, kind: str, error: str, attempts: int, **coords
-    ) -> None:
-        self._emit(
-            "cell_failed",
-            cell_index=index,
-            kind=kind,
-            error=error,
-            attempts=attempts,
-            **coords,
-        )
+    def cell_failed(self, index: int, *, error: str, **coords) -> None:
+        self._emit("cell_failed", cell_index=index, error=error, **coords)
 
     def campaign_finished(self) -> None:
         duration = (
@@ -670,7 +650,7 @@ def check_campaign_journal(events: Iterable[Mapping]) -> dict:
             )
         if etype == "cell_dispatched":
             dispatched.add(index)
-        elif etype in ("cell_finished", "cell_failed", "cell_retried"):
+        elif etype in ("cell_finished", "cell_failed"):
             if index not in dispatched:
                 raise CampaignCheckError(
                     f"event {i}: {etype} for cell {index} that was never "
@@ -678,7 +658,7 @@ def check_campaign_journal(events: Iterable[Mapping]) -> dict:
                 )
             if etype == "cell_finished":
                 finished.add(index)
-            elif etype == "cell_failed":
+            else:
                 failed.add(index)
         elif etype == "campaign_finished":
             closing = event

@@ -78,19 +78,14 @@ campaign event carries a ``campaign_id``; cell events name their cell by
 ===================== =====================================================
 ``campaign_started``   a plan began executing (``cells_total``,
                        ``max_workers``)
-``cell_dispatched``    a cell was handed to a free worker (``cell_index``,
-                       ``attempt``)
+``cell_dispatched``    a cell was handed to a free worker (``cell_index``)
 ``cell_heartbeat``     periodic driver-side status (``cells_done``,
                        ``cells_running``)
 ``cell_finished``      a cell completed (``cell_index``, ``duration_s``,
                        optional worker resources: ``cpu_s``,
                        ``max_rss_kb``, ``pid``)
-``cell_failed``        a cell exhausted its retry budget (``cell_index``,
-                       ``kind`` in ``error``/``timeout``, ``error``,
-                       ``attempts``)
-``cell_retried``       a failed/timed-out attempt was requeued
-                       (``cell_index``, ``attempt`` — the attempt that
-                       failed)
+``cell_failed``        a cell's worker raised (``cell_index``, ``error``);
+                       every cell runs once, so this is terminal
 ``campaign_finished``  the plan drained (``cells_done``, ``cells_failed``,
                        ``duration_s``)
 ===================== =====================================================
@@ -109,7 +104,6 @@ from typing import IO, Iterable
 __all__ = [
     "EVENT_TYPES",
     "CAMPAIGN_EVENT_TYPES",
-    "CELL_FAILURE_KINDS",
     "PREDICTION_RESOLVED_KINDS",
     "PROVENANCE_EVENT_TYPES",
     "BLOCKER_KINDS",
@@ -142,11 +136,10 @@ _REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
     "reservation_binding": ("job_id", "sim_time", "start_s", "blocker_kind"),
     "backfill_hole_used": ("job_id", "sim_time", "hole_start_s"),
     "campaign_started": ("campaign_id", "cells_total", "max_workers"),
-    "cell_dispatched": ("campaign_id", "cell_index", "attempt"),
+    "cell_dispatched": ("campaign_id", "cell_index"),
     "cell_heartbeat": ("campaign_id", "cells_done", "cells_running"),
     "cell_finished": ("campaign_id", "cell_index", "duration_s"),
-    "cell_failed": ("campaign_id", "cell_index", "kind", "error", "attempts"),
-    "cell_retried": ("campaign_id", "cell_index", "attempt"),
+    "cell_failed": ("campaign_id", "cell_index", "error"),
     "campaign_finished": (
         "campaign_id", "cells_done", "cells_failed", "duration_s",
     ),
@@ -161,9 +154,6 @@ CAMPAIGN_EVENT_TYPES = frozenset(
 
 #: Values ``prediction_resolved.kind`` may take.
 PREDICTION_RESOLVED_KINDS = frozenset({"run_time", "wait_time"})
-
-#: Values ``cell_failed.kind`` may take (see repro.core.parallel.CellFailure).
-CELL_FAILURE_KINDS = frozenset({"error", "timeout"})
 
 #: The decision-provenance subset (emitted only under the ``provenance``
 #: instrumentation knob; see the "Decision provenance" taxonomy above).
@@ -191,8 +181,8 @@ _NUMERIC_FIELDS = (
 #: Fields that, when present, must be ints.
 _INT_FIELDS = ("job_id", "depth", "nodes", "res_id",
                "cell_index", "cells_total", "cells_done", "cells_running",
-               "cells_failed", "max_workers", "attempt", "attempts", "pid",
-               "blocker_id", "ahead_job_id", "free_nodes")
+               "cells_failed", "max_workers", "pid", "blocker_id",
+               "ahead_job_id", "free_nodes")
 #: Fields that, when present, must be strings.
 _STR_FIELDS = ("policy", "cause", "name", "parent", "error", "predictor",
                "source", "kind", "campaign_id", "workload", "algorithm",
@@ -232,11 +222,6 @@ def validate_event(event: object) -> None:
         raise TraceSchemaError(
             f"{etype}: blocker_kind must be one of {sorted(BLOCKER_KINDS)}, "
             f"got {event.get('blocker_kind')!r}"
-        )
-    if etype == "cell_failed" and event.get("kind") not in CELL_FAILURE_KINDS:
-        raise TraceSchemaError(
-            f"{etype}: kind must be one of {sorted(CELL_FAILURE_KINDS)}, "
-            f"got {event.get('kind')!r}"
         )
     for field in _NUMERIC_FIELDS:
         value = event.get(field)

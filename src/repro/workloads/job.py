@@ -14,6 +14,7 @@ durations in seconds.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
@@ -62,15 +63,21 @@ class Job:
     def __post_init__(self) -> None:
         if self.nodes < 1:
             raise ValueError(f"job {self.job_id}: nodes must be >= 1, got {self.nodes}")
-        if self.run_time < 0:
-            raise ValueError(f"job {self.job_id}: run_time must be >= 0, got {self.run_time}")
-        if self.submit_time < 0:
+        # Chained comparisons reject NaN and inf without a function call.
+        if not 0.0 <= self.run_time < math.inf:
             raise ValueError(
-                f"job {self.job_id}: submit_time must be >= 0, got {self.submit_time}"
+                f"job {self.job_id}: run_time must be finite and >= 0, "
+                f"got {self.run_time}"
             )
-        if self.max_run_time is not None and self.max_run_time <= 0:
+        if not 0.0 <= self.submit_time < math.inf:
             raise ValueError(
-                f"job {self.job_id}: max_run_time must be > 0, got {self.max_run_time}"
+                f"job {self.job_id}: submit_time must be finite and >= 0, "
+                f"got {self.submit_time}"
+            )
+        if self.max_run_time is not None and not 0.0 < self.max_run_time < math.inf:
+            raise ValueError(
+                f"job {self.job_id}: max_run_time must be finite and > 0, "
+                f"got {self.max_run_time}"
             )
 
     @property

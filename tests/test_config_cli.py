@@ -116,6 +116,15 @@ class TestGridArgs:
         assert exc.value.code == 2
         assert "--generations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eval_jobs", ["0", "-5"])
+    def test_bad_ga_eval_jobs(self, eval_jobs, capsys):
+        """A non-positive evaluation trace size is a usage error, not a
+        search over a 0-job trace or a traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(["ga-search", "--eval-jobs", eval_jobs])
+        assert exc.value.code == 2
+        assert "--eval-jobs" in capsys.readouterr().err
+
     def test_ga_population_accepts_even_from_four(self):
         parser = build_parser()
         for population in (4, 6, 24):

@@ -6,9 +6,6 @@ reference into pool workers.
 
 from __future__ import annotations
 
-import os
-import time
-
 import pytest
 
 from repro.core.parallel import (
@@ -39,28 +36,6 @@ def _raise_for_lwf(spec: CellSpec):
 
 def _always_raise(spec: CellSpec):
     raise ValueError(f"cell {spec.workload}/{spec.algorithm} always fails")
-
-
-def _stall(spec: CellSpec):
-    time.sleep(3.0)
-    return execute_cell(spec)
-
-
-def _fail_first_attempt(spec: CellSpec):
-    """Raise on the first call per cell, succeed on the retry.
-
-    Cross-process state goes through a marker file in the directory the
-    test exports via ``REPRO_TEST_FLAKY_DIR`` before the pool forks.
-    """
-    marker = os.path.join(
-        os.environ["REPRO_TEST_FLAKY_DIR"],
-        f"{spec.workload}-{spec.algorithm}-{spec.predictor}",
-    )
-    if not os.path.exists(marker):
-        with open(marker, "w"):
-            pass
-        raise RuntimeError("first attempt fails")
-    return execute_cell(spec)
 
 
 # ----------------------------------------------------------------------
@@ -190,71 +165,35 @@ class TestFailures:
 
     def test_worker_exception_becomes_cell_failure(self):
         run = run_table_parallel(
-            self._plan(), max_workers=2, retries=0, cell_fn=_raise_for_lwf
+            self._plan(), max_workers=2, cell_fn=_raise_for_lwf
         )
         by_algo = {r.spec.algorithm: r for r in run.results}
         assert by_algo["backfill"].ok  # the healthy cell still completed
         failed = by_algo["lwf"]
         assert not failed.ok
-        assert failed.failure.kind == "error"
-        assert "injected failure" in failed.failure.error
-        assert failed.failure.attempts == 1
+        assert failed.failure.error == "RuntimeError: injected failure"
         # The run as a whole survives: one result slot per planned cell.
         assert len(run.results) == 2
         assert len(run.failures) == 1
 
-    def test_retry_budget_is_bounded(self):
-        run = run_table_parallel(
-            self._plan(("lwf",)), max_workers=1, retries=2, cell_fn=_always_raise
-        )
-        [result] = run.results
-        assert result.failure is not None
-        assert result.failure.attempts == 3  # initial try + 2 retries
-        assert result.attempts == 3
-
-    def test_retry_then_succeed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_FLAKY_DIR", str(tmp_path))
-        run = run_table_parallel(
-            self._plan(("lwf",)), max_workers=1, retries=1, cell_fn=_fail_first_attempt
-        )
-        [result] = run.results
-        assert result.ok
-        assert result.attempts == 2
-        [serial] = _scheduling_grid(["ANL"], ("lwf",), n_jobs=N_JOBS)
-        assert result.cell == serial
-
-    def test_timeout_becomes_cell_failure(self):
-        run = run_table_parallel(
-            self._plan(("lwf",)),
-            max_workers=1,
-            timeout=0.4,
-            retries=0,
-            cell_fn=_stall,
-        )
-        [result] = run.results
-        assert not result.ok
-        assert result.failure.kind == "timeout"
-        assert result.duration_s >= 0.4
-
     def test_table_driver_raises_on_failures(self):
         plan_error = ParallelExecutionError(
             run_table_parallel(
-                self._plan(("lwf",)), max_workers=1, retries=0, cell_fn=_always_raise
+                self._plan(("lwf",)), max_workers=1, cell_fn=_always_raise
             ).failures
         )
         assert "lwf" in str(plan_error)
-        assert plan_error.failures[0].kind == "error"
+        assert plan_error.failures[0].error.startswith("ValueError: ")
 
-    def test_error_message_names_coordinates_and_retries(self):
+    def test_error_message_names_coordinates(self):
         failures = run_table_parallel(
-            self._plan(), max_workers=1, retries=2, cell_fn=_always_raise
+            self._plan(), max_workers=1, cell_fn=_always_raise
         ).failures
         message = str(ParallelExecutionError(failures))
-        assert message.startswith("2 cell(s) failed:")
-        for algo in ALGORITHMS:
-            assert f"ANL/{algo}/actual" in message
-        assert "error after 3 attempt(s) (2 retries)" in message
-        assert "always fails" in message
+        assert message.splitlines() == ["2 cell(s) failed:"] + [
+            f"  - ANL/{algo}/actual: ValueError: cell ANL/{algo} always fails"
+            for algo in ALGORITHMS
+        ]
 
     def test_error_message_includes_misprediction_error_model(self):
         spec = CellSpec(
@@ -267,11 +206,12 @@ class TestFailures:
         from repro.core.parallel import CellFailure
 
         message = str(ParallelExecutionError(
-            [CellFailure(spec=spec, kind="timeout",
-                         error="cell exceeded 1.0s", attempts=1)]
+            [CellFailure(spec=spec, error="RuntimeError: boom")]
         ))
-        assert "multiplicative error, level=0.5" in message
-        assert "timeout after 1 attempt(s) (0 retries)" in message
+        assert message.splitlines()[1] == (
+            "  - ANL/backfill/actual [multiplicative error, level=0.5]: "
+            "RuntimeError: boom"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -317,26 +257,27 @@ class TestTelemetry:
             ("ANL", a, "actual") for a in ALGORITHMS
         }
 
-    def test_telemetry_journals_failures_and_retries(self, tmp_path):
+    def test_failing_cell_is_dispatched_once(self, tmp_path):
         from repro.obs.campaign import CampaignTelemetry, check_campaign_journal
         from repro.obs.schema import read_jsonl
 
         journal = tmp_path / "failing.jsonl"
         with CampaignTelemetry(str(journal)) as telemetry:
             run = run_table_parallel(
-                self._plan(), max_workers=2, retries=1,
+                self._plan(), max_workers=2,
                 cell_fn=_raise_for_lwf, telemetry=telemetry,
             )
         assert len(run.failures) == 1
         events = read_jsonl(str(journal))
         stats = check_campaign_journal(events)
         assert stats["cells_done"] == 1 and stats["cells_failed"] == 1
-        retried = [e for e in events if e["type"] == "cell_retried"]
-        assert len(retried) == 1
+        lwf = [
+            e["type"] for e in events
+            if e.get("algorithm") == "lwf" and e["type"].startswith("cell_")
+        ]
+        assert lwf == ["cell_dispatched", "cell_failed"]
         [failed] = [e for e in events if e["type"] == "cell_failed"]
-        assert failed["kind"] == "error"
-        assert failed["attempts"] == 2
-        assert failed["algorithm"] == "lwf"
+        assert failed["error"] == "RuntimeError: injected failure"
 
     def test_telemetry_default_off_leaves_no_resources(self):
         run = run_table_parallel(self._plan(), max_workers=2)

@@ -43,10 +43,10 @@ def _started(t=0.0, total=4, workers=2, cid="c1"):
     }
 
 
-def _dispatched(i, t, attempt=1, cid="c1", **coords):
+def _dispatched(i, t, cid="c1", **coords):
     return {
         "type": "cell_dispatched", "wall_time": t, "campaign_id": cid,
-        "cell_index": i, "attempt": attempt, **coords,
+        "cell_index": i, **coords,
     }
 
 
@@ -57,10 +57,10 @@ def _finished(i, t, duration, cid="c1", **extra):
     }
 
 
-def _failed(i, t, cid="c1", kind="error", error="boom", attempts=1):
+def _failed(i, t, cid="c1", error="boom"):
     return {
         "type": "cell_failed", "wall_time": t, "campaign_id": cid,
-        "cell_index": i, "kind": kind, "error": error, "attempts": attempts,
+        "cell_index": i, "error": error,
     }
 
 
@@ -79,7 +79,7 @@ def _simple_feed():
         _finished(0, 1.1, 1.0, cpu_s=0.8, max_rss_kb=50_000, pid=11),
         _dispatched(2, 1.1),
         _finished(1, 2.1, 2.0, cpu_s=1.5, max_rss_kb=60_000, pid=12),
-        _failed(2, 3.0, attempts=2),
+        _failed(2, 3.0),
         _done(3.0, done=2, failed=1),
     ]
 
@@ -169,19 +169,6 @@ class TestMonitor:
         assert stragglers[1]["cell"] == "CTC/lwf/max"
         assert stragglers[1]["duration_s"] == pytest.approx(24.0)
 
-    def test_retry_requeues_cell(self):
-        m = CampaignMonitor()
-        m.observe(_started(total=1))
-        m.observe(_dispatched(0, 0.1))
-        m.observe({"type": "cell_retried", "wall_time": 0.5,
-                   "campaign_id": "c1", "cell_index": 0, "attempt": 1})
-        assert m.running == {}
-        m.observe(_dispatched(0, 0.6, attempt=2))
-        m.observe(_finished(0, 1.0, 0.4))
-        snap = m.snapshot()
-        assert snap["cells_retried"] == 1
-        assert snap["cells_done"] == 1
-
     def test_non_campaign_events_ignored(self):
         m = CampaignMonitor()
         m.observe({"type": "job_started", "wall_time": 1.0, "job_id": 1,
@@ -230,18 +217,16 @@ class TestTelemetry:
     def _run_campaign(self, path):
         with CampaignTelemetry(str(path), heartbeat_s=1e-6) as t:
             t.campaign_started(cells_total=2, max_workers=2)
-            t.cell_dispatched(0, attempt=1, workload="ANL",
+            t.cell_dispatched(0, workload="ANL",
                               algorithm="lwf", predictor="max")
-            t.cell_dispatched(1, attempt=1)
+            t.cell_dispatched(1)
             t.cell_finished(
-                0, duration_s=0.5, attempt=1,
+                0, duration_s=0.5,
                 resources=CellResources(0.5, 0.4, 2048, 7),
                 workload="ANL", algorithm="lwf", predictor="max",
             )
             t.heartbeat(running=1)
-            t.cell_retried(1, attempt=1, error="flaky")
-            t.cell_dispatched(1, attempt=2)
-            t.cell_failed(1, kind="error", error="boom", attempts=2)
+            t.cell_failed(1, error="boom")
             t.campaign_finished()
         return t
 
@@ -268,8 +253,8 @@ class TestTelemetry:
     def test_no_sink_still_monitors(self):
         with CampaignTelemetry() as t:
             t.campaign_started(cells_total=1, max_workers=1)
-            t.cell_dispatched(0, attempt=1)
-            t.cell_finished(0, duration_s=0.1, attempt=1)
+            t.cell_dispatched(0)
+            t.cell_finished(0, duration_s=0.1)
             t.campaign_finished()
         assert t.monitor.cells_done == 1
 
@@ -385,6 +370,15 @@ class TestJournalAnalysis:
                 [_started(total=1),
                  {"type": "span", "wall_time": 0.1, "name": "x",
                   "duration_s": 0.1}]
+            )
+
+    def test_check_rejects_cell_retried(self):
+        """Cells run once, so the schema has no ``cell_retried`` event."""
+        with pytest.raises(CampaignCheckError, match="cell_retried"):
+            check_campaign_journal(
+                [_started(total=1), _dispatched(0, 0.1),
+                 {"type": "cell_retried", "wall_time": 0.5,
+                  "campaign_id": "c1", "cell_index": 0, "attempt": 1}]
             )
 
     def test_torn_tail_dropped_leniently_raised_strictly(self, tmp_path):

@@ -194,10 +194,10 @@ class TestCampaignSection:
             {"type": "campaign_started", "wall_time": 0.0, "campaign_id": "c",
              "cells_total": 2, "max_workers": 2},
             {"type": "cell_dispatched", "wall_time": 0.1, "campaign_id": "c",
-             "cell_index": 0, "attempt": 1, "workload": "ANL",
+             "cell_index": 0, "workload": "ANL",
              "algorithm": "lwf", "predictor": "max"},
             {"type": "cell_dispatched", "wall_time": 0.1, "campaign_id": "c",
-             "cell_index": 1, "attempt": 1},
+             "cell_index": 1},
             {"type": "cell_finished", "wall_time": 1.1, "campaign_id": "c",
              "cell_index": 0, "duration_s": 1.0, "cpu_s": 0.9,
              "max_rss_kb": 4096, "pid": 9},

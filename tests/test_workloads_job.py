@@ -29,6 +29,12 @@ class TestJob:
         with pytest.raises(ValueError, match="max_run_time"):
             make_job(max_run_time=0.0)
 
+    @pytest.mark.parametrize("field", ["run_time", "submit_time", "max_run_time"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_times(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_job(**{field: value})
+
     def test_zero_run_time_allowed(self):
         assert make_job(run_time=0.0).run_time == 0.0
 
