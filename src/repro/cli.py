@@ -24,6 +24,7 @@ Installed as the ``repro-sched`` console script::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Sequence
@@ -60,6 +61,14 @@ def positive_float(text: str) -> float:
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def error_level(text: str) -> float:
+    """``misprediction --levels``: an injected error level, finite and >= 0."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
     return value
 
 
@@ -168,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mis.add_argument(
         "--levels",
         nargs="+",
-        type=float,
+        type=error_level,
         default=list(DEFAULT_ERROR_LEVELS),
         metavar="L",
         help="injected error levels (sorted ascending; include 0 to anchor "

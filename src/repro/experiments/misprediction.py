@@ -85,8 +85,8 @@ class ErrorModel:
             raise ValueError(
                 f"unknown error kind {self.kind!r}; expected one of {ERROR_KINDS}"
             )
-        if self.level < 0:
-            raise ValueError(f"level must be >= 0, got {self.level}")
+        if not 0.0 <= self.level < math.inf:
+            raise ValueError(f"level must be finite and >= 0, got {self.level}")
 
     def gauss(self, job_id: int) -> float:
         """The job's standard-normal draw — a pure function of (seed, id).

@@ -24,6 +24,7 @@ the scheduled versus actual start for delay accounting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["Reservation", "ReservationRecord"]
@@ -41,10 +42,18 @@ class Reservation:
     def __post_init__(self) -> None:
         if self.nodes < 1:
             raise ValueError(f"reservation {self.res_id}: nodes must be >= 1")
-        if self.duration <= 0:
-            raise ValueError(f"reservation {self.res_id}: duration must be > 0")
-        if self.start_time < 0:
-            raise ValueError(f"reservation {self.res_id}: start_time must be >= 0")
+        # Chained comparisons reject NaN and inf: an event at a non-finite
+        # time never drains from the simulator's event loop.
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError(
+                f"reservation {self.res_id}: duration must be finite and > 0, "
+                f"got {self.duration}"
+            )
+        if not 0.0 <= self.start_time < math.inf:
+            raise ValueError(
+                f"reservation {self.res_id}: start_time must be finite and >= 0, "
+                f"got {self.start_time}"
+            )
 
     @property
     def end_time(self) -> float:

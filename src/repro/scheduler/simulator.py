@@ -5,10 +5,10 @@ One engine serves both of the paper's uses:
 - :meth:`Simulator.run` replays a whole trace under a policy and a
   run-time estimator, producing a :class:`~repro.scheduler.metrics.ScheduleResult`;
 - :func:`forward_simulate` takes a :class:`SystemSnapshot` (the running
-  and queued jobs at some instant), replaces every unknown run time with
-  a predictor's estimate, and plays the schedule forward *with no future
-  arrivals* to find when a given job starts — the paper's queue wait-time
-  prediction technique (§3).
+  and queued jobs at some instant), runs every job for a predictor's
+  estimate instead of its unknown run time, and plays the schedule
+  forward *with no future arrivals* to find when a given job starts —
+  the paper's queue wait-time prediction technique (§3).
 
 Estimator protocol
 ------------------
@@ -55,7 +55,9 @@ taxonomy and the overhead budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.obs import (
@@ -490,6 +492,8 @@ class Simulator:
         #: estimator's ``history_epoch`` (see _estimate_memo).
         self._estimates = EstimateMemo()
         self._est_invariant = bool(getattr(estimator, "elapsed_invariant", False))
+        #: A started job's run time: the trace's, or the believed one (load_snapshot).
+        self._run_time = attrgetter("run_time")
         #: Observability wiring (see repro.obs).  The hot loops bump plain
         #: int attributes and append raw samples; metrics_snapshot() folds
         #: them into the registry lazily, so the default replay pays only
@@ -669,23 +673,35 @@ class Simulator:
                     nodes=res.nodes,
                 )
 
-    def load_snapshot(self, snapshot: SystemSnapshot) -> None:
+    def load_snapshot(self, snapshot: SystemSnapshot, durations: dict[int, float]) -> None:
         """Initialize mid-flight state for a forward simulation.
 
-        Running jobs are re-admitted with their original start times and
-        finish events at ``now + job.run_time - elapsed`` (callers replace
-        ``run_time`` with predictions first); queued jobs enter the queue
-        in their original arrival order.
+        The snapshot's own job objects are reused; ``durations`` gives
+        each one's believed total run time ``d``.  A running job that has
+        run ``e`` seconds finishes at ``now + max(max(d, e + MIN_DURATION)
+        - e, MIN_DURATION)``; from here on :meth:`_start` runs a queued job
+        for ``max(d, MIN_DURATION)``, not its ``job.run_time``.  Queued
+        jobs enter the queue in their original arrival order.  A
+        non-finite ``d`` raises :class:`ValueError` naming the job before
+        any event is pushed.
         """
-        self.now = snapshot.now
+        now = self.now = snapshot.now
+        for item in snapshot.running + snapshot.queued:
+            d = durations[item.job.job_id]
+            if not -math.inf < d < math.inf:
+                raise ValueError(
+                    f"job {item.job.job_id}: believed run time must be finite, got {d}"
+                )
         for rj in snapshot.running:
             self.pool.allocate(rj.job.nodes)
             self.running.append(rj)
             self._started[rj.job_id] = rj.start_time
-            remaining = max(rj.job.run_time - rj.elapsed(snapshot.now), MIN_DURATION)
-            self._events.push(snapshot.now + remaining, FINISH, rj)
+            elapsed = rj.elapsed(now)
+            run_time = max(durations[rj.job_id], elapsed + MIN_DURATION)
+            self._events.push(now + max(run_time - elapsed, MIN_DURATION), FINISH, rj)
         for qj in snapshot.queued:
             self.queued.append(qj)
+        self._run_time = lambda job: max(durations[job.job_id], MIN_DURATION)
 
     def snapshot(self) -> SystemSnapshot:
         """Capture the current running/queued state."""
@@ -915,7 +931,7 @@ class Simulator:
         rj = RunningJob(job=qj.job, start_time=self.now)
         self.running.append(rj)
         self._started[qj.job_id] = self.now
-        self._events.push(self.now + max(qj.job.run_time, 0.0), FINISH, rj)
+        self._events.push(self.now + max(self._run_time(qj.job), 0.0), FINISH, rj)
         for notify in self._on_start:
             notify(self, qj)
 
@@ -972,7 +988,8 @@ class FrozenEstimator:
 
     Forward simulations freeze the predictions made at the moment of the
     wait-time query: within the imagined future, the scheduler believes
-    exactly those numbers.
+    exactly those numbers.  The caller's dict is wrapped, not copied, so
+    it must not change while the estimator is in use.
     """
 
     #: Predictions never change, so the estimate cache never flushes.
@@ -982,7 +999,7 @@ class FrozenEstimator:
     elapsed_invariant = True
 
     def __init__(self, predictions: dict[int, float]) -> None:
-        self._predictions = dict(predictions)
+        self._predictions = predictions
 
     def predict(self, job: Job, elapsed: float, now: float) -> float:
         try:
@@ -1004,9 +1021,11 @@ def forward_simulate(
     ``durations`` maps each running/queued job id to a predicted *total*
     run time, used as the jobs' actual durations inside the simulation
     (the paper's "using the predicted run times as the run times of the
-    applications", §3).  Running jobs' remaining times are the prediction
-    minus the time already run (floored at ~0); queued jobs run for their
-    full prediction.
+    applications", §3).  The snapshot's jobs are not copied:
+    :meth:`Simulator.load_snapshot` reads their finish times from
+    ``durations`` (running jobs run the prediction minus the time already
+    run, queued jobs the full prediction, both floored at
+    ``MIN_DURATION``) and rejects a NaN or infinite one.
 
     ``estimates`` supplies the run-time estimates the *simulated
     scheduler* bases its decisions on — these must mirror what the real
@@ -1021,37 +1040,15 @@ def forward_simulate(
     """
     if target_job_id not in durations:
         raise KeyError(f"no prediction supplied for target job {target_job_id}")
-    adj_running = tuple(
-        RunningJob(
-            job=rj.job.with_(
-                run_time=max(
-                    durations[rj.job_id], rj.elapsed(snapshot.now) + MIN_DURATION
-                )
-            ),
-            start_time=rj.start_time,
-        )
-        for rj in snapshot.running
-    )
-    adj_queued = tuple(
-        QueuedJob(job=qj.job.with_(run_time=max(durations[qj.job_id], MIN_DURATION)))
-        for qj in snapshot.queued
-    )
-    adj_snapshot = SystemSnapshot(
-        now=snapshot.now,
-        running=adj_running,
-        queued=adj_queued,
-        total_nodes=snapshot.total_nodes,
-    )
     sim = Simulator(
         policy,
         FrozenEstimator(estimates if estimates is not None else durations),
         snapshot.total_nodes,
     )
-    sim.load_snapshot(adj_snapshot)
+    sim.load_snapshot(snapshot, durations)
     # The snapshot state may admit immediate starts (e.g. the brand-new
     # job fits right now); run() performs a pass at the first event, but
     # an explicit pass at t=now catches starts that need no event at all.
-    sim.now = snapshot.now
     started = sim.schedule_now()
     if any(qj.job_id == target_job_id for qj in started):
         return snapshot.now

@@ -125,6 +125,17 @@ class TestGridArgs:
         assert exc.value.code == 2
         assert "--eval-jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("level", ["nan", "inf", "-1"])
+    def test_bad_misprediction_level(self, level, capsys):
+        """A NaN, infinite or negative error level is a usage error, not a
+        silent ``nan`` row or a traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(["misprediction", "--levels", level, "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--levels: must be finite and >= 0" in err
+        assert "Traceback" not in err
+
     def test_ga_population_accepts_even_from_four(self):
         parser = build_parser()
         for population in (4, 6, 24):

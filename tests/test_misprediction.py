@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.experiment import run_scheduling_experiment
@@ -29,6 +31,11 @@ class TestErrorModel:
             ErrorModel(kind="bogus")
         with pytest.raises(ValueError):
             ErrorModel(level=-0.1)
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_level(self, level):
+        with pytest.raises(ValueError, match="level must be finite"):
+            ErrorModel(level=level)
 
     def test_zero_level_is_identity(self):
         m = ErrorModel(level=0.0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.predictors.base import PointEstimator
@@ -32,6 +34,15 @@ class TestReservationValidation:
     def test_negative_start(self):
         with pytest.raises(ValueError):
             Reservation(1, -5.0, 10.0, 2)
+
+    @pytest.mark.parametrize("field", ["start_time", "duration"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_times(self, field, bad):
+        # A non-finite start or end event would never drain from run().
+        fields = {"res_id": 1, "start_time": 5.0, "duration": 10.0, "nodes": 2}
+        fields[field] = bad
+        with pytest.raises(ValueError, match=f"reservation 1: {field} must be finite"):
+            Reservation(**fields)
 
     def test_too_wide_rejected_by_simulator(self):
         sim = Simulator(FCFSPolicy(), PointEstimator(ActualRuntimePredictor()), 4)
