@@ -57,10 +57,10 @@ def worker_count(text: str) -> int:
 
 
 def positive_float(text: str) -> float:
-    """``--compress``: a factor that must be > 0."""
+    """``--compress``: a factor that must be > 0 and finite."""
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
     return value
 
 

@@ -31,7 +31,7 @@ must not advertise an epoch; construct :class:`PointEstimator` with
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.workloads.job import Job
 
@@ -58,17 +58,25 @@ def warm_start(predictor: RuntimePredictor, jobs) -> RuntimePredictor:
     return predictor
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """A run-time estimate with its confidence interval half-width."""
-
+class _PredictionFields(NamedTuple):
     estimate: float
     interval: float
     source: str = ""
 
-    def __post_init__(self) -> None:
-        if self.interval < 0:
-            raise ValueError(f"interval must be >= 0, got {self.interval}")
+
+class Prediction(_PredictionFields):
+    """A run-time estimate with its confidence interval half-width.
+
+    An immutable named tuple, equal by value, whose constructor checks
+    the interval; a tuple because Smith builds one per contest.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, estimate: float, interval: float, source: str = "") -> Prediction:
+        if interval < 0:
+            raise ValueError(f"interval must be >= 0, got {interval}")
+        return tuple.__new__(cls, (estimate, interval, source))
 
 
 class RuntimePredictor(ABC):

@@ -1,9 +1,12 @@
 """Categories: the per-template history buckets predictions come from.
 
-A :class:`Category` accumulates :class:`DataPoint` observations from
-completed jobs that matched one template's key, bounded by the template's
-maximum history (oldest evicted first, §2.1 step 3(b)ii).  Predictions
-come from the template's estimator:
+A :class:`Category` accumulates observations from completed jobs that
+matched one template's key, bounded by the template's maximum history
+(oldest evicted first, §2.1 step 3(b)ii).  Each point's run time, value
+and node count sit in three insertion-order ``array('d')`` columns:
+:meth:`Category.add` appends to them and eviction deletes their front,
+and :attr:`Category.points` builds :class:`DataPoint` records on demand.
+Predictions come from the template's estimator:
 
 - ``mean`` — sample mean of the stored datum with a Student-t prediction
   interval (incremental moments serve the common elapsed==0 case; the
@@ -23,22 +26,28 @@ the same insertion order.  A sorted side list of run times gives ``k`` by
 bisection; the unscaled statistic — ``(mean, half_width)`` for the mean,
 the :class:`~repro.stats.regression.RegressionResult` for regressions —
 is computed once per ``(k, confidence)`` and the memo is cleared on every
-:meth:`Category.add`.  A miss fits the same values, in the same order,
-with the same arithmetic as a filter over the history would, so the
-memoised answer is the same to the bit: the regressions make the same
-NumPy calls, and the mean's kernel
+:meth:`Category.add`.  A miss reads the columns in place through
+``np.frombuffer`` and gathers ``values[run_times >= elapsed]``; no view
+outlives the call, since an exported buffer would block the next append.
+It fits the same values, in the same order, with the same arithmetic as
+a filter over the history would, so the memoised answer is the same to
+the bit: the regressions make the same NumPy calls, and the mean's kernel
 (:func:`~repro.stats.ci.mean_confidence_interval`) makes the same
 pairwise sums as NumPy's ``mean``/``std``, without their Python-level
 wrappers.  A mean miss gathers only the values; node counts are
 gathered for the regressions alone.  Scaling, the regression's
 evaluation at the queried job's nodes and the floor at ``elapsed`` are
-applied per call.
+applied per call.  :class:`~repro.predictors.smith.SmithPredictor`
+reads the sorted run times, the memo and the bounds in place, so that
+its contest answers a memo hit with one bisection and one read.
 
-:meth:`Category.miss_bound` lets the Smith contest skip a ``mean`` miss
-that cannot win.  For an elapsed-conditioned lookup that would miss the
-memo it returns a lower bound on the half-width the miss would compute,
-read from the suffix sums ``S1 = Σv`` and ``S2 = Σv²`` of the ``k``
-qualifying values.  A side array ``_sorted_values`` is kept aligned with
+:meth:`Category.half_width_bound` lets the Smith contest skip a ``mean``
+miss that cannot win.  Given the qualifying count ``k`` of an
+elapsed-conditioned lookup that would miss the memo, it returns a lower
+bound on the unscaled half-width the miss would compute
+(:meth:`Category.miss_bound` answers the same for a job and an elapsed
+time, scaled), read from the suffix sums ``S1 = Σv`` and ``S2 = Σv²`` of
+the ``k`` qualifying values.  A side array ``_sorted_values`` is kept aligned with
 ``_sorted_run_times``, so the qualifying values are its last ``k``
 entries.  The first bound after a mutation takes ``np.cumsum`` of the
 reversed array and of its squares, without copying it out of Python
@@ -75,7 +84,6 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +130,13 @@ class Category:
 
     def __init__(self, template: Template) -> None:
         self.template = template
-        self._points: deque[DataPoint] = deque()
+        # Insertion-order columns: each point's run time, value and node
+        # count.  Misses read them in place through np.frombuffer; no
+        # view outlives the call, since an exported buffer blocks the
+        # next append.
+        self._run_times = array("d")
+        self._values = array("d")
+        self._nodes = array("d")
         self._moments = RunningMoments()
         # Run times in ascending order: the count of points qualifying
         # for an elapsed time is one bisection away.
@@ -139,9 +153,6 @@ class Category:
         # (qualifying count, confidence) -> unscaled half-width lower
         # bound of a mean miss.  Valid until the next add.
         self._bounds: dict[tuple[int, float], float] = {}
-        # (run_time, value, nodes) columns in insertion order, built on
-        # the first memo miss after a mutation.
-        self._columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         #: Elapsed-conditioned memo hits and misses, and the history
         #: points those misses scanned; plain ints, folded by
         #: SmithPredictor.obs_stats().  Unconditioned lookups (the
@@ -150,16 +161,16 @@ class Category:
         self.memo_hits = 0
         self.memo_misses = 0
         self.points_scanned = 0
-        #: Mean misses the Smith contest skipped on their bound; counted
-        #: by SmithPredictor.predict, folded the same way.
-        self.bound_pruned = 0
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._run_times)
 
     @property
     def points(self) -> tuple[DataPoint, ...]:
-        return tuple(self._points)
+        return tuple(
+            DataPoint(run_time=rt, nodes=int(n), value=v)
+            for rt, n, v in zip(self._run_times, self._nodes, self._values)
+        )
 
     def add(self, job: Job) -> None:
         """Insert a completed job, evicting the oldest at capacity."""
@@ -173,25 +184,27 @@ class Category:
         else:
             value = job.run_time
         limit = self.template.max_history
-        run_times = self._sorted_run_times
-        values = self._sorted_values
-        if limit is not None and len(self._points) >= limit:
-            old = self._points.popleft()
-            self._moments.remove(old.value)
+        sorted_run_times = self._sorted_run_times
+        sorted_values = self._sorted_values
+        if limit is not None and len(self._run_times) >= limit:
+            old_run_time = self._run_times[0]
+            self._moments.remove(self._values[0])
+            del self._run_times[0], self._values[0], self._nodes[0]
             # Inserting after equal run times keeps each tie group in
             # arrival order, so the oldest point is its group's first
             # entry and both sides lose the same (run time, value).
-            i = bisect_left(run_times, old.run_time)
-            del run_times[i], values[i]
-        self._points.append(DataPoint(run_time=job.run_time, nodes=job.nodes, value=value))
-        i = bisect_right(run_times, job.run_time)
-        run_times.insert(i, job.run_time)
-        values.insert(i, value)
+            i = bisect_left(sorted_run_times, old_run_time)
+            del sorted_run_times[i], sorted_values[i]
+        self._run_times.append(job.run_time)
+        self._values.append(value)
+        self._nodes.append(job.nodes)
+        i = bisect_right(sorted_run_times, job.run_time)
+        sorted_run_times.insert(i, job.run_time)
+        sorted_values.insert(i, value)
         self._moments.add(value)
         self._memo.clear()
         self._bounds.clear()
         self._suffix_sums = None
-        self._columns = None
 
     def predict(
         self, job: Job, elapsed: float = 0.0, confidence: float = 0.90
@@ -259,21 +272,23 @@ class Category:
         k = len(run_times) - bisect_left(run_times, elapsed)
         if k < _MIN_POINTS_MEAN:
             return None
-        key = (k, confidence)
-        if key in self._memo:
+        if (k, confidence) in self._memo:
             return None
-        bound = self._bounds.get(key)
-        if bound is None:
-            bound = self._bounds[key] = self._half_width_bound(k, confidence)
+        bound = self.half_width_bound(k, confidence)
         if template.relative:
             return bound * job.max_run_time * (1.0 - 1e-12)
         return bound
 
-    def _half_width_bound(self, k: int, confidence: float) -> float:
-        """Unscaled half-width lower bound over the last ``k`` sorted points."""
+    def half_width_bound(self, k: int, confidence: float) -> float:
+        """Unscaled half-width lower bound over the last ``k`` sorted
+        points, memoised until the next add."""
+        key = (k, confidence)
+        bound = self._bounds.get(key)
+        if bound is not None:
+            return bound
         sums = self._suffix_sums
         if sums is None:
-            # A view, not a copy; dropped before the array can resize.
+            # A view, not a copy; dropped on return.
             reversed_values = np.frombuffer(self._sorted_values)[::-1]
             sums = self._suffix_sums = (
                 np.cumsum(reversed_values),
@@ -285,33 +300,33 @@ class Category:
         high = s1 * (1.0 + c)
         num = s2 * (1.0 - c) - high * high / k
         if not _TINY < num < math.inf:
-            return 0.0
-        t = t_quantile(k - 1, 0.5 + confidence / 2.0)
-        return t * math.sqrt(num / (k - 1)) * math.sqrt(1.0 + 1.0 / k) * (1.0 - 1e-9)
+            bound = 0.0
+        else:
+            t = t_quantile(k - 1, 0.5 + confidence / 2.0)
+            bound = t * math.sqrt(num / (k - 1)) * math.sqrt(1.0 + 1.0 / k) * (1.0 - 1e-9)
+        self._bounds[key] = bound
+        return bound
 
     def _statistic(self, elapsed: float, confidence: float):
         """The unscaled statistic over the points qualifying for ``elapsed``.
 
-        ``values[run_times >= elapsed]`` is the contiguous float64 array
+        ``values[run_times >= elapsed]``, gathered from views of the
+        insertion-order columns, is the contiguous float64 array
         ``np.asarray`` builds from the filtered points, so the fit sees
         exactly the operands a per-call filter would.
         """
-        columns = self._columns
-        if columns is None:
-            pts = self._points
-            columns = self._columns = (
-                np.array([p.run_time for p in pts], dtype=float),
-                np.array([p.value for p in pts], dtype=float),
-                np.array([p.nodes for p in pts], dtype=float),
-            )
-        run_times, values, nodes = columns
         kind = self.template.estimator
         if elapsed > 0.0:
-            self.points_scanned += len(run_times)
-            mask = run_times >= elapsed
-            values = values[mask]
+            self.points_scanned += len(self._run_times)
+            mask = np.frombuffer(self._run_times) >= elapsed
+            values = np.frombuffer(self._values)[mask]
             if kind != "mean":  # only the regressions read node counts
-                nodes = nodes[mask]
+                nodes = np.frombuffer(self._nodes)[mask]
+        else:
+            # Fresh arrays, as the masked gathers are: the regression
+            # sees the operands a copy of the history would give it.
+            values = np.array(self._values)
+            nodes = np.array(self._nodes)
         if kind == "mean":
             return mean_confidence_interval(values, confidence)
         try:

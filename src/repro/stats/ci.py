@@ -51,13 +51,14 @@ def t_quantile(df: int, p: float) -> float:
     times during a trace replay.  Raises :class:`ValueError` unless
     ``df >= 1`` and ``0 < p < 1``.
     """
-    if df < 1:
-        raise ValueError(f"df must be >= 1, got {df}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
     key = (df, p)
     v = _T_CACHE.get(key)
     if v is None:
+        # Only valid arguments enter the cache, so a hit needs no check.
+        if df < 1:
+            raise ValueError(f"df must be >= 1, got {df}")
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"p must be in (0, 1), got {p}")
         # Imported on the first miss: scipy.special costs ~50 MB and most
         # replays (user maxima, no intervals) never need a quantile.
         from scipy.special import stdtrit

@@ -10,6 +10,7 @@ tests and scaled-down benchmark runs.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 from repro.workloads.job import Job, Trace
@@ -25,8 +26,8 @@ def compress_interarrival(trace: Trace, factor: float, *, name: str | None = Non
     untouched, so total work is preserved while the submission span
     shrinks by ``factor``.
     """
-    if factor <= 0:
-        raise ValueError(f"factor must be positive, got {factor}")
+    if not 0.0 < factor < math.inf:
+        raise ValueError(f"factor must be positive and finite, got {factor}")
     if len(trace) == 0:
         return trace
     t0 = trace[0].submit_time

@@ -159,6 +159,21 @@ class TestGridArgs:
             assert "--compress: must be positive" in err, argv
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "command",
+        ["scheduling", "wait-time", "runtime-error", "misprediction", "trace", "query"],
+    )
+    def test_non_finite_compress(self, capsys, command, value):
+        """An infinite factor would submit every job at once under a
+        workload named ``ANLxinf``; it is a usage error like NaN."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--compress", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--compress: must be positive and finite" in err
+        assert "Traceback" not in err
+
 
 class TestRunConfig:
     """The grid commands' printed rows, end to end through ``main``."""

@@ -2,7 +2,7 @@
 
 The contest skips a ``mean`` category whose memo would miss when a lower
 bound on its half-width (:meth:`Category.miss_bound`) is strictly
-greater than the best half-width found so far.  Two contracts:
+greater than the best half-width found so far.  Four contracts:
 
 - the bound never exceeds the half-width the category's statistic
   (:func:`~repro.stats.ci.mean_confidence_interval` over the qualifying
@@ -14,7 +14,14 @@ greater than the best half-width found so far.  Two contracts:
   library): the same estimate and interval bits, source, per-template
   wins and unserved count, through ``max_history`` eviction, tied run
   times holding distinct values, and duplicate templates whose
-  half-widths tie exactly.
+  half-widths tie exactly;
+- the one-read contest, which answers memo hits itself and keeps each
+  job's resolved categories, answers as the two-phase contest that asks
+  every category through ``miss_bound`` and ``Category.predict`` (kept
+  here): the same bits, source and all four memo counters, for jobs
+  queried again and again while categories appear around them;
+- a category's insertion-order columns are its history window, through
+  eviction and the lookups that read them.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.predictors.base import Prediction
-from repro.predictors.category import Category
+from repro.predictors.category import Category, DataPoint
 from repro.predictors.smith import SmithPredictor
 from repro.predictors.templates import Template
 from repro.stats.ci import mean_confidence_interval
@@ -296,3 +303,253 @@ def test_contest_answer_matches_the_full_contest(elapsed):
     query = _job(99, user="alice", executable="a")
     want = _fed(UnprunedSmith).predict(query, elapsed)
     assert _bits(_fed(SmithPredictor).predict(query, elapsed)) == _bits(want)
+
+
+# ---------------------------------------------------------------------
+# (c) the one-read contest answers as the two-phase one
+# ---------------------------------------------------------------------
+class TwoPhaseSmith(SmithPredictor):
+    """The two-phase contest as it stood before categories were resolved
+    per job: cheap answers first in template order, then the mean misses
+    in ``(bound, template index)`` order, each found through
+    :meth:`Category.miss_bound` and answered by :meth:`Category.predict`."""
+
+    def predict(self, job, elapsed=0.0, now=0.0):
+        best = None  # (interval, idx)
+        best_est = 0.0
+        confidence = self.confidence
+        conditioned = elapsed > 0.0
+        pending = []  # (bound, idx, category)
+        for full_key in self._category_keys(job):
+            cat = self._categories.get(full_key)
+            if cat is None:
+                continue
+            idx = full_key[0]
+            if conditioned:
+                bound = cat.miss_bound(job, elapsed, confidence)
+                if bound is not None:
+                    pending.append((bound, idx, cat))
+                    continue
+            result = cat.predict(job, elapsed, confidence)
+            if result is None:
+                continue
+            est, hw = result
+            if best is None or hw < best[0]:
+                best = (hw, idx)
+                best_est = est
+        pending.sort()
+        for pos, (bound, idx, cat) in enumerate(pending):
+            if best is not None and bound > best[0]:
+                self._bound_pruned += len(pending) - pos
+                break
+            est, hw = cat.predict(job, elapsed, confidence)
+            if best is None or (hw, idx) < best:
+                best = (hw, idx)
+                best_est = est
+        if best is None:
+            self._misses += 1
+            return None
+        hw, idx = best
+        self._wins[idx] += 1
+        return Prediction(estimate=best_est, interval=hw, source=self._sources[idx])
+
+
+_ONE_READ_POOL = [
+    Template(characteristics=("u",)),
+    Template(characteristics=("u",)),  # a duplicate: exact half-width ties
+    Template(characteristics=("e",)),
+    Template(characteristics=("u", "e")),
+    Template(characteristics=(), max_history=3),
+    Template(characteristics=("u",), relative=True),
+    Template(characteristics=("e",), relative=True),
+    Template(characteristics=("e",), relative=True, max_history=4),
+    Template(characteristics=("u",), estimator="linear"),
+    Template(characteristics=("e",), estimator="inverse", max_history=5),
+    Template(characteristics=(), estimator="log", relative=True),
+]
+
+_users = st.sampled_from(["alice", "bob", "carol"])
+_exes = st.sampled_from(["sim", "solver", "viz"])
+_max_rt = st.one_of(st.none(), st.floats(1.0, 2e4), st.sampled_from([5.0, 50.0, 700.0]))
+_run_time = st.one_of(st.sampled_from([30.0, 30.0, 120.0, 600.0]), st.floats(0.0, 1e4))
+_finished = st.tuples(_users, _exes, _run_time, st.integers(1, 16), _max_rt)
+# Where a query's elapsed time falls against the history run times seen
+# so far: on one, between two, beyond all, at zero, or anywhere.
+_elapsed = st.one_of(
+    st.tuples(st.sampled_from(["at", "between", "beyond"]), st.integers(0, 80)),
+    st.just(("zero", 0)),
+    st.tuples(st.just("any"), st.floats(0.0, 1.2e4)),
+)
+_one_read_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("finish"), _finished),
+        st.tuples(st.just("predict"), st.tuples(st.integers(0, 3), _elapsed)),
+        # A live job completes and a fresh one takes its place.
+        st.tuples(st.just("retire"), st.tuples(st.integers(0, 3), _finished)),
+    ),
+    min_size=1,
+    max_size=100,
+)
+
+
+def _elapsed_for(spec, history):
+    where, n = spec
+    if where == "zero":
+        return 0.0
+    if where == "any":
+        return n
+    if not history:
+        return 1.0
+    times = sorted(set(history))
+    if where == "beyond":
+        return times[-1] + 1.0
+    i = n % len(times)
+    if where == "at" or i + 1 == len(times):
+        return times[i]
+    return (times[i] + times[i + 1]) / 2.0
+
+
+@given(
+    picks=st.lists(st.integers(0, len(_ONE_READ_POOL) - 1), min_size=1, max_size=7),
+    live=st.lists(_finished, min_size=4, max_size=4),
+    ops=_one_read_ops,
+    confidence=st.sampled_from([0.90, 0.95]),
+)
+@settings(max_examples=300, deadline=None)
+def test_property_one_read_contest_matches_two_phase(picks, live, ops, confidence):
+    templates = [_ONE_READ_POOL[i] for i in picks]
+    new = SmithPredictor(templates, confidence=confidence)
+    old = TwoPhaseSmith(templates, confidence=confidence)
+    job_id = 0
+
+    def make(user, exe, run_time, nodes, max_rt):
+        nonlocal job_id
+        job_id += 1
+        return _job(job_id, run_time, user=user, executable=exe, nodes=nodes,
+                    max_run_time=max_rt)
+
+    # Live jobs keep their Job object across queries, so the new contest
+    # reuses (and refreshes) their resolved categories.
+    pool = [make(*spec) for spec in live]
+    history: list[float] = []
+    for op, arg in ops:
+        if op == "finish":
+            job = make(*arg)
+        elif op == "retire":
+            slot, spec = arg
+            job = pool[slot]
+            pool[slot] = make(*spec)
+        else:
+            slot, spec = arg
+            job = pool[slot]
+            elapsed = _elapsed_for(spec, history)
+            # Twice: the second lookup meets memoised statistics and bounds.
+            for _ in range(2):
+                assert _bits(new.predict(job, elapsed)) == _bits(old.predict(job, elapsed))
+                assert new.obs_stats() == old.obs_stats()
+            continue
+        new.on_finish(job, 0.0)
+        old.on_finish(job, 0.0)
+        history.append(job.run_time)
+    assert new.usage_stats() == old.usage_stats()
+    assert new.obs_stats() == old.obs_stats()
+
+
+def test_resolved_categories_refresh_when_a_missing_key_gains_one():
+    templates = [Template(characteristics=()), Template(characteristics=("u",))]
+    pred = SmithPredictor(templates)
+    for i, (user, rt) in enumerate([("bob", 100.0), ("bob", 9000.0), ("bob", 5000.0)]):
+        pred.on_finish(_job(i + 1, rt, user=user), 0.0)
+    carol = _job(50, user="carol")
+    # Only the global category exists for carol: it answers.
+    assert pred.predict(carol, 50.0).source == "()"
+    # carol's own category appears, tight around 1000 s, and wins.
+    for i, rt in enumerate([1000.0, 1001.0, 1002.0]):
+        pred.on_finish(_job(10 + i, rt, user="carol"), 0.0)
+    got = pred.predict(carol, 50.0)
+    assert got.source == "(u)"
+    fresh = SmithPredictor(templates)
+    for job in [_job(i + 1, rt, user="bob") for i, rt in enumerate([100.0, 9000.0, 5000.0])] + [
+        _job(10 + i, rt, user="carol") for i, rt in enumerate([1000.0, 1001.0, 1002.0])
+    ]:
+        fresh.on_finish(job, 0.0)
+    assert _bits(got) == _bits(fresh.predict(_job(50, user="carol"), 50.0))
+
+
+def test_a_memo_hit_answers_as_the_miss_did():
+    # A relative category: the hit scales by the job's maximum and floors
+    # at the elapsed time (0.25 * 50 = 12.5 < 15) as the miss did.
+    pred = SmithPredictor([Template(characteristics=("u",), relative=True)])
+    for i, rt in enumerate([10.0, 20.0, 30.0]):
+        pred.on_finish(_job(i + 1, rt, max_run_time=100.0), 0.0)
+    query = _job(99, max_run_time=50.0)
+    miss = pred.predict(query, 15.0)
+    assert miss.estimate == 15.0
+    assert _bits(pred.predict(query, 15.0)) == _bits(miss)
+    assert pred.obs_stats()["memo_hits"] == 1
+
+
+def test_equal_half_widths_keep_the_first_template_across_phases():
+    # alice has run only "sim", so (u) and (e) hold the same history and
+    # tie exactly.  bob's query leaves (e) memoised: for alice, (e) is a
+    # hit and (u), the first template, a miss that must still win.
+    templates = [Template(characteristics=("u",)), Template(characteristics=("e",))]
+    pred = SmithPredictor(templates)
+    old = TwoPhaseSmith(templates)
+    for i, rt in enumerate([100.0, 200.0, 300.0]):
+        for p in (pred, old):
+            p.on_finish(_job(i + 1, rt), 0.0)
+    for p in (pred, old):
+        p.predict(_job(50, user="bob"), 150.0)
+    alice = _job(51)
+    got = pred.predict(alice, 150.0)
+    assert got.source == "(u)"
+    assert _bits(got) == _bits(old.predict(alice, 150.0))
+    assert pred.obs_stats() == old.obs_stats()
+
+
+def test_a_finished_job_leaves_no_cache_entry():
+    pred = SmithPredictor([Template(characteristics=("u",))])
+    job = _job(1, 30.0)
+    assert pred.predict(job, 10.0) is None
+    pred.on_finish(job, 0.0)
+    assert job.job_id not in pred._keys
+    assert pred._waiting == {}
+
+
+# ---------------------------------------------------------------------
+# the insertion-order columns are the history window
+# ---------------------------------------------------------------------
+@given(
+    entries=st.lists(
+        st.tuples(st.sampled_from([0.0, 5.0, 5.0, 60.0, 600.0]) | st.floats(0.0, 1e4),
+                  st.integers(1, 64), st.floats(1.0, 1e4)),
+        min_size=1, max_size=40,
+    ),
+    max_history=st.one_of(st.none(), st.integers(1, 6)),
+    relative=st.booleans(),
+    estimator=st.sampled_from(["mean", "linear"]),
+    probes=st.lists(st.floats(0.0, 700.0), min_size=1, max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_columns_equal_points(entries, max_history, relative, estimator, probes):
+    cat = Category(Template(characteristics=("u",), relative=relative,
+                            max_history=max_history, estimator=estimator))
+    window = []
+    for i, (rt, nodes, max_rt) in enumerate(entries):
+        cat.add(_job(i + 1, rt, nodes=nodes, max_run_time=max_rt))
+        window.append(DataPoint(run_time=rt, nodes=nodes,
+                                value=rt / max_rt if relative else rt))
+        if max_history is not None and len(window) > max_history:
+            window.pop(0)
+        assert cat.points == tuple(window)
+        assert len(cat) == len(window)
+        assert list(cat._run_times) == [p.run_time for p in window]
+        assert list(cat._values) == [p.value for p in window]
+        assert list(cat._nodes) == [p.nodes for p in window]
+        # Lookups read the columns in place; none may pin them, or the
+        # next add could not append.
+        query = _job(10_000, nodes=4, max_run_time=1.0)
+        for elapsed in probes:
+            cat.predict(query, elapsed)
+            cat.miss_bound(query, elapsed, 0.90)

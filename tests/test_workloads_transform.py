@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.workloads.job import Trace
@@ -50,6 +52,11 @@ class TestCompress:
     def test_rejects_nonpositive_factor(self):
         with pytest.raises(ValueError):
             compress_interarrival(_trace(), 0.0)
+
+    @pytest.mark.parametrize("factor", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_factor(self, factor):
+        with pytest.raises(ValueError, match="positive and finite"):
+            compress_interarrival(_trace(), factor)
 
     def test_empty_trace(self):
         empty = Trace([], total_nodes=4)
