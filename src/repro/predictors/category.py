@@ -9,9 +9,9 @@ and :attr:`Category.points` builds :class:`DataPoint` records on demand.
 Predictions come from the template's estimator:
 
 - ``mean`` — sample mean of the stored datum with a Student-t prediction
-  interval (incremental moments serve the common elapsed==0 case; the
-  conditioned case filters points whose total run time is at least the
-  elapsed time);
+  interval (incremental moments serve the common elapsed==0 case, their
+  interval kept per confidence until the next add; the conditioned case
+  filters points whose total run time is at least the elapsed time);
 - ``linear`` / ``inverse`` / ``log`` — least squares of the datum against
   the (transformed) node count, evaluated at the queried job's nodes,
   with the OLS prediction interval.
@@ -153,6 +153,11 @@ class Category:
         # (qualifying count, confidence) -> unscaled half-width lower
         # bound of a mean miss.  Valid until the next add.
         self._bounds: dict[tuple[int, float], float] = {}
+        # confidence -> the unscaled (mean, half_width) of the running
+        # moments, for a mean lookup at elapsed 0.  Kept apart from
+        # _memo: Welford's bits differ from the two-pass statistic's at
+        # the same count.  Valid until the next add.
+        self._moments_interval: dict[float, tuple[float, float]] = {}
         #: Elapsed-conditioned memo hits and misses, and the history
         #: points those misses scanned; plain ints, folded by
         #: SmithPredictor.obs_stats().  Unconditioned lookups (the
@@ -204,6 +209,7 @@ class Category:
         self._moments.add(value)
         self._memo.clear()
         self._bounds.clear()
+        self._moments_interval.clear()
         self._suffix_sums = None
 
     def predict(
@@ -224,7 +230,11 @@ class Category:
         if kind == "mean" and not conditioned:
             if self._moments.count < _MIN_POINTS_MEAN:
                 return None
-            est, hw = self._moments.interval(confidence)
+            stat = self._moments_interval.get(confidence)
+            if stat is None:
+                stat = self._moments.interval(confidence)
+                self._moments_interval[confidence] = stat
+            est, hw = stat
         else:
             run_times = self._sorted_run_times
             k = len(run_times)

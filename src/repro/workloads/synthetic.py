@@ -19,12 +19,25 @@ properties the paper's techniques exploit:
 
 Everything is driven by independent child streams of a single seed, so a
 ``(spec, seed, n_jobs)`` triple always produces the identical trace.
+
+The generator draws its per-job values with array calls, yet makes the
+same trace, to the bit, as a loop that draws one job at a time.  The rule
+that keeps the bits: every value comes from the same ``Generator`` method
+with the same per-element arguments, in the same order in its own child
+stream, through the method's array-argument or ``size=`` form.  A value
+is never recomputed in Python from a raw ``random()`` draw: C may fuse
+``low + range * d`` into one FMA step on some hosts, so a recomputed
+value could differ there.  A bounded ``integers`` draw whose range holds
+one value consumes nothing, in either form, so a one-way choice needs no
+call at all.  Two streams keep a per-job loop, because which method a
+job calls next depends on its previous draw: the queue picks, and the
+job types when an interactive type sits beside two or more others.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,20 +106,60 @@ class SyntheticWorkloadSpec:
     queues: tuple[QueueSpec, ...] = ()
 
     def __post_init__(self) -> None:
+        # Chained comparisons reject NaN and inf without a function call;
+        # each bad value fails here, naming its field, not deep inside
+        # NumPy or math when a trace is generated.
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
+        if self.total_nodes < 1:
+            raise ValueError(f"total_nodes must be >= 1, got {self.total_nodes}")
+        if self.n_users < 1:
+            raise ValueError(f"n_users must be >= 1, got {self.n_users}")
         if not 0 < self.offered_load < 1.5:
             raise ValueError(f"offered_load out of range: {self.offered_load}")
-        if self.mean_run_time <= 0:
-            raise ValueError("mean_run_time must be positive")
+        if not 0.0 < self.mean_run_time < math.inf:
+            raise ValueError(
+                f"mean_run_time must be positive and finite, got {self.mean_run_time}"
+            )
+        if not 0.0 <= self.min_run_time < math.inf:
+            raise ValueError(
+                f"min_run_time must be finite and >= 0, got {self.min_run_time}"
+            )
+        if not 0.0 < self.machine_time_limit < math.inf:
+            raise ValueError(
+                "machine_time_limit must be positive and finite, "
+                f"got {self.machine_time_limit}"
+            )
+        if not 1.0 <= self.mean_apps_per_user < math.inf:
+            raise ValueError(
+                "mean_apps_per_user must be finite and >= 1, "
+                f"got {self.mean_apps_per_user}"
+            )
         if not 0 <= self.repeat_prob < 1:
             raise ValueError("repeat_prob must be in [0, 1)")
+        if self.recency_window < 0:
+            raise ValueError(f"recency_window must be >= 0, got {self.recency_window}")
+        if not 0.0 <= self.interactive_fraction <= 1.0:
+            raise ValueError(
+                f"interactive_fraction must be in [0, 1], got {self.interactive_fraction}"
+            )
+        lo, hi = self.max_overestimate_range
+        if not 0.0 < lo <= hi < math.inf:
+            raise ValueError(
+                "max_overestimate_range must be (lo, hi) with 0 < lo <= hi < inf, "
+                f"got {self.max_overestimate_range}"
+            )
+        if not 0.0 < self.max_round_to < math.inf:
+            raise ValueError(
+                f"max_round_to must be positive and finite, got {self.max_round_to}"
+            )
 
 
 @dataclass
 class _App:
     """One application owned by one user: a run-time family plus shape."""
 
+    user: str
     name: str
     log_mu: float
     sigma: float
@@ -143,13 +196,14 @@ def _zipf_weights(n: int, s: float, rng: np.random.Generator) -> np.ndarray:
     return w / w.sum()
 
 
-def _power_of_two_nodes(rng: np.random.Generator, total_nodes: int) -> int:
-    """A power-of-two node request biased toward small jobs.
+def _node_weights(total_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents and weights of a power-of-two node request.
 
-    The bias steepens in the top quarter of the machine: requests for
-    half the machine or more exist but are rare, as in the archive
-    traces — otherwise FCFS head-of-line blocking dominates every
-    simulation instead of being the moderate penalty the paper reports.
+    The request is biased toward small jobs, and the bias steepens in
+    the top quarter of the machine: requests for half the machine or
+    more exist but are rare, as in the archive traces — otherwise FCFS
+    head-of-line blocking dominates every simulation instead of being
+    the moderate penalty the paper reports.
     """
     max_exp = int(math.floor(math.log2(total_nodes)))
     exps = np.arange(0, max_exp + 1)
@@ -157,15 +211,19 @@ def _power_of_two_nodes(rng: np.random.Generator, total_nodes: int) -> int:
     # Extra damping for jobs needing >= half the machine.
     w[2 ** exps >= total_nodes // 2] *= 0.35
     w /= w.sum()
-    return int(2 ** rng.choice(exps, p=w))
+    return exps, w
 
 
 def _build_apps(
-    spec: SyntheticWorkloadSpec, user: str, rng: np.random.Generator
+    spec: SyntheticWorkloadSpec,
+    user: str,
+    rng: np.random.Generator,
+    node_weights: tuple[np.ndarray, np.ndarray],
 ) -> list[_App]:
     count = 1 + rng.geometric(1.0 / spec.mean_apps_per_user)
     apps: list[_App] = []
     base_mu = math.log(spec.mean_run_time) - 0.5 * spec.runtime_sigma**2
+    exps, weights = node_weights
     for i in range(count):
         log_mu = rng.normal(base_mu, spec.app_spread_sigma)
         args: tuple[str, ...] = ()
@@ -176,10 +234,11 @@ def _build_apps(
             )
         apps.append(
             _App(
+                user=user,
                 name=f"{user}_app{i}",
                 log_mu=log_mu,
                 sigma=spec.runtime_sigma * float(rng.uniform(0.6, 1.4)),
-                preferred_nodes=_power_of_two_nodes(rng, spec.total_nodes),
+                preferred_nodes=int(2 ** rng.choice(exps, p=weights)),
                 arguments=args,
                 job_class=(
                     str(rng.choice(spec.job_classes)) if spec.job_classes else None
@@ -223,10 +282,6 @@ def _diurnal_arrivals(
     return np.interp(u, cum, grid)
 
 
-def _round_up(value: float, granularity: float) -> float:
-    return math.ceil(value / granularity) * granularity
-
-
 def generate_trace(
     spec: SyntheticWorkloadSpec,
     *,
@@ -256,55 +311,72 @@ def generate_trace(
 
     users = [f"user{i:03d}" for i in range(spec.n_users)]
     user_weights = _zipf_weights(spec.n_users, 1.1, rng_users)
-    apps_by_user: dict[str, list[_App]] = {
-        u: _build_apps(spec, u, rng_apps) for u in users
-    }
+    node_weights = _node_weights(spec.total_nodes)
+    pools = [_build_apps(spec, u, rng_apps, node_weights) for u in users]
+    # Every app in one list, users in order; a user's pool is a slice.
+    apps = [app for pool in pools for app in pool]
+    pool_sizes = np.array([len(pool) for pool in pools])
+    pool_starts = np.cumsum(pool_sizes) - pool_sizes
 
-    # --- choose (user, app, type) for each job with temporal locality ----
-    chosen: list[tuple[str, _App, str | None]] = []
-    # maxlen eviction == the old append-then-pop(0) trim, and the RNG
-    # draws only consult len(recent), so the job stream is unchanged.
-    recent: deque[tuple[str, _App]] = deque(maxlen=spec.recency_window)
+    # --- choose (user, app) for each job with temporal locality ----------
+    # Job i repeats one of the min(i, recency_window) jobs before it, or
+    # runs an app of its freshly drawn user.  Either way it makes one
+    # integers draw whose bound is known up front.
+    index = np.arange(n)
     user_idx = rng_seq.choice(spec.n_users, size=n, p=user_weights)
     repeat_draw = rng_seq.uniform(size=n)
-    for i in range(n):
-        if recent and repeat_draw[i] < spec.repeat_prob:
-            u, app = recent[int(rng_seq.integers(0, len(recent)))]
-        else:
-            u = users[int(user_idx[i])]
-            pool = apps_by_user[u]
-            app = pool[int(rng_seq.integers(0, len(pool)))]
-        recent.append((u, app))
-        jtype: str | None = None
-        if spec.job_types:
-            if (
-                spec.interactive_type is not None
-                and rng_type.uniform() < spec.interactive_fraction
-            ):
-                jtype = spec.interactive_type
-            else:
-                others = [t for t in spec.job_types if t != spec.interactive_type]
-                jtype = str(rng_type.choice(others)) if others else spec.job_types[0]
-        chosen.append((u, app, jtype))
+    window = np.minimum(index, spec.recency_window)
+    repeat = (window > 0) & (repeat_draw < spec.repeat_prob)
+    picks = rng_seq.integers(0, np.where(repeat, window, pool_sizes[user_idx]))
+    # A repeat runs the app of the job ``window - pick`` places back;
+    # follow those links, each step doubling the distance jumped, to the
+    # fresh job at the root of its chain.
+    root = np.where(repeat, index - window + picks, index)
+    while True:
+        hop = root[root]
+        if np.array_equal(hop, root):
+            break
+        root = hop
+    app_idx = (pool_starts[user_idx] + picks)[root]
+    job_apps = [apps[a] for a in app_idx.tolist()]
 
-    # --- raw run times and node counts --------------------------------
-    raw_rt = np.empty(n)
-    nodes = np.empty(n, dtype=int)
-    for i, (_, app, jtype) in enumerate(chosen):
-        rt = float(rng_rt.lognormal(app.log_mu, app.sigma))
-        nd = app.preferred_nodes
-        # Users mostly rerun at the same width, occasionally halve or double.
-        u = rng_nodes.uniform()
-        if u < 0.15:
-            nd = max(1, nd // 2)
-        elif u > 0.92:
-            nd = nd * 2
-        nd = max(1, min(spec.total_nodes, nd))
-        if jtype is not None and jtype == spec.interactive_type:
-            rt *= 0.08  # interactive jobs are short
-            nd = min(nd, max(1, spec.total_nodes // 16))
-        raw_rt[i] = rt
-        nodes[i] = nd
+    # --- job types --------------------------------------------------------
+    job_types: list[str | None] = [None] * n
+    interactive = np.zeros(n, dtype=bool)
+    if spec.job_types:
+        others = [t for t in spec.job_types if t != spec.interactive_type]
+        if spec.interactive_type is None:
+            job_types = [
+                others[k] for k in rng_type.integers(0, len(others), size=n).tolist()
+            ]
+        elif len(others) <= 1:
+            # The other type, if any, is a one-way choice: no draw.
+            interactive = rng_type.uniform(size=n) < spec.interactive_fraction
+            if not others:  # every type is the interactive one
+                interactive[:] = True
+            job_types = [
+                spec.interactive_type if x else others[0] for x in interactive.tolist()
+            ]
+        else:
+            for i in range(n):
+                if rng_type.uniform() < spec.interactive_fraction:
+                    interactive[i] = True
+                    job_types[i] = spec.interactive_type
+                else:
+                    job_types[i] = others[int(rng_type.integers(0, len(others)))]
+
+    # --- raw run times and node counts ------------------------------------
+    raw_rt = rng_rt.lognormal(
+        np.array([app.log_mu for app in apps])[app_idx],
+        np.array([app.sigma for app in apps])[app_idx],
+    )
+    nodes = np.array([app.preferred_nodes for app in apps])[app_idx]
+    # Users mostly rerun at the same width, occasionally halve or double.
+    u = rng_nodes.uniform(size=n)
+    nodes = np.where(u < 0.15, np.maximum(1, nodes // 2), np.where(u > 0.92, nodes * 2, nodes))
+    nodes = np.maximum(1, np.minimum(spec.total_nodes, nodes))
+    raw_rt[interactive] *= 0.08  # interactive jobs are short
+    nodes[interactive] = np.minimum(nodes[interactive], max(1, spec.total_nodes // 16))
 
     # --- scale to the target mean run time, then clip ------------------
     scale = spec.mean_run_time / float(raw_rt.mean())
@@ -314,35 +386,71 @@ def generate_trace(
     queue_names: list[str | None] = [None] * n
     if spec.queues:
         sorted_queues = sorted(spec.queues, key=lambda q: (q.max_nodes, q.max_run_time))
+        widest = max(sorted_queues, key=lambda q: q.max_nodes)
+        limits = sorted({q.max_run_time for q in sorted_queues})
+        # The queues a job may use depend only on its node count, and
+        # those that admit its run time only on the limits it is under.
+        fitting_by_nodes: dict[int, tuple[list[QueueSpec], int]] = {}
+        admitting_by_class: dict[tuple[int, int], list[QueueSpec]] = {}
+        node_list = nodes.tolist()
+        rt_list = run_times.tolist()
         for i in range(n):
-            fitting = [q for q in sorted_queues if q.max_nodes >= nodes[i]]
-            if not fitting:
-                fitting = [max(sorted_queues, key=lambda q: q.max_nodes)]
-                nodes[i] = min(nodes[i], fitting[0].max_nodes)
+            nd = node_list[i]
+            fit = fitting_by_nodes.get(nd)
+            if fit is None:
+                fitting = [q for q in sorted_queues if q.max_nodes >= nd]
+                fit = fitting_by_nodes[nd] = (
+                    (fitting, nd) if fitting else ([widest], min(nd, widest.max_nodes))
+                )
+            fitting, node_list[i] = fit
+            key = (nd, bisect_left(limits, rt_list[i]))
+            admitting = admitting_by_class.get(key)
+            if admitting is None:
+                admitting = admitting_by_class[key] = [
+                    q for q in fitting if q.max_run_time >= rt_list[i]
+                ]
             # Prefer the tightest time class that admits the job; users
             # occasionally pick a looser queue than needed.
-            admitting = [q for q in fitting if q.max_run_time >= run_times[i]]
             if admitting:
                 q = admitting[0]
                 if len(admitting) > 1 and rng_max.uniform() < 0.2:
                     q = admitting[int(rng_max.integers(1, len(admitting)))]
             else:
                 q = max(fitting, key=lambda qq: qq.max_run_time)
-                run_times[i] = min(run_times[i], q.max_run_time)
+                rt_list[i] = min(rt_list[i], q.max_run_time)
             queue_names[i] = q.name
+        nodes = np.array(node_list)
+        run_times = np.array(rt_list)
 
     # --- user-supplied maximum run times --------------------------------
     max_rts: list[float | None] = [None] * n
     if spec.has_max_run_time:
         lo, hi = spec.max_overestimate_range
-        for i in range(n):
-            if rng_max.uniform() < 0.25:
-                # Lazy user: request the machine limit.
-                m = spec.machine_time_limit
+        # Each job draws a uniform; below 0.25 its user is lazy and
+        # requests the machine limit, else the next draw is the log of a
+        # careful user's overestimate factor.  The first pass finds which
+        # draws are factors; the second replays the stream to make them.
+        state = rng_max.bit_generator.state
+        draws = rng_max.uniform(size=2 * n).tolist()
+        factor_at: list[int] = []  # each job's factor draw, or -1
+        pos = 0
+        for _ in range(n):
+            if draws[pos] < 0.25:
+                factor_at.append(-1)
+                pos += 1
             else:
-                factor = float(np.exp(rng_max.uniform(math.log(lo), math.log(hi))))
-                m = _round_up(run_times[i] * factor, spec.max_round_to)
-            max_rts[i] = float(min(max(m, run_times[i]), spec.machine_time_limit))
+                factor_at.append(pos + 1)
+                pos += 2
+        rng_max.bit_generator.state = state
+        logs = rng_max.uniform(math.log(lo), math.log(hi), size=pos)
+        factor_idx = np.array(factor_at)
+        careful = factor_idx >= 0
+        factor = np.exp(logs[factor_idx[careful]])
+        m = np.full(n, spec.machine_time_limit)
+        m[careful] = (
+            np.ceil(run_times[careful] * factor / spec.max_round_to) * spec.max_round_to
+        )
+        max_rts = np.minimum(np.maximum(m, run_times), spec.machine_time_limit).tolist()
 
     # --- arrivals calibrated to the offered load ------------------------
     total_work = float((run_times * nodes).sum())
@@ -351,29 +459,31 @@ def generate_trace(
         n, span, spec.diurnal_amplitude, spec.weekend_factor, rng_arrive
     )
 
-    jobs = []
-    for i, (u, app, jtype) in enumerate(chosen):
-        jobs.append(
-            Job(
-                job_id=i + 1,
-                submit_time=float(arrivals[i]),
-                run_time=float(run_times[i]),
-                nodes=int(nodes[i]),
-                user=u if spec.has_user else None,
-                job_type=jtype,
-                queue=queue_names[i],
-                job_class=app.job_class,
-                script=app.script,
-                executable=app.name if spec.has_executable else None,
-                arguments=(
-                    app.arguments[int(rng_seq.integers(0, len(app.arguments)))]
-                    if spec.has_arguments and app.arguments
-                    else None
-                ),
-                network_adaptor=app.network_adaptor,
-                max_run_time=max_rts[i],
-            )
+    arguments: list[str | None] = [None] * n
+    if spec.has_arguments:
+        # Every app has one to three argument strings.
+        arg_picks = rng_seq.integers(0, [len(app.arguments) for app in job_apps])
+        arguments = [app.arguments[k] for app, k in zip(job_apps, arg_picks.tolist())]
+
+    submit_list, rt_list, node_list = arrivals.tolist(), run_times.tolist(), nodes.tolist()
+    jobs = [
+        Job(
+            job_id=i + 1,
+            submit_time=submit_list[i],
+            run_time=rt_list[i],
+            nodes=node_list[i],
+            user=app.user if spec.has_user else None,
+            job_type=job_types[i],
+            queue=queue_names[i],
+            job_class=app.job_class,
+            script=app.script,
+            executable=app.name if spec.has_executable else None,
+            arguments=arguments[i],
+            network_adaptor=app.network_adaptor,
+            max_run_time=max_rts[i],
         )
+        for i, app in enumerate(job_apps)
+    ]
     return Trace(
         jobs,
         total_nodes=spec.total_nodes,

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
 from repro.predictors.category import Category
 from repro.predictors.templates import Template
+from repro.stats.ci import RunningMoments
 from tests.conftest import make_job
 
 
@@ -85,6 +88,26 @@ class TestMeanPrediction:
         cat.add(make_job(run_time=50.0, max_run_time=100.0))
         cat.add(make_job(run_time=60.0, max_run_time=100.0))
         assert cat.predict(make_job(max_run_time=None)) is None
+
+
+    def test_repeated_lookups_answer_as_fresh_moments(self):
+        """The kept elapsed-0 interval is dropped at every add."""
+        cat = Category(Template(characteristics=("u",), max_history=4))
+        ref, window = RunningMoments(), deque()
+        for rt in (100.0, 130.0, 90.0, 300.0, 120.0, 110.0, 95.0):
+            cat.add(make_job(run_time=rt))
+            if len(window) == 4:
+                ref.remove(window.popleft())
+            ref.add(rt)
+            window.append(rt)
+            for confidence in (0.90, 0.95, 0.90):
+                got = cat.predict(make_job(), 0.0, confidence)
+                if ref.count < 2:
+                    assert got is None
+                else:
+                    mean, hw = ref.interval(confidence)
+                    assert got == (mean, hw)
+        assert cat.memo_hits == cat.memo_misses == 0
 
 
 class TestElapsedConditioning:

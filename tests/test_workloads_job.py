@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.workloads.job import Job, Trace
@@ -44,6 +46,28 @@ class TestJob:
         assert clone.run_time == 200.0
         assert clone.job_id == job.job_id
         assert job.run_time == 100.0  # original untouched
+
+    def test_with_validates_as_the_constructor_does(self):
+        job = make_job(run_time=100.0, max_run_time=500.0)
+        with pytest.raises(TypeError, match="bogus"):
+            job.with_(bogus=1)
+        for field in ("run_time", "submit_time", "max_run_time"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=field):
+                    job.with_(**{field: value})
+        with pytest.raises(ValueError, match="nodes"):
+            job.with_(nodes=0)
+
+    def test_with_answers_as_dataclasses_replace(self):
+        job = make_job(run_time=100.0, queue="q16m", max_run_time=500.0)
+        clone = job.with_(submit_time=7.0, nodes=2)
+        built = dataclasses.replace(job, submit_time=7.0, nodes=2)
+        assert clone == built and hash(clone) == hash(built)
+        assert repr(clone) == repr(built)
+        assert job.with_() == job and job.with_() is not job
+        assert type(clone) is Job
+        with pytest.raises(AttributeError):
+            clone.run_time = 5.0  # type: ignore[misc]
 
     def test_frozen(self):
         job = make_job()
