@@ -34,6 +34,7 @@ from repro.core.parallel import run_grid
 from repro.core.registry import POLICY_NAMES, PREDICTOR_NAMES
 from repro.core.tables import format_table
 from repro.experiments.misprediction import DEFAULT_ERROR_LEVELS, ERROR_KINDS
+from repro.obs.accuracy import DEFAULT_DRIFT_WINDOW
 from repro.obs.timeseries import TIMESERIES_METRICS
 from repro.workloads.archive import PAPER_WORKLOADS, load_paper_workload
 from repro.workloads.stats import summarize
@@ -247,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--check", action="store_true",
                        help="(run-report mode) validate the report against "
                        "the minimal report schema")
-    p_rep.add_argument("--window", type=positive_int, default=200,
+    p_rep.add_argument("--window", type=positive_int, default=None,
                        help="(run-report mode) rolling window for the drift "
-                       "signal")
+                       f"signal (default {DEFAULT_DRIFT_WINDOW})")
 
     p_tr = sub.add_parser(
         "trace", help="replay with structured event tracing (repro.obs)"
@@ -350,9 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--n-jobs", type=job_count, default=300,
                        help="jobs used to size/warm the predictor "
                        "(0 = full paper size)")
-    p_srv.add_argument("--slow", action="store_true",
-                       help="disable the analytic shortcuts; every miss "
-                       "runs the reference forward simulation")
 
     p_q = sub.add_parser(
         "query",
@@ -480,23 +478,35 @@ def _format_trace_summary(events: list, *, title: str, source: str) -> str:
     return format_table(summarize_events(events), title=title)
 
 
-def _inspect_trace_file(args: argparse.Namespace) -> int:
-    """``trace --from FILE``: check/summarize an existing trace."""
+def _read_trace(
+    path: str, command: str, *, validate: bool = False, empty_ok: bool = False
+) -> list | None:
+    """The events of the JSONL trace at ``path``, schema-checked when
+    ``validate``; ``None`` once ``<command> FAILED: ...`` is on stderr
+    because the file is unreadable, invalid or (unless ``empty_ok``)
+    empty."""
     from repro.obs import TraceSchemaError, read_jsonl, validate_events
 
     try:
-        events = read_jsonl(args.from_file)
+        events = read_jsonl(path)
+        if validate:
+            validate_events(events)
     except (OSError, TraceSchemaError) as exc:
-        print(f"trace FAILED: cannot read {args.from_file}: {exc}",
-              file=sys.stderr)
+        print(f"{command} FAILED: cannot use trace {path}: {exc}", file=sys.stderr)
+        return None
+    if not events and not empty_ok:
+        print(f"{command} FAILED: empty trace (0 events): {path}", file=sys.stderr)
+        return None
+    return events
+
+
+def _inspect_trace_file(args: argparse.Namespace) -> int:
+    """``trace --from FILE``: check/summarize an existing trace."""
+    events = _read_trace(args.from_file, "trace", validate=args.check, empty_ok=True)
+    if events is None:
         return 1
     if args.check:
-        try:
-            n = validate_events(events)
-        except TraceSchemaError as exc:
-            print(f"trace check FAILED: {exc}", file=sys.stderr)
-            return 1
-        print(f"trace check OK: {n} events schema-valid", file=sys.stderr)
+        print(f"trace check OK: {len(events)} events schema-valid", file=sys.stderr)
     if args.summary or not args.check:
         print(
             _format_trace_summary(
@@ -513,15 +523,7 @@ def run_trace(args: argparse.Namespace) -> int:
     import json
 
     from repro.core.registry import make_policy, make_predictor
-    from repro.obs import (
-        Instrumentation,
-        JsonlSink,
-        Tracer,
-        TraceSchemaError,
-        merge_snapshots,
-        read_jsonl,
-        validate_events,
-    )
+    from repro.obs import Instrumentation, JsonlSink, Tracer, merge_snapshots
     from repro.predictors.base import PointEstimator
     from repro.scheduler.simulator import Simulator
 
@@ -580,13 +582,11 @@ def run_trace(args: argparse.Namespace) -> int:
             )
     print(f"wrote {args.out} ({sink.events_written} events)", file=sys.stderr)
 
-    if args.check:
-        try:
-            events = read_jsonl(args.out)
-            n = validate_events(events)
-        except TraceSchemaError as exc:
-            print(f"trace check FAILED: {exc}", file=sys.stderr)
+    if args.check or args.summary:
+        events = _read_trace(args.out, "trace", validate=args.check, empty_ok=True)
+        if events is None:
             return 1
+    if args.check:
         for policy_name, jobs in job_counts.items():
             for etype in ("job_started", "job_finished"):
                 got = sum(
@@ -602,13 +602,10 @@ def run_trace(args: argparse.Namespace) -> int:
                     )
                     return 1
         print(
-            f"trace check OK: {n} events schema-valid, started/finished "
+            f"trace check OK: {len(events)} events schema-valid, started/finished "
             f"counts match job counts",
             file=sys.stderr,
         )
-    elif args.summary:
-        events = read_jsonl(args.out)
-
     if args.summary:
         print(
             _format_trace_summary(
@@ -622,43 +619,6 @@ def run_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_campaign_summary(summary: dict) -> str:
-    """Human rendering of :func:`repro.obs.campaign.summarize_campaign`."""
-    lines = [
-        f"campaign {summary['campaign_id'] or '(unknown)'}:"
-        f" {summary['cells_done']}/{summary['cells_total']} cells done,"
-        f" {summary['cells_failed']} failed,"
-        f" {summary['cells_running']} dispatched-unfinished"
-        + ("" if summary["complete"] else "  [INCOMPLETE — no campaign_finished]"),
-        f"  workers {summary['max_workers']},"
-        f" elapsed {summary['elapsed_s']:.2f}s,"
-        f" throughput {summary['throughput_cells_per_s']:.2f} cells/s,"
-        f" utilization {100 * summary['utilization']:.0f}%",
-    ]
-    if summary["duration_p50_s"] is not None:
-        lines.append(
-            f"  cell duration p50 {summary['duration_p50_s']:.3g}s"
-            f"  p90 {summary['duration_p90_s']:.3g}s"
-            f"  p99 {summary['duration_p99_s']:.3g}s"
-        )
-    for s in summary["stragglers"]:
-        state = "still running" if s["running"] else "finished"
-        lines.append(
-            f"  straggler: cell {s['cell_index']} ({s['cell']}) — "
-            f"{s['duration_s']:.3g}s, {state}"
-        )
-    for f in summary["cells"]["failed"]:
-        lines.append(
-            f"  failed: cell {f['cell_index']} ({f['cell']}): {f['error']}"
-        )
-    for d in summary["cells"]["dispatched_unfinished"]:
-        lines.append(
-            f"  unfinished: cell {d['cell_index']} ({d['cell']}) was "
-            "dispatched but never completed"
-        )
-    return "\n".join(lines)
-
-
 def run_campaign(args: argparse.Namespace) -> int:
     """The ``campaign`` subcommand: inspect a ``--journal`` file."""
     import json
@@ -666,6 +626,7 @@ def run_campaign(args: argparse.Namespace) -> int:
     from repro.obs.campaign import (
         CampaignCheckError,
         check_campaign_journal,
+        format_campaign_summary,
         read_campaign_journal,
         summarize_campaign,
     )
@@ -699,7 +660,7 @@ def run_campaign(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:
-        print(_format_campaign_summary(summary))
+        print(format_campaign_summary(summary))
     return 0
 
 
@@ -707,22 +668,10 @@ def run_explain(args: argparse.Namespace) -> int:
     """The ``explain`` subcommand: per-job wait decomposition."""
     import json
 
-    from repro.obs import (
-        TraceSchemaError,
-        explain_job,
-        format_explanation,
-        read_jsonl,
-    )
+    from repro.obs import explain_job, format_explanation
 
-    try:
-        events = read_jsonl(args.trace)
-    except (OSError, TraceSchemaError) as exc:
-        print(f"explain FAILED: cannot read trace {args.trace}: {exc}",
-              file=sys.stderr)
-        return 1
-    if not events:
-        print(f"explain FAILED: empty trace (0 events): {args.trace}",
-              file=sys.stderr)
+    events = _read_trace(args.trace, "explain")
+    if events is None:
         return 1
     explanations = []
     for job_id in args.job:
@@ -746,22 +695,10 @@ def run_explain(args: argparse.Namespace) -> int:
 
 def run_timeline(args: argparse.Namespace) -> int:
     """The ``timeline`` subcommand: state series rebuilt from a trace."""
-    from repro.obs import (
-        StateSeries,
-        TraceSchemaError,
-        format_timeseries,
-        read_jsonl,
-    )
+    from repro.obs import StateSeries, format_timeseries
 
-    try:
-        events = read_jsonl(args.trace)
-    except (OSError, TraceSchemaError) as exc:
-        print(f"timeline FAILED: cannot read trace {args.trace}: {exc}",
-              file=sys.stderr)
-        return 1
-    if not events:
-        print(f"timeline FAILED: empty trace (0 events): {args.trace}",
-              file=sys.stderr)
+    events = _read_trace(args.trace, "timeline")
+    if events is None:
         return 1
     try:
         series = StateSeries.from_events(
@@ -797,27 +734,21 @@ def run_report_from_trace(args: argparse.Namespace) -> int:
 
     from repro.obs import (
         ReportSchemaError,
-        TraceSchemaError,
         build_report,
         format_report,
-        read_jsonl,
         report_to_json,
-        validate_events,
         validate_report,
     )
 
-    try:
-        events = read_jsonl(args.trace)
-        validate_events(events)
-    except (OSError, TraceSchemaError) as exc:
-        print(f"report FAILED: cannot use trace {args.trace}: {exc}",
-              file=sys.stderr)
+    events = _read_trace(args.trace, "report", validate=True)
+    if events is None:
         return 1
     metrics = None
     if args.metrics:
         with open(args.metrics, "r", encoding="utf-8") as fh:
             metrics = json.load(fh)
-    report = build_report(events, metrics, window=args.window)
+    window = DEFAULT_DRIFT_WINDOW if args.window is None else args.window
+    report = build_report(events, metrics, window=window)
     if args.check:
         try:
             validate_report(report)
@@ -851,9 +782,7 @@ def run_serve(args: argparse.Namespace) -> int:
     wl = load_paper_workload(args.workload, n_jobs=args.n_jobs)
     policy = make_policy(args.algorithm)
     estimator = PointEstimator(make_predictor(args.predictor, wl))
-    service = PredictionService(
-        policy, estimator, wl.total_nodes, fast=not args.slow
-    )
+    service = PredictionService(policy, estimator, wl.total_nodes)
     with PredictionServer((args.host, args.port), service) as server:
         print(
             f"serving on {args.host}:{server.port} "
@@ -944,7 +873,8 @@ def run_query(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "summarize":
         rows = [
             summarize(load_paper_workload(w, n_jobs=args.n_jobs)).as_row()
@@ -1008,6 +938,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "report":
         if args.trace is not None:
             return run_report_from_trace(args)
+        run_report_flags = [
+            flag for flag, given in (
+                ("--metrics", args.metrics is not None), ("--json", args.json),
+                ("--check", args.check), ("--window", args.window is not None),
+            ) if given
+        ]
+        if run_report_flags:
+            parser.error(
+                f"report: {', '.join(run_report_flags)} given without a "
+                "trace; they apply only to a run report"
+            )
         from repro.core.report import generate_experiments_report
 
         output = args.output if args.output is not None else "EXPERIMENTS.md"

@@ -71,6 +71,7 @@ __all__ = [
     "read_campaign_journal",
     "check_campaign_journal",
     "summarize_campaign",
+    "format_campaign_summary",
 ]
 
 #: A cell is a straggler once it exceeds this multiple of the running
@@ -713,3 +714,40 @@ def summarize_campaign(events: Iterable[Mapping]) -> dict:
         ],
     }
     return summary
+
+
+def format_campaign_summary(summary: Mapping) -> str:
+    """Human rendering of :func:`summarize_campaign`: headline counts,
+    throughput, duration quantiles, then one line per straggler, failed
+    and dispatched-unfinished cell."""
+    lines = [
+        f"Campaign: {summary['cells_done']}/{summary['cells_total']} cells done,"
+        f" {summary['cells_failed']} failed,"
+        f" {summary['cells_running']} dispatched-unfinished"
+        + ("" if summary["complete"] else "  [INCOMPLETE — no campaign_finished]"),
+        f"  id {summary['campaign_id'] or '(unknown)'},"
+        f" workers {summary['max_workers']},"
+        f" elapsed {summary['elapsed_s']:.2f}s,"
+        f" throughput {summary['throughput_cells_per_s']:.2f} cells/s,"
+        f" utilization {100 * summary['utilization']:.0f}%",
+    ]
+    if summary["duration_p50_s"] is not None:
+        lines.append(
+            f"  cell duration p50 {summary['duration_p50_s']:.3g}s"
+            f"  p90 {summary['duration_p90_s']:.3g}s"
+            f"  p99 {summary['duration_p99_s']:.3g}s"
+        )
+    for s in summary["stragglers"]:
+        state = "still running" if s["running"] else "finished"
+        lines.append(
+            f"  straggler: cell {s['cell_index']} ({s['cell']}) — "
+            f"{s['duration_s']:.3g}s, {state}"
+        )
+    for f in summary["cells"]["failed"]:
+        lines.append(f"  failed: cell {f['cell_index']} ({f['cell']}): {f['error']}")
+    for d in summary["cells"]["dispatched_unfinished"]:
+        lines.append(
+            f"  unfinished: cell {d['cell_index']} ({d['cell']}) was "
+            "dispatched but never completed"
+        )
+    return "\n".join(lines)

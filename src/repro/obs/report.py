@@ -426,29 +426,9 @@ def format_report(report: Mapping) -> str:
 
     campaign = report.get("campaign")
     if campaign:
-        lines = [
-            "Campaign"
-            + ("" if campaign["complete"] else " [INCOMPLETE]")
-            + f": {campaign['cells_done']}/{campaign['cells_total']} cells "
-            f"done, {campaign['cells_failed']} failed, "
-            f"{campaign['cells_running']} unfinished  "
-            f"(workers {campaign['max_workers']}, "
-            f"{campaign['throughput_cells_per_s']:.2f} cells/s, "
-            f"utilization {100 * campaign['utilization']:.0f}%)"
-        ]
-        if campaign.get("duration_p50_s") is not None:
-            lines.append(
-                f"  cell duration p50={campaign['duration_p50_s']:.3g}s "
-                f"p90={campaign['duration_p90_s']:.3g}s "
-                f"p99={campaign['duration_p99_s']:.3g}s"
-            )
-        for s in campaign.get("stragglers", []):
-            state = "running" if s["running"] else "finished"
-            lines.append(
-                f"  straggler: cell {s['cell_index']} ({s['cell']}) "
-                f"{s['duration_s']:.3g}s, {state}"
-            )
-        parts.append("\n".join(lines))
+        from repro.obs.campaign import format_campaign_summary
+
+        parts.append(format_campaign_summary(campaign))
     return "\n\n".join(parts)
 
 

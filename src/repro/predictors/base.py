@@ -24,8 +24,8 @@ changed.  :class:`repro.scheduler.simulator.EstimateMemo` keys queued-job
 freezes and the state-based predictor recompute a queue only when the
 epoch moves — which is exact precisely because of that purity.
 An estimator whose predictions vary with wall-clock time or call count
-must not advertise an epoch; construct :class:`PointEstimator` with
-``volatile=True`` to fall back to per-pass memoization.
+must not advertise an epoch: one whose ``history_epoch`` is ``None`` or
+absent is re-predicted on every pass.
 """
 
 from __future__ import annotations
@@ -147,7 +147,6 @@ class PointEstimator:
         predictor: RuntimePredictor,
         *,
         default: float = 600.0,
-        volatile: bool = False,
         instrumentation=None,
     ) -> None:
         if default <= 0:
@@ -157,7 +156,6 @@ class PointEstimator:
         self._completed_sum = 0.0
         self._completed_count = 0
         self._epoch = 0
-        self._volatile = volatile
         # Fallback-chain tallies, one per link, exported via obs_stats()
         # for the metrics snapshot.
         self.predict_calls = 0
@@ -197,13 +195,10 @@ class PointEstimator:
     def history_epoch(self) -> object | None:
         """Monotone marker; unchanged value means unchanged predictions.
 
-        ``None`` for volatile estimators, which disables cross-pass
-        caching in the simulator (every pass re-predicts, the pre-epoch
-        behaviour).  When the wrapped predictor tracks its own epoch the
-        marker combines it with the adapter's fallback epoch.
+        When the wrapped predictor tracks its own epoch the marker
+        combines it with the adapter's fallback epoch, and is ``None``
+        (no cross-pass caching) while the predictor's is.
         """
-        if self._volatile:
-            return None
         if self._pred_tracks_epoch:
             pred_epoch = self.predictor.history_epoch
             if pred_epoch is None:
@@ -267,9 +262,8 @@ class PointEstimator:
         Holds at fixed epoch when the wrapped predictor ignores elapsed
         and now: the fallback chain doesn't consult them, leaving
         the final ``max(est, elapsed)`` clamp as the only dependence.
-        Volatile estimators never advertise it.
         """
-        return not self._volatile and self.predictor.elapsed_invariant
+        return self.predictor.elapsed_invariant
 
     def on_submit(self, job: Job, now: float) -> None:
         if self._bump_on_submit:

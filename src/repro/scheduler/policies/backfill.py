@@ -60,7 +60,7 @@ __all__ = ["AvailabilityProfile", "BatchAvailabilityProfile", "BackfillPolicy"]
 _INF = math.inf
 
 # Hoisted iterators for the C-speed provenance seed in
-# BackfillPolicy._seed_origin: release-time extractor and an endless
+# ProfilePolicy._seed_origin: release-time extractor and an endless
 # supply of the "running_job" tag (itertools.repeat is stateless, so the
 # shared instance is safe to re-zip every pass).
 _RELEASE_TIME = itemgetter(0)
@@ -631,21 +631,20 @@ class BatchAvailabilityProfile:
         return self.free[np.arange(self.n_worlds), idx]
 
 
-class BackfillPolicy(Policy):
-    """Conservative backfill: every queued job holds a profile reservation."""
+class ProfilePolicy(Policy):
+    """A policy that plans each pass against a seeded availability profile.
 
-    name = "Backfill"
+    Conservative and EASY backfill seed the profile the same way: running
+    jobs' estimated releases, then active reservations' ends, then the
+    pending advance reservations carved out.  :meth:`_seeded_profile`
+    does it in a scratch profile reused across passes, and
+    :meth:`_seed_origin` names what frees up at each seeded instant.
+    """
 
     def __init__(self) -> None:
         # Scratch profile reused across passes (never carries state
-        # between calls — select() rebuilds it from the view each time).
+        # between calls — _seeded_profile rebuilds it from the view).
         self._profile: AvailabilityProfile | None = None
-        # job_id -> last reserved start, maintained only while tracing so
-        # reservation events report moves rather than every replan.
-        self._last_reserved: dict[int, float] = {}
-        # job_id -> last (blocker_kind, blocker_id), maintained only under
-        # provenance so binding events report moves rather than every pass.
-        self._last_binding: dict[int, tuple] = {}
         # The release pairs the current pass's profile was seeded from,
         # stashed so _seed_origin can attribute them without re-deriving
         # the running jobs' release times (view.releases is not free).
@@ -675,16 +674,13 @@ class BackfillPolicy(Policy):
         Maps release time -> ``(blocker_kind, blocker_id)`` for every
         instant :meth:`_seeded_profile` seeded the profile with, in the
         same order (so same-instant collisions resolve identically).
-        Reservation anchors always land on such an instant — or on an
-        earlier queued job's reservation end, which
-        :meth:`_attribute_bindings` layers on top — so looking an anchor
-        up names the binding constraint.  Built only on passes that
-        moved a reservation: most passes move nothing and never need
-        attribution, which keeps provenance mode within its overhead
-        budget.  Release times
-        come from the pairs stashed by :meth:`_seeded_profile` (running
-        jobs first, then active reservations, in seeding order), not
-        from re-deriving ``view.releases``.
+        Reservation anchors always land on such an instant — or on a
+        reservation end the caller layers on top — so looking an anchor
+        up names the binding constraint.  Release times come from the
+        pairs stashed by :meth:`_seeded_profile` (running jobs first,
+        then active reservations, in seeding order), not from
+        re-deriving ``view.releases``; call it after that, in the same
+        pass.
         """
         now = view.now
         releases = self._seed_releases
@@ -709,6 +705,21 @@ class BackfillPolicy(Policy):
                 "advance_reservation", pres.reservation.res_id,
             )
         return origin
+
+
+class BackfillPolicy(ProfilePolicy):
+    """Conservative backfill: every queued job holds a profile reservation."""
+
+    name = "Backfill"
+
+    def __init__(self) -> None:
+        super().__init__()
+        # job_id -> last reserved start, maintained only while tracing so
+        # reservation events report moves rather than every replan.
+        self._last_reserved: dict[int, float] = {}
+        # job_id -> last (blocker_kind, blocker_id), maintained only under
+        # provenance so binding events report moves rather than every pass.
+        self._last_binding: dict[int, tuple] = {}
 
     def select(self, view) -> Sequence:
         """One walk of the queue in arrival order, reserving every job.

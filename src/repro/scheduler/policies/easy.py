@@ -18,23 +18,19 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.scheduler.policies.backfill import AvailabilityProfile
-from repro.scheduler.policies.base import (
-    MIN_DURATION,
-    Policy,
-    report_blocker,
-    running_ids,
-)
+from repro.scheduler.policies.backfill import ProfilePolicy
+from repro.scheduler.policies.base import MIN_DURATION, report_blocker
 
 __all__ = ["EASYBackfillPolicy"]
 
 
-class EASYBackfillPolicy(Policy):
+class EASYBackfillPolicy(ProfilePolicy):
     """EASY (aggressive) backfill: only the queue head holds a reservation."""
 
     name = "EASY"
 
     def __init__(self) -> None:
+        super().__init__()
         # Provenance-only change-detection state: job_id -> last
         # (blocker_kind, blocker_id) for the head's reservation binding
         # and for the unprotected jobs' start_blocked attribution.
@@ -54,26 +50,8 @@ class EASYBackfillPolicy(Policy):
         if view.free_nodes < min(qj.job.nodes for qj in queued):
             return []
         prov = getattr(view, "provenance_tracer", None)
-        origin: dict | None = {} if prov is not None else None
-        releases = view.releases()
-        if origin is not None:
-            for (t, _), jid in zip(releases, running_ids(view)):
-                origin[t] = ("running_job", jid)
-        for ares in getattr(view, "active_reservations", ()):
-            t = max(ares.end_time, now)
-            releases.append((t, ares.nodes))
-            if origin is not None:
-                origin[t] = ("active_reservation", ares.reservation.res_id)
-        profile = AvailabilityProfile.from_releases(
-            now, view.free_nodes, view.total_nodes, releases
-        )
-        for pres in getattr(view, "reservations", ()):
-            carve_start = max(pres.effective_start, now)
-            profile.carve(carve_start, pres.duration, pres.nodes, clamp=True)
-            if origin is not None:
-                origin[carve_start + pres.duration] = (
-                    "advance_reservation", pres.reservation.res_id,
-                )
+        profile = self._seeded_profile(view)
+        origin = self._seed_origin(view) if prov is not None else None
 
         started = []
         # Start jobs in arrival order while the profile lets them run

@@ -112,7 +112,7 @@ class EstimateMemo:
 
     def sync(self, estimator: RuntimeEstimator) -> dict[int, float] | None:
         """The memo valid for ``estimator`` now, or ``None`` when it has no
-        epoch (volatile or epochless estimators must be re-predicted)."""
+        epoch (epochless estimators must be re-predicted)."""
         epoch = getattr(estimator, "history_epoch", None)
         if epoch is None:
             return None

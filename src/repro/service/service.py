@@ -22,8 +22,8 @@ Two properties make repeated queries cheap:
   :mod:`repro.predictors.base` defines for scheduling-side caches — so
   queries between events are O(1) dict hits, bit-identical to an
   uncached computation because the cache stores the computed float
-  itself.  If either estimator advertises ``history_epoch is None``
-  (volatile), caching is off rather than risk staleness.  Across
+  itself.  If either estimator advertises no ``history_epoch`` (or
+  ``None``), caching is off rather than risk staleness.  Across
   epochs, queued jobs' frozen predictions are carried by one
   :class:`~repro.scheduler.simulator.EstimateMemo` per estimator for as
   long as its ``history_epoch`` stands still, through the same
@@ -35,8 +35,10 @@ is exact (:func:`repro.waitpred.fast.fcfs_predicted_starts`,
 *whole* queue's starts at once so the rest of the epoch's queries —
 single or batch — are hits.  Policies without a shortcut (LWF, EASY, or
 backfill with a divergent scheduler estimator) fall back to per-job
-:func:`~repro.scheduler.simulator.forward_simulate`, counted in
-``service.fallback_simulations``.
+:func:`~repro.waitpred.fast.predict_start_fast`, which forward-simulates,
+counted in ``service.fallback_simulations``.  The event-loop reference
+stays in ``predict_wait(..., fast=False)``, which
+``tests/test_waitpred_fast.py`` holds the shortcuts to.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ from repro.scheduler.simulator import (
     RunningJob,
     RuntimeEstimator,
     SystemSnapshot,
-    forward_simulate,
+    # Unused here: benchmarks/e2e/layers.py times it under this module's name.
+    forward_simulate,  # noqa: F401
 )
 from repro.waitpred.fast import (
     UnknownJobError,
@@ -94,7 +97,6 @@ class PredictionService:
         total_nodes: int,
         *,
         scheduler_estimator: RuntimeEstimator | None = None,
-        fast: bool = True,
         instrumentation: Instrumentation | None = None,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
@@ -102,7 +104,6 @@ class PredictionService:
         self.estimator = estimator
         self.scheduler_estimator = scheduler_estimator
         self.total_nodes = total_nodes
-        self.fast = fast
         self.now = 0.0
         #: Monotone event counter; the cache key's first component.
         self.epoch = 0
@@ -232,9 +233,10 @@ class PredictionService:
     def _sync_cache(self) -> bool:
         """Freeze durations for this epoch; return whether caching is on.
 
-        Returns ``False`` when either estimator is volatile
-        (``history_epoch`` is ``None``): the frozen inputs are still
-        reused within this call, but nothing survives to the next query.
+        Returns ``False`` when either estimator has no epoch
+        (``history_epoch`` is ``None`` or absent): the frozen inputs are
+        still reused within this call, but nothing survives to the next
+        query.
         """
         hist = getattr(self.estimator, "history_epoch", None)
         sched = self.scheduler_estimator
@@ -270,25 +272,17 @@ class PredictionService:
             self._n_hits += 1
             return start
         self._n_misses += 1
-        if self.fast:
-            batch = self._shortcut_starts()
-            if batch is not None:
-                self._starts.update(batch)
-                return self._starts[job_id]
-        # No exact shortcut: reference simulation, one job at a time.
+        batch = self._shortcut_starts()
+        if batch is not None:
+            self._starts.update(batch)
+            return self._starts[job_id]
+        # No exact shortcut: forward simulation, one job at a time.
         self._n_fallback += 1
-        snap = self.snapshot()
         assert self._durations is not None
-        if self.fast:
-            start = predict_start_fast(
-                snap, self.policy, self._durations, job_id,
-                estimates=self._estimates,
-            )
-        else:
-            start = forward_simulate(
-                snap, self.policy, self._durations, job_id,
-                estimates=self._estimates,
-            )
+        start = predict_start_fast(
+            self.snapshot(), self.policy, self._durations, job_id,
+            estimates=self._estimates,
+        )
         self._starts[job_id] = start
         return start
 

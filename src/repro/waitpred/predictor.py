@@ -56,8 +56,8 @@ def _freeze(
 
     With a ``cache``, queued jobs already predicted under the estimator's
     current ``history_epoch`` reuse that float, and the memo is left
-    holding the jobs queued now; estimators without an epoch (or
-    volatile ones advertising ``None``) are re-predicted on every call.
+    holding the jobs queued now; estimators whose ``history_epoch`` is
+    ``None`` or absent are re-predicted on every call.
     """
     now = snapshot.now
     out: dict[int, float] = {}

@@ -226,8 +226,8 @@ class StateBasedWaitPredictor:
         #: Per-job runtime estimates feeding the qwork/rt features, valid
         #: while the estimator's history_epoch is unchanged.  Keeps a
         #: burst of submissions at O(queue) instead of O(queue^2)
-        #: estimator calls; estimators without an epoch (or volatile
-        #: ones) are re-predicted at every submission.
+        #: estimator calls; estimators without an epoch are
+        #: re-predicted at every submission.
         self._estimates = EstimateMemo()
         obs = instrumentation if instrumentation is not None else Instrumentation()
         self.obs = obs

@@ -42,3 +42,27 @@ class FakeView:
 
     def releases(self) -> list[tuple[float, int]]:
         return [(self.now + self.remaining(rj), rj.job.nodes) for rj in self.running]
+
+
+class Epochless:
+    """An estimator that advertises no estimate epoch.
+
+    Forwards ``predict``, the life-cycle hooks and ``predict_calls`` to
+    the wrapped estimator, and answers ``history_epoch`` with ``None``
+    and no ``elapsed_invariant``, so the simulator, ``_freeze``, the
+    service and the state-based predictor all re-predict instead of
+    serving a memo.
+    """
+
+    history_epoch = None
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.predict = inner.predict
+        self.on_submit = inner.on_submit
+        self.on_start = inner.on_start
+        self.on_finish = inner.on_finish
+
+    @property
+    def predict_calls(self) -> int:
+        return self.inner.predict_calls

@@ -131,3 +131,22 @@ def test_non_positive_sizes_are_usage_errors(detail_trace, argv, capsys):
         main([arg.format(trace=detail_trace) for arg in argv])
     assert exc.value.code == 2
     assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["explain", "--job", "1"], ["timeline"], ["report"]],
+    ids=["explain", "timeline", "report"],
+)
+def test_offline_commands_refuse_empty_and_missing_traces(argv, tmp_path, capsys):
+    """Every command that reads a trace file names itself and the file
+    when that file is empty or unreadable."""
+    command, *flags = argv
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert main([command, str(empty), *flags]) == 1
+    assert (f"{command} FAILED: empty trace (0 events): {empty}"
+            in capsys.readouterr().err)
+    missing = tmp_path / "nope.jsonl"
+    assert main([command, str(missing), *flags]) == 1
+    err = capsys.readouterr().err
+    assert f"{command} FAILED" in err and str(missing) in err

@@ -323,3 +323,36 @@ class TestCLI:
         rc = main(["report", "--n-jobs", "10", "-o", str(out_file)])
         assert rc == 0
         assert out_file.read_text() == "# stub\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--json"], ["--check"], ["--metrics", "m.json"], ["--window", "200"],
+         ["--json", "--metrics", "m.json", "--check"]],
+        ids=["json", "check", "metrics", "window", "all"],
+    )
+    def test_report_run_flags_without_trace_are_usage_errors(
+        self, flags, tmp_path, capsys, monkeypatch
+    ):
+        """The grid mode has no use for the run-report flags, so it refuses
+        them before generating (and overwriting) anything."""
+        import repro.core.report as report_mod
+
+        calls = []
+        monkeypatch.setattr(
+            report_mod,
+            "generate_experiments_report",
+            lambda n_jobs, progress=None: calls.append(n_jobs) or "# stub\n",
+        )
+        out_file = tmp_path / "EXP.md"
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--n-jobs", "10", "-o", str(out_file), *flags])
+        assert exc.value.code == 2
+        assert calls == []
+        assert not out_file.exists()
+        assert flags[0] in capsys.readouterr().err
+
+    def test_serve_has_no_slow_path(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--slow"])
+        assert exc.value.code == 2
+        assert "--slow" in capsys.readouterr().err

@@ -33,6 +33,7 @@ from repro.predictors.simple import ActualRuntimePredictor, MaxRuntimePredictor
 from repro.predictors.smith import SmithPredictor
 from repro.predictors.templates import Template, default_templates
 from repro.scheduler.simulator import EstimateMemo
+from tests.fakes import Epochless
 from tests.test_properties_predictors import job_batches
 
 
@@ -41,7 +42,7 @@ class EpochCache:
 
     Serves memoized elapsed-0 ``predict`` results while ``history_epoch``
     is unchanged; any movement of the marker flushes everything.
-    ``None`` (volatile) disables caching entirely.
+    ``None`` (no epoch) disables caching entirely.
     """
 
     def __init__(self, estimator: PointEstimator) -> None:
@@ -127,9 +128,9 @@ def test_property_epoch_contract_makes_caching_exact(name, lifecycle):
 @given(lifecycle=lifecycles())
 @settings(max_examples=25, deadline=None)
 def test_property_volatile_estimator_disables_caching(lifecycle):
-    """volatile=True advertises no epoch; the cache must pass through."""
+    """An estimator advertising no epoch; the cache must pass through."""
     batch, events = lifecycle
-    est = PointEstimator(SmithPredictor([Template()]), volatile=True)
+    est = Epochless(PointEstimator(SmithPredictor([Template()])))
     cache = EpochCache(est)
     assert est.history_epoch is None
     for etype, i in events:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.predictors.base import PointEstimator
 from repro.predictors.simple import ActualRuntimePredictor, MaxRuntimePredictor
+from repro.predictors.smith import SmithPredictor
+from repro.predictors.templates import Template
 from repro.scheduler.policies import (
     BackfillPolicy,
     EASYBackfillPolicy,
@@ -18,6 +20,7 @@ from repro.scheduler.policies import (
 from repro.scheduler.policies.backfill import AvailabilityProfile
 from repro.scheduler.simulator import Simulator
 from repro.workloads.job import Job, Trace
+from tests.fakes import Epochless
 
 TOTAL_NODES = 16
 
@@ -64,6 +67,24 @@ def test_property_schedule_invariants(policy_cls, trace):
         rec = res[job.job_id]
         assert rec.start_time >= job.submit_time
         assert rec.finish_time == pytest.approx(rec.start_time + job.run_time)
+
+
+def _smith() -> PointEstimator:
+    return PointEstimator(SmithPredictor([Template(), Template(characteristics=("u",))]))
+
+
+@pytest.mark.parametrize("policy_cls", POLICIES)
+@given(trace=traces())
+@settings(max_examples=25, deadline=None)
+def test_property_epochless_estimator_is_repredicted_every_pass(policy_cls, trace):
+    """An estimator with no epoch goes through the per-pass memo: nothing
+    survives in the cross-pass memo, and the schedule is the cached one."""
+    cached = Simulator(policy_cls(), _smith(), TOTAL_NODES)
+    inner = _smith()
+    plain = Simulator(policy_cls(), Epochless(inner), TOTAL_NODES)
+    assert plain.run(trace).records == cached.run(trace).records
+    assert plain._estimates.memo == {}
+    assert inner.predict_calls >= cached.estimator.predict_calls
 
 
 @given(trace=traces())

@@ -36,6 +36,7 @@ from repro.service import (
 from repro.waitpred.predictor import predict_wait
 from repro.workloads.job import Job, Trace
 from tests.conftest import make_job
+from tests.fakes import Epochless
 
 TOTAL = 12
 
@@ -333,7 +334,7 @@ class TestPredictions:
         policy = BackfillPolicy()
         svc = PredictionService(
             policy,
-            PointEstimator(MaxRuntimePredictor(), default=300.0, volatile=True),
+            Epochless(PointEstimator(MaxRuntimePredictor(), default=300.0)),
             TOTAL,
         )
         svc.submit(make_job(job_id=1, nodes=TOTAL, run_time=100.0,

@@ -13,6 +13,7 @@ from repro.scheduler.simulator import EstimateMemo, Simulator, SystemSnapshot
 from repro.service import PredictionService, SimulatorFeed
 from repro.waitpred.predictor import _freeze, predict_wait
 from repro.workloads.archive import load_paper_workload
+from tests.fakes import Epochless
 
 
 def _smith() -> PointEstimator:
@@ -86,7 +87,7 @@ def test_queued_jobs_predicted_once_per_epoch():
 
 def test_volatile_estimator_is_repredicted_on_every_call():
     snap = _snapshot_with_queue()
-    estimator = PointEstimator(MaxRuntimePredictor(), volatile=True)
+    estimator = Epochless(PointEstimator(MaxRuntimePredictor()))
     cache = EstimateMemo()
     first = _freeze(snap, estimator, cache)
     calls = estimator.predict_calls

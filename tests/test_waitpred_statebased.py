@@ -17,6 +17,7 @@ from repro.waitpred.statebased import (
     _log10_bin,
 )
 from tests.conftest import make_job
+from tests.fakes import Epochless
 
 
 def estimator():
@@ -232,13 +233,13 @@ class TestPredictor:
 class TestEstimateMemoization:
     """The per-epoch estimate memo must change nothing but the call count."""
 
-    def _replay(self, trace, *, volatile: bool):
+    def _replay(self, trace, *, epochless: bool):
         policy = LWFPolicy()
         sim = Simulator(policy, estimator(), trace.total_nodes)
-        # volatile=True advertises history_epoch=None, which disables the
-        # memo while leaving every individual prediction identical.
-        obs_est = PointEstimator(ActualRuntimePredictor(), volatile=volatile)
-        obs = StateBasedWaitPredictor(obs_est)
+        # An epochless estimator (history_epoch=None) disables the memo
+        # while leaving every individual prediction identical.
+        obs_est = PointEstimator(ActualRuntimePredictor())
+        obs = StateBasedWaitPredictor(Epochless(obs_est) if epochless else obs_est)
         sim.add_observer(obs)
         sim.run(trace)
         return obs.predicted_waits, obs_est.predict_calls
@@ -247,8 +248,8 @@ class TestEstimateMemoization:
         from repro.workloads.transform import head
 
         trace = head(anl_trace, 200)
-        memo_waits, memo_calls = self._replay(trace, volatile=False)
-        plain_waits, plain_calls = self._replay(trace, volatile=True)
+        memo_waits, memo_calls = self._replay(trace, epochless=False)
+        plain_waits, plain_calls = self._replay(trace, epochless=True)
         # Bit-identical predictions: the memo stores raw estimates and
         # reuses them through the exact same float operations.
         assert memo_waits == plain_waits
