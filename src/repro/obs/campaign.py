@@ -13,10 +13,11 @@ replayable run:
   checkpoint/resume substrate the sharded experiment fabric needs.
 - :class:`CampaignMonitor` — a streaming consumer of that event feed
   (live, or offline via :meth:`CampaignMonitor.from_events`).  It
-  tracks cells/sec throughput, ETA, per-worker utilization, tail-aware
-  cell-duration quantiles (p50/p90/p99 over the shared
-  :data:`~repro.obs.metrics.CELL_DURATION_BUCKETS` histogram), and
-  straggler detection (cells exceeding ``DEFAULT_STRAGGLER_FACTOR`` ×
+  tracks cells/sec throughput, ETA, per-worker utilization, exact
+  cell-duration quantiles (p50/p90/p99 of the finished cells' sorted
+  durations; the registry keeps a
+  :data:`~repro.obs.metrics.CELL_DURATION_BUCKETS` histogram of them
+  too), and straggler detection (cells exceeding ``DEFAULT_STRAGGLER_FACTOR`` ×
   the running median).
 - :class:`ProgressRenderer` — a rate-limited single-line stderr status
   display fed by the monitor (the table CLIs' ``--progress`` flag).
@@ -45,11 +46,7 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Mapping
 
-from repro.obs.metrics import (
-    CELL_DURATION_BUCKETS,
-    MetricsRegistry,
-    histogram_quantile,
-)
+from repro.obs.metrics import CELL_DURATION_BUCKETS, MetricsRegistry
 from repro.obs.schema import (
     CAMPAIGN_EVENT_TYPES,
     TraceSchemaError,
@@ -286,16 +283,24 @@ class CampaignMonitor:
         return min(busy / (elapsed * self.max_workers), 1.0)
 
     def duration_quantile(self, q: float) -> float | None:
-        """Cell-duration quantile from the shared histogram buckets."""
-        return histogram_quantile(
-            {
-                "bounds": list(self._duration_hist.bounds),
-                "counts": list(self._duration_hist.counts),
-                "sum": self._duration_hist.sum,
-                "count": self._duration_hist.count,
-            },
-            q,
-        )
+        """Exact ``q``-quantile of finished-cell durations, ``None`` before
+        any cell finished.
+
+        Read from the sorted durations, linear between the two order
+        statistics around rank ``q * (n - 1)`` (numpy's default rule), so
+        every quantile of one sample is that sample and the median
+        averages the middle pair as :meth:`median_duration` does.
+        """
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {q}")
+        durations = self._sorted_durations
+        if not durations:
+            return None
+        rank = q * (len(durations) - 1)
+        lo = int(rank)
+        if lo + 1 == len(durations):
+            return durations[lo]
+        return durations[lo] + (durations[lo + 1] - durations[lo]) * (rank - lo)
 
     def median_duration(self) -> float | None:
         """Exact running median of finished-cell durations."""

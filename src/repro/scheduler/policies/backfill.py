@@ -6,8 +6,10 @@ any job ahead of it starts immediately, and every job that cannot start
 is given a reservation at the earliest time the availability profile
 admits it.  Reservations exist only to protect earlier arrivals from
 later ones — a reserved job may still start before its reservation when
-jobs finish early, because the whole profile is rebuilt from scratch at
-every scheduling pass from the *current* estimates.
+jobs finish early, because the whole profile is rebuilt from the
+*current* estimates after every finish (a pass that follows only new
+submissions, under estimates that do not change as a job runs, extends
+the plan it kept instead; see Hot path below).
 
 The availability profile is a step function of free nodes over future
 time, seeded from the estimated remaining run times of the running jobs.
@@ -16,7 +18,7 @@ the profile is only as real as the estimates that shaped it (§4).
 
 Hot path
 --------
-Because the profile is pass-local state, two exact shortcuts apply:
+Three exact shortcuts apply:
 
 - **Seeding** reads every running job's release from one
   ``view.releases()`` call (no per-job ``remaining`` method call),
@@ -30,19 +32,38 @@ Because the profile is pass-local state, two exact shortcuts apply:
   the walk carves, so once they drop below the minimum node request of
   the remaining queue suffix, no later job can have an earliest start of
   ``now`` — the selected set is provably unchanged.
+- **Kept plan**: with an estimate that does not change as a job runs,
+  only a finish can move a reservation earlier.  The untraced walk keeps
+  its profile, the number of queued jobs it reserved and the view's
+  ``plan_stamp``; a later pass with the same stamp (same simulator, no
+  finish or reservation event since, same estimator epoch, no advance
+  reservation pending or waiting) whose earliest kept breakpoint after
+  the origin is above ``now + MIN_DURATION`` moves the origin to
+  ``now`` and resumes the walk over the queue tail the plan has not
+  reserved — normally just the new arrivals.  This is exact because a
+  running job's release, ``max(start + est, now + MIN_DURATION)``, does
+  not depend on ``now`` until the job is overdue: a fresh seed at the
+  later instant is the kept step function with a new origin (a job the
+  plan started at ``t1`` was carved over ``[t1, t1 + d)``, and ``t1 +
+  d`` is exactly its later release), and re-reserving the kept prefix
+  in it lands every job on the anchor it already holds.  The live
+  replay and the wait predictor's forward simulations share one policy
+  instance, so the stamp names the simulator, and a pass from any other
+  simulator replans (and re-keys the plan).
 
 Each queued job then costs one :meth:`AvailabilityProfile.reserve`,
 which holds the profile's only feasibility scan and carves in place
 with no inner call.  All of it is equivalence-gated by
-``tests/test_simulator_parity.py`` against the reference engine in
-:mod:`repro.scheduler.reference`.
+``tests/test_simulator_parity.py`` and
+``tests/test_properties_kept_plan.py`` against the reference engine in
+:mod:`repro.scheduler.reference`, which replans every pass.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from itertools import repeat
+from itertools import islice, repeat
 from operator import itemgetter
 from typing import Sequence
 
@@ -57,7 +78,6 @@ from repro.scheduler.policies.base import (
 
 __all__ = ["AvailabilityProfile", "BatchAvailabilityProfile", "BackfillPolicy"]
 
-_INF = math.inf
 
 # Hoisted iterators for the C-speed provenance seed in
 # ProfilePolicy._seed_origin: release-time extractor and an endless
@@ -642,8 +662,8 @@ class ProfilePolicy(Policy):
     """
 
     def __init__(self) -> None:
-        # Scratch profile reused across passes (never carries state
-        # between calls — _seeded_profile rebuilds it from the view).
+        # Scratch profile reused across passes; _seeded_profile rebuilds
+        # it from the view (BackfillPolicy may keep it as its plan).
         self._profile: AvailabilityProfile | None = None
         # The release pairs the current pass's profile was seeded from,
         # stashed so _seed_origin can attribute them without re-deriving
@@ -720,16 +740,102 @@ class BackfillPolicy(ProfilePolicy):
         # job_id -> last (blocker_kind, blocker_id), maintained only under
         # provenance so binding events report moves rather than every pass.
         self._last_binding: dict[int, tuple] = {}
+        # The kept plan (see the module docstring): the scratch profile
+        # as the last untraced walk left it is a plan while _plan_stamp
+        # equals the view's plan_stamp; _plan_reserved queued jobs (a
+        # prefix of the queue) hold a reservation in it.  Every pass that
+        # seeds the profile sets the stamp (None when traced).
+        self._plan_stamp: tuple | None = None
+        self._plan_reserved = 0
 
     def select(self, view) -> Sequence:
         """One walk of the queue in arrival order, reserving every job.
 
         Untraced, the walk stops as soon as no remaining job can start
-        *now* (see the module docstring).  That exit only skips
-        reservations discarded at the end of the pass, so under a tracer
-        the thresholds are ``-inf`` and the walk visits every job: the
-        selected set is the same, and every queued job's reservation is
-        observable.  Events report the reservation *life-cycle*:
+        *now*, and a pass that finds its kept plan still exact reserves
+        only the queue tail the plan lacks (see the module docstring and
+        :meth:`_walk`).  Both only skip reservations a full replan would
+        make and discard, so under a tracer no plan is kept and the walk
+        visits every job (:meth:`_traced_walk`): the selected set is the
+        same, and every queued job's reservation is observable.
+        """
+        tracer = getattr(view, "tracer", None)
+        if tracer is not None:
+            self._plan_stamp = None
+            return self._traced_walk(view, tracer)
+        stamp = getattr(view, "plan_stamp", None)
+        if stamp is not None and stamp == self._plan_stamp:
+            # No kept breakpoint at or before now + MIN_DURATION: no
+            # running job is overdue, so every seeded release stands.
+            times = self._profile.times
+            if len(times) == 1 or times[1] > view.now + MIN_DURATION:
+                view.note_kept_plan()
+                return self._walk(view, self._plan_reserved, stamp)
+        return self._walk(view, None, stamp)
+
+    def _walk(self, view, reserved: int | None, stamp) -> list:
+        """The untraced walk over the queue past its first ``reserved`` jobs.
+
+        With ``reserved`` of ``None`` the walk covers the whole queue in a
+        freshly seeded profile, kept under ``stamp`` when that is not
+        ``None``; otherwise those jobs hold reservations in the kept
+        profile, whose origin moves to ``now``.  The jobs walked are read
+        from the back of the insertion-ordered queue, so a kept prefix is
+        never copied.  The walk stops once free nodes at ``now`` are
+        below the smallest request left (see the module docstring), and
+        skips the profile entirely when not even the narrowest job fits.
+        """
+        queued = view.queued
+        n = len(queued) - (reserved or 0)
+        if n <= 0:
+            return []
+        jobs = list(islice(reversed(queued), n))  # newest first
+        # suffix_min[k] is the smallest request among jobs[k:] once both
+        # lists are turned to arrival order: the early-exit threshold.
+        suffix_min = [0] * n
+        smallest = jobs[0].job.nodes
+        for k, qj in enumerate(jobs):
+            nd = qj.job.nodes
+            if nd < smallest:
+                smallest = nd
+            suffix_min[k] = smallest
+        suffix_min.reverse()
+        jobs.reverse()
+        free_now = view.free_nodes
+        if free_now < suffix_min[0]:
+            return []
+        now = view.now
+        if reserved is None:
+            profile = self._seeded_profile(view)
+            reserved = 0
+            self._plan_stamp = stamp
+        else:
+            profile = self._profile
+            profile.times[0] = now
+        min_duration = MIN_DURATION
+        estimate = view.estimate
+        reserve = profile.reserve
+        started = []
+        walked = n
+        for k in range(n):
+            if free_now < suffix_min[k]:
+                walked = k
+                break  # no remaining job can start now; see module docstring
+            qj = jobs[k]
+            duration = estimate(qj)
+            if duration < min_duration:
+                duration = min_duration
+            job = qj.job
+            if reserve(job.nodes, duration) <= now:
+                started.append(qj)
+                free_now -= job.nodes
+        self._plan_reserved = reserved + walked - len(started)
+        return started
+
+    def _traced_walk(self, view, tracer) -> list:
+        """The walk under a tracer: every queued job is reserved afresh.
+
+        Events report the reservation *life-cycle*:
         ``reservation_placed`` the first time a job gets a future start,
         ``reservation_shifted`` whenever a replan moves it.
 
@@ -746,52 +852,25 @@ class BackfillPolicy(ProfilePolicy):
         queued = list(view.queued)  # arrival order
         if not queued:
             return []
-        n = len(queued)
-        free_now = view.free_nodes
-        tracer = getattr(view, "tracer", None)
         prov = getattr(view, "provenance_tracer", None)
-        if tracer is None:
-            # Suffix minima of node requests: suffix_min[k] is the
-            # smallest request among queued[k:], the early-exit threshold.
-            suffix_min = [0] * n
-            smallest = queued[-1].job.nodes
-            for k in range(n - 1, -1, -1):
-                nd = queued[k].job.nodes
-                if nd < smallest:
-                    smallest = nd
-                suffix_min[k] = smallest
-            if free_now < suffix_min[0]:
-                # Not even the narrowest queued job fits right now, so the
-                # pass starts nothing; skip building the profile entirely
-                # (its reservations would be discarded anyway).
-                return []
-        else:
-            suffix_min = [-_INF] * n  # never exits early
         now = view.now
         min_duration = MIN_DURATION
         estimate = view.estimate
-        profile = self._seeded_profile(view)
-        reserve = profile.reserve
+        reserve = self._seeded_profile(view).reserve
         last = self._last_reserved
         first_blocked: tuple[int, float] | None = None
         started = []
         started_ids: set[int] = set()
         moved: list[tuple[int, int, float]] = []
-        for k in range(n):
-            if free_now < suffix_min[k]:
-                break  # no remaining job can start now; see module docstring
-            qj = queued[k]
+        for k, qj in enumerate(queued):
             duration = estimate(qj)
             if duration < min_duration:
                 duration = min_duration
             job = qj.job
+            jid = job.job_id  # hoisted: QueuedJob.job_id is a property
             start = reserve(job.nodes, duration)
             if start <= now:
                 started.append(qj)
-                free_now -= job.nodes
-                if tracer is None:
-                    continue
-                jid = job.job_id  # hoisted: QueuedJob.job_id is a property
                 last.pop(jid, None)
                 if prov is not None:
                     started_ids.add(jid)
@@ -807,9 +886,6 @@ class BackfillPolicy(ProfilePolicy):
                             nodes=job.nodes,
                         )
                 continue
-            if tracer is None:
-                continue
-            jid = job.job_id
             if prov is not None and first_blocked is None:
                 first_blocked = (jid, start)
             prev = last.get(jid)

@@ -12,9 +12,12 @@ simulation was configured with, so the same policy code runs with actual
 run times, user maxima, or any historical predictor (paper §4).  A view
 answers ``estimate(qj)`` for a queued job's total run time and
 ``remaining(rj)`` for a running job's remaining time; ``releases()``
-gives every running job's ``(now + remaining(rj), nodes)`` in running
-order from one call, which is how the profile-seeding policies (and
-:class:`ReleaseAttributor`) read them.
+gives every running job's ``(release, nodes)`` in running order from one
+call, which is how the profile-seeding policies (and
+:class:`ReleaseAttributor`) read them.  A release is ``max(start + est,
+now + MIN_DURATION)`` under an elapsed-invariant estimator and ``now +
+remaining(rj)`` under any other (see
+:meth:`repro.scheduler.simulator.SchedulerView.releases`).
 """
 
 from __future__ import annotations

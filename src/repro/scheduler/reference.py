@@ -3,17 +3,21 @@
 :mod:`repro.scheduler.simulator` carries several exact hot-path
 optimizations: an epoch-gated estimate cache that survives across
 scheduling passes, O(1) id-keyed queue/running bookkeeping, batch event
-loading, a batch-built reusable availability profile, and early-exit
-scheduling passes.  Every one of them is *claimed* to be
+loading, a batch-built reusable availability profile, early-exit
+scheduling passes, and a conservative-backfill plan kept across passes
+that follow only new submissions.  Every one of them is *claimed* to be
 schedule-preserving.
 
 This module is the proof harness: a deliberately naive engine that
 re-predicts every job on every pass, keeps plain lists, pushes events
-one at a time, and replans the full queue with the primitive
+one at a time, and replans the full queue every pass with the primitive
 ``add_release``/``earliest_start``/``carve`` profile operations — the
-semantics of the engine before the hot-path overhaul.  The golden parity
+semantics of the engine before the hot-path overhaul, with the running
+jobs' release rule of
+:meth:`repro.scheduler.simulator.SchedulerView.releases`.  The golden parity
 tests (``tests/test_simulator_parity.py``) replay the paper workloads
-through both engines and assert bit-identical :class:`ScheduleResult`s;
+through both engines and assert bit-identical :class:`ScheduleResult`s
+(``tests/test_properties_kept_plan.py`` does so on random traces);
 ``benchmarks/bench_simulator_hotpath.py`` uses it as the baseline the
 measured speedup is computed against.
 
@@ -98,6 +102,20 @@ class ReferenceView:
             self._cache[rj.job_id] = est
         return max(est - elapsed, _EPS)
 
+    def release(self, rj: RunningJob) -> float:
+        """When ``rj`` frees its nodes, by the optimized view's rule.
+
+        An elapsed-invariant estimator's job releases at ``max(start +
+        est, now + eps)``, ``est`` being its elapsed-0 prediction, so the
+        instant stands from pass to pass; any other releases ``remaining``
+        from now.
+        """
+        estimator = self._sim.estimator
+        if getattr(estimator, "elapsed_invariant", False):
+            est = float(estimator.predict(rj.job, 0.0, self.now))
+            return max(rj.start_time + est, self.now + _EPS)
+        return self.now + self.remaining(rj)
+
 
 class ReferenceFCFSPolicy(Policy):
     """First-come first-served with head-of-line blocking (reference copy)."""
@@ -153,10 +171,9 @@ class ReferenceBackfillPolicy(Policy):
     def select(self, view):
         profile = AvailabilityProfile(view.now, view.free_nodes, view.total_nodes)
         for rj in view.running:
-            # One remaining() call per job: an oracle independent of the
+            # One release() call per job: an oracle independent of the
             # optimized view's batched releases().
-            remaining = view.remaining(rj)
-            profile.add_release(view.now + remaining, rj.job.nodes)
+            profile.add_release(view.release(rj), rj.job.nodes)
         started = []
         for qj in view.queued:  # arrival order
             duration = max(view.estimate(qj), self.min_duration)

@@ -189,8 +189,9 @@ class IndexedJobList:
     ``running``: iteration preserves insertion (arrival/start) order via
     dict ordering, while ``remove``/``__contains__`` key on ``job_id``
     instead of scanning.  Supports the small list-like surface the rest
-    of the codebase (and tests) use: ``append``, ``remove``, iteration,
-    ``len``, membership, and positional indexing.
+    of the codebase (and tests) use: ``append``, ``remove``, iteration
+    (``reversed`` too, which reads a queue's newest jobs without copying
+    the rest), ``len``, membership, and positional indexing.
     """
 
     __slots__ = ("_items",)
@@ -234,6 +235,9 @@ class IndexedJobList:
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self._items.values())
+
+    def __reversed__(self) -> Iterator[Any]:
+        return reversed(self._items.values())
 
     def __len__(self) -> int:
         return len(self._items)
@@ -335,6 +339,32 @@ class SchedulerView:
         sim = self._sim
         return sim._tracer if sim._provenance else None
 
+    @property
+    def plan_stamp(self) -> tuple | None:
+        """What a plan kept from an earlier pass must match to be exact now.
+
+        ``None`` when no plan may be kept: the estimator is not
+        elapsed-invariant or has no epoch, or an advance reservation is
+        pending or waiting.  Otherwise a pair that changes when the
+        simulator processes a finish, adds or ends a reservation (or
+        loads a snapshot) and when the estimator's epoch moves; it is
+        never equal to another simulator's.  Conservative backfill keeps its
+        plan while the stamp stands (see :mod:`repro.scheduler.policies.backfill`).
+        """
+        sim = self._sim
+        if (
+            not self._elapsed_invariant
+            or self._cache is not sim._estimates.memo
+            or sim.pending_reservations
+            or sim.waiting_reservations
+        ):
+            return None
+        return sim._plan_key, sim._estimates.epoch
+
+    def note_kept_plan(self) -> None:
+        """Count a pass served from a kept plan (``sim.backfill_plans_kept``)."""
+        self._sim._n_plans_kept += 1
+
     def estimate(self, qj: QueuedJob) -> float:
         """Estimated total run time of a queued job (>= tiny epsilon)."""
         est = self._cache.get(qj.job_id)
@@ -374,13 +404,18 @@ class SchedulerView:
         return max(est - elapsed, MIN_DURATION)
 
     def releases(self) -> list[tuple[float, int]]:
-        """``(now + remaining(rj), nodes)`` for every running job, in
-        running order, computed in one loop.
+        """``(release, nodes)`` for every running job, in running order,
+        computed in one loop — the seed of every backfill pass.
 
-        The same floats, memo reads and ``predict`` calls as one
-        :meth:`remaining` call per job, without the per-job method,
-        ``elapsed()`` and ``job_id`` property calls — the seed of every
-        backfill pass.  The list is fresh; callers may extend it.
+        Under an elapsed-invariant estimator a job started at ``start``
+        with elapsed-0 estimate ``est`` releases at ``max(start + est,
+        now + MIN_DURATION)``: the instant does not depend on ``now``
+        until the job is overdue, so a plan built at one pass is still
+        exact at a later one (conservative backfill keeps its plan on
+        that).  Otherwise the release is ``now + remaining(rj)``.  Either
+        way the memo reads and ``predict`` calls are those of one
+        :meth:`remaining` call per job.  The list is fresh; callers may
+        extend it.
         """
         sim = self._sim
         now = sim.now
@@ -390,6 +425,7 @@ class SchedulerView:
         append = out.append
         if self._elapsed_invariant:
             cache = self._cache
+            floor = now + min_duration
             for rj in sim.running:
                 job = rj.job
                 jid = job.job_id
@@ -397,10 +433,9 @@ class SchedulerView:
                 if base is None:
                     base = float(predict(job, 0.0, now))
                     cache[jid] = base
-                elapsed = now - rj.start_time
-                r = (base if base > elapsed else elapsed) - elapsed
-                # max(r, MIN_DURATION), argument order and NaN included.
-                append((now + (min_duration if min_duration > r else r), job.nodes))
+                t = rj.start_time + base
+                # max(t, floor), argument order and NaN included.
+                append((floor if floor > t else t, job.nodes))
             return out
         memo = self._remaining
         for rj in sim.running:
@@ -492,6 +527,13 @@ class Simulator:
         #: estimator's ``history_epoch`` (see _estimate_memo).
         self._estimates = EstimateMemo()
         self._est_invariant = bool(getattr(estimator, "elapsed_invariant", False))
+        #: Replaced at every finish, reservation end, add_reservations
+        #: and snapshot load, so a kept backfill plan is stamped with the
+        #: state it was built on (see SchedulerView.plan_stamp).  A
+        #: reservation's start and activation need no replacement: it is
+        #: pending from add_reservations until then, and no plan is kept
+        #: while one is pending or waiting.
+        self._plan_key = object()
         #: A started job's run time: the trace's, or the believed one (load_snapshot).
         self._run_time = attrgetter("run_time")
         #: Observability wiring (see repro.obs).  The hot loops bump plain
@@ -512,6 +554,7 @@ class Simulator:
         self._n_est_hits = 0
         self._n_est_misses = 0
         self._n_est_flushes = 0
+        self._n_plans_kept = 0
         self._depth_samples: list[int] = []
         self._depth_folded = 0
         #: Backfill-depth tracking walks the queue once per selecting pass;
@@ -556,6 +599,10 @@ class Simulator:
         reg.counter("sim.estimate_cache_hits").value = self._n_est_hits
         reg.counter("sim.estimate_cache_misses").value = self._n_est_misses
         reg.counter("sim.estimate_cache_flushes").value = self._n_est_flushes
+        if self._n_plans_kept:
+            # Folded once a plan was kept, so replays that cannot keep one
+            # (elapsed-conditioned estimates, tracing) snapshot as before.
+            reg.counter("sim.backfill_plans_kept").value = self._n_plans_kept
         h_wait = reg.histogram("sim.wait_time_seconds", WAIT_TIME_BUCKETS)
         h_wait.reset()
         for rec in self._records:
@@ -661,6 +708,7 @@ class Simulator:
                     f"({res.start_time} < {self.now})"
                 )
             self.pending_reservations.append(res)
+            self._plan_key = object()
             self._events.push(res.start_time, RES_START, res)
             if self._trace_enabled:
                 self._tracer.emit(
@@ -686,6 +734,7 @@ class Simulator:
         any event is pushed.
         """
         now = self.now = snapshot.now
+        self._plan_key = object()
         for item in snapshot.running + snapshot.queued:
             d = durations[item.job.job_id]
             if not -math.inf < d < math.inf:
@@ -817,6 +866,7 @@ class Simulator:
         except ValueError:
             raise RuntimeError(f"finish event for job {rj.job_id} not running")
         self.pool.release(rj.job.nodes)
+        self._plan_key = object()
         self._records.append(
             JobRecord(
                 job_id=rj.job_id,
@@ -836,6 +886,7 @@ class Simulator:
     def _handle_reservation_end(self, active: "ActiveReservation") -> None:
         self.active_reservations.remove(active)
         self.pool.release(active.reservation.nodes)
+        self._plan_key = object()
 
     def _activate_waiting_reservations(self) -> None:
         """Give due reservations first claim on free nodes."""
@@ -874,7 +925,7 @@ class Simulator:
     def _schedule_pass(self) -> list[QueuedJob]:
         if not self.queued or self.pool.free == 0:
             # Every job needs >= 1 node, so no policy can start anything;
-            # reservations are recomputed from scratch next pass anyway.
+            # a pass that only reserved would change no start.
             return []
         if self._h_pass is None:
             return self._select_and_start()

@@ -79,14 +79,16 @@ def _duration_of(durations: dict[int, float], job_id: int) -> float:
 def _seed_profile(
     snapshot: SystemSnapshot, durations: dict[int, float]
 ) -> AvailabilityProfile:
-    """Profile of free nodes from the snapshot's running jobs."""
+    """Profile of free nodes from the snapshot's running jobs.
+
+    A running job believed to run ``d`` releases at ``max(start + d,
+    now + MIN_DURATION)``, the simulator view's rule under the frozen
+    (elapsed-invariant) estimates a forward simulation plans with.
+    """
     used = sum(rj.job.nodes for rj in snapshot.running)
+    floor = snapshot.now + MIN_DURATION
     releases = [
-        (
-            snapshot.now
-            + max(_duration_of(durations, rj.job_id) - rj.elapsed(snapshot.now), MIN_DURATION),
-            rj.job.nodes,
-        )
+        (max(rj.start_time + _duration_of(durations, rj.job_id), floor), rj.job.nodes)
         for rj in snapshot.running
     ]
     return AvailabilityProfile.from_releases(

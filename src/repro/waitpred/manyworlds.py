@@ -10,8 +10,8 @@ state advanced across all S worlds at once:
 1. :func:`encode_snapshot` walks the snapshot *once*, resolving each
    job's point estimate and interval half-width through
    :meth:`PointEstimator.resolve` and packing the per-job node counts,
-   elapsed times, points and sigmas into flat numpy arrays (running
-   jobs first, then queued, both in snapshot order);
+   running jobs' start times, points and sigmas into flat numpy arrays
+   (running jobs first, then queued, both in snapshot order);
 2. :func:`sample_durations` draws every world's run times in a single
    ``(S, n_jobs)`` ``standard_normal`` call;
 3. :func:`predict_starts_batch` plans the whole queue through a
@@ -81,7 +81,7 @@ class EncodedSnapshot:
     free_nodes: int
     run_ids: tuple[int, ...]
     run_nodes: np.ndarray  # (R,) int64
-    run_elapsed: np.ndarray  # (R,) float64
+    run_start: np.ndarray  # (R,) float64 — running jobs' start times
     queued_ids: tuple[int, ...]
     queued_nodes: np.ndarray  # (Q,) int64
     point: np.ndarray  # (R+Q,) float64 — point estimates, running then queued
@@ -135,7 +135,9 @@ def encode_snapshot(
         free_nodes=snapshot.total_nodes - sum(run_nodes),
         run_ids=tuple(rj.job_id for rj in snapshot.running),
         run_nodes=np.asarray(run_nodes, dtype=np.int64),
-        run_elapsed=np.asarray([e for _, e in jobs[:n_run]], dtype=np.float64),
+        run_start=np.asarray(
+            [rj.start_time for rj in snapshot.running], dtype=np.float64
+        ),
         queued_ids=tuple(qj.job_id for qj in snapshot.queued),
         queued_nodes=np.asarray([job.nodes for job, _ in jobs[n_run:]], dtype=np.int64),
         point=np.asarray(points, dtype=np.float64),
@@ -174,15 +176,16 @@ def sample_durations(
 def _seed_profile_batch(
     enc: EncodedSnapshot, durations: np.ndarray, reserves: int
 ) -> BatchAvailabilityProfile:
-    """Batched twin of ``waitpred.fast._seed_profile``.
+    """Batched twin of ``waitpred.fast._seed_profile``: a running job
+    releases at ``max(start + d, now + MIN_DURATION)`` in every world.
 
     ``reserves`` is the number of queue reservations the caller will
     place; each adds at most one breakpoint, so sizing the buffers for
     all of them up front avoids any mid-walk regrowth.
     """
     n_run = enc.n_running
-    release_times = enc.now + np.maximum(
-        durations[:, :n_run] - enc.run_elapsed[None, :], MIN_DURATION
+    release_times = np.maximum(
+        enc.run_start[None, :] + durations[:, :n_run], enc.now + MIN_DURATION
     )
     return BatchAvailabilityProfile.from_releases(
         enc.now,

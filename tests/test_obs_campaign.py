@@ -140,6 +140,19 @@ class TestMonitor:
         assert m.duration_quantile(0.5) <= 0.25
         assert m.duration_quantile(0.99) > 5.0
 
+    def test_one_finished_cell_is_every_quantile(self):
+        """Quantiles read the exact durations, not histogram buckets (which
+        put a lone 1.0 s cell at p50 0.75, p90 0.95 and p99 0.995 s)."""
+        m = CampaignMonitor()
+        m.observe(_started(total=2))
+        m.observe(_dispatched(0, 0.0))
+        m.observe(_dispatched(1, 0.0))
+        m.observe(_finished(0, 1.0, 1.0))
+        assert [m.duration_quantile(q) for q in (0.5, 0.9, 0.99)] == [1.0, 1.0, 1.0]
+        assert m.duration_quantile(0.0) == m.duration_quantile(1.0) == 1.0
+        with pytest.raises(ValueError):
+            m.duration_quantile(1.5)
+
     def test_stragglers_need_min_samples(self):
         m = CampaignMonitor()
         m.observe(_started(total=10))

@@ -10,6 +10,7 @@ from repro.core.registry import make_predictor
 from repro.predictors.base import PointEstimator
 from repro.predictors.simple import ActualRuntimePredictor
 from repro.scheduler.policies import BackfillPolicy, FCFSPolicy
+from repro.scheduler.policies.base import MIN_DURATION
 from repro.scheduler.simulator import (
     InstrumentedSchedulerView,
     QueuedJob,
@@ -169,7 +170,19 @@ def _hex(pairs):
     return [(t.hex(), nodes) for t, nodes in pairs]
 
 
-# now + (base - (now - start)) rounds differently from start + base here.
+def _release(view, rj):
+    """The rule ``releases()`` follows, with one ``remaining()`` call's
+    memo reads and ``predict`` calls: ``max(start + est, now +
+    MIN_DURATION)`` under an elapsed-invariant estimator (``est`` the
+    memoized elapsed-0 estimate), else ``now + remaining(rj)``."""
+    remaining = view.remaining(rj)
+    if view._elapsed_invariant:
+        return max(rj.start_time + view._cache[rj.job_id], view.now + MIN_DURATION)
+    return view.now + remaining
+
+
+# now + (base - (now - start)), the rule before releases stopped
+# depending on now, rounds differently from start + base here.
 _ROUNDING_PROBE = (
     "max",
     SchedulerView,
@@ -184,17 +197,16 @@ _ROUNDING_PROBE = (
 @example(state=_ROUNDING_PROBE)
 @settings(max_examples=200, deadline=None)
 def test_property_releases_match_remaining_bit_for_bit(state):
-    """``releases()`` is the per-job ``remaining()`` comprehension: the
-    same floats, and the same memo misses and ``predict`` calls, on a
-    cold view and again on the warm one."""
+    """``releases()`` pins the release rule bit for bit — ``start +
+    est`` while a job under an elapsed-invariant estimator is not
+    overdue, ``now + remaining`` under any other — with the memo misses
+    and ``predict`` calls of one ``remaining()`` call per job, on a cold
+    view and again on the warm one."""
     sim_a, view_a = _build(*state)
     sim_b, view_b = _build(*state)
     for _ in range(2):
         got = view_a.releases()
-        want = [
-            (view_b.now + view_b.remaining(rj), rj.job.nodes)
-            for rj in view_b.running
-        ]
+        want = [(_release(view_b, rj), rj.job.nodes) for rj in view_b.running]
         assert _hex(got) == _hex(want)
         counters_a = sim_a.metrics_snapshot()["counters"]
         counters_b = sim_b.metrics_snapshot()["counters"]

@@ -134,7 +134,7 @@ def naive_fcfs_starts(snap, durations):
     now = snap.now
     base = snap.total_nodes - sum(rj.job.nodes for rj in snap.running)
     releases = [
-        (now + max(durations[rj.job_id] - rj.elapsed(now), MIN_DURATION), rj.job.nodes)
+        (max(rj.start_time + durations[rj.job_id], now + MIN_DURATION), rj.job.nodes)
         for rj in snap.running
     ]
     carves: list[tuple[float, float, int]] = []
