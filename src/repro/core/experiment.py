@@ -130,14 +130,16 @@ def run_wait_time_experiment(
     """Tables 4-9 cell: wait-time prediction accuracy.
 
     The scheduler's own estimates are user maxima (§3); the observer's
-    come from ``predictor_name``.
+    come from ``predictor_name``.  The observer simulates forward with
+    its own policy instance, so its passes leave the live replay's kept
+    backfill plan alone.
     """
     policy = make_policy(policy_name)
     templates = _resolve_templates(predictor_name, trace, policy_name)
     scheduler_estimator = PointEstimator(make_predictor("max", trace))
     sim = Simulator(policy, scheduler_estimator, trace.total_nodes)
     observer = WaitTimePredictor(
-        policy,
+        make_policy(policy_name),
         make_predictor(predictor_name, trace, templates=templates),
         scheduler_estimator=scheduler_estimator,
     )

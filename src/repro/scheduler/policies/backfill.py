@@ -46,10 +46,11 @@ Three exact shortcuts apply:
   later instant is the kept step function with a new origin (a job the
   plan started at ``t1`` was carved over ``[t1, t1 + d)``, and ``t1 +
   d`` is exactly its later release), and re-reserving the kept prefix
-  in it lands every job on the anchor it already holds.  The live
-  replay and the wait predictor's forward simulations share one policy
-  instance, so the stamp names the simulator, and a pass from any other
-  simulator replans (and re-keys the plan).
+  in it lands every job on the anchor it already holds.  The stamp
+  names the simulator, so a pass from any other simulator sharing the
+  policy instance replans (and re-keys the plan); the wait-time
+  experiment gives its observer's forward simulations a policy of
+  their own, so the live replay's plan survives its queries.
 
 Each queued job then costs one :meth:`AvailabilityProfile.reserve`,
 which holds the profile's only feasibility scan and carves in place

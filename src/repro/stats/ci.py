@@ -18,8 +18,12 @@ makes small, tight categories beat huge, diffuse ones.)
 Because the tightest interval picks the template, the bits of the t
 quantile decide which category predicts, and with it the printed cells of
 Tables 5-9 and 11-15.  :func:`t_quantile` therefore has one kernel on
-every host, ``scipy.special.stdtrit`` (a required dependency), and no
-approximate fallback.
+every host, ``scipy.special.stdtrit``, and no approximate fallback.  At
+the paper's 90% confidence (``p = 0.95``) its bits come from a committed
+table of that kernel's output for ``df = 1..32,768``
+(``t_quantile_p95.npy``, written by ``scripts/gen_t_table.py``), so a
+Smith replay never loads SciPy; any other ``(df, p)`` calls SciPy, a
+required dependency.
 
 :func:`mean_confidence_interval` is called on every miss of a category's
 memo, mostly on a few hundred points, where NumPy's Python-level
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -41,15 +46,37 @@ __all__ = ["t_quantile", "mean_confidence_interval", "RunningMoments"]
 
 _T_CACHE: dict[tuple[int, float], float] = {}
 
+#: The quantile level of the paper's 90% intervals, the one level tabled.
+_TABLED_P = 0.5 + 0.90 / 2.0
+_TABLE_PATH = Path(__file__).with_name("t_quantile_p95.npy")
+#: ``stdtrit(df, _TABLED_P)`` at index ``df - 1``; read on first use.
+_table: np.ndarray | None = None
+
+
+def _stdtrit(df: int, p: float) -> float:
+    """``scipy.special.stdtrit(df, p)``, from the table where it has the answer."""
+    global _table
+    if p == _TABLED_P:
+        if _table is None:
+            _table = np.load(_TABLE_PATH, allow_pickle=False)
+        # NaN and infinite df fail the bound; fractional df the equality.
+        if df <= _table.size and df == int(df):
+            return float(_table[int(df) - 1])
+    # Imported on the first untabled miss: scipy.special costs ~19 MB.
+    from scipy.special import stdtrit
+
+    return float(stdtrit(df, p))
+
 
 def t_quantile(df: int, p: float) -> float:
     """Quantile function of Student's t with ``df`` degrees of freedom.
 
-    Computed by ``scipy.special.stdtrit``, the kernel SciPy's ``t.ppf``
-    calls, so the bits are the same.  Results are memoized — predictors
-    call this with a handful of distinct ``(df, p)`` pairs millions of
-    times during a trace replay.  Raises :class:`ValueError` unless
-    ``df >= 1`` and ``0 < p < 1``.
+    The bits are ``scipy.special.stdtrit``'s, the kernel SciPy's
+    ``t.ppf`` calls: read from the committed table at ``p = 0.95`` and
+    ``df <= 32,768``, computed by SciPy otherwise.  Results are memoized
+    — predictors call this with a handful of distinct ``(df, p)`` pairs
+    millions of times during a trace replay.  Raises :class:`ValueError`
+    unless ``df >= 1`` and ``0 < p < 1``.
     """
     key = (df, p)
     v = _T_CACHE.get(key)
@@ -59,11 +86,7 @@ def t_quantile(df: int, p: float) -> float:
             raise ValueError(f"df must be >= 1, got {df}")
         if not 0.0 < p < 1.0:
             raise ValueError(f"p must be in (0, 1), got {p}")
-        # Imported on the first miss: scipy.special costs ~50 MB and most
-        # replays (user maxima, no intervals) never need a quantile.
-        from scipy.special import stdtrit
-
-        v = _T_CACHE[key] = float(stdtrit(df, p))
+        v = _T_CACHE[key] = _stdtrit(df, p)
     return v
 
 

@@ -292,8 +292,8 @@ def test_no_plan_kept_under_smith():
 
 
 def test_wait_experiment_matches_fresh_forward_policies(monkeypatch):
-    """The live replay and the wait predictor's forward simulations share
-    one policy instance; predictions and starts are those of a run whose
+    """The wait predictor's forward simulations share the observer's
+    policy instance; predictions and starts are those of a run whose
     forward simulations each get a fresh BackfillPolicy."""
     trace = load_paper_workload("ANL", n_jobs=200)
 
@@ -321,3 +321,16 @@ def test_wait_experiment_matches_fresh_forward_policies(monkeypatch):
     monkeypatch.setattr(fast, "forward_simulate", fresh_policy)
     assert run() == shared
     assert calls
+
+
+def test_wait_observer_leaves_live_plan_alone():
+    """A wait-time cell's live replay keeps as many backfill plans as the
+    same replay with no observer: the observer's forward simulations run
+    on a policy of their own."""
+    trace = load_paper_workload("SDSC96", n_jobs=300)
+    cell, _, _ = run_wait_time_experiment(trace, "backfill", "smith")
+    sim = Simulator(BackfillPolicy(), _estimator("max", trace), trace.total_nodes)
+    sim.run(trace)
+    alone = sim.metrics_snapshot()["counters"][KEPT]
+    assert alone > 0
+    assert cell.metrics["counters"].get(KEPT, 0) == alone

@@ -59,8 +59,10 @@ class TestTQuantile:
         """``t_quantile`` returns ``scipy.stats.t.ppf``'s bits (the oracle)."""
         stats = pytest.importorskip("scipy.stats")
         monkeypatch.setattr(ci, "_T_CACHE", {})
-        dfs = np.arange(1, 30_001)
+        tabled = np.load(ci._TABLE_PATH, allow_pickle=False).size
         for p in _P_LEVELS:
+            # The tabled level is checked over the table's whole length.
+            dfs = np.arange(1, (tabled if p == ci._TABLED_P else 30_000) + 1)
             want = stats.t.ppf(p, dfs)
             got = np.array([t_quantile(int(df), p) for df in dfs])
             mismatched = dfs[got != want]
@@ -71,7 +73,21 @@ class TestTQuantile:
         monkeypatch.setattr(ci, "_T_CACHE", {})
         monkeypatch.setitem(sys.modules, "scipy.special", None)
         with pytest.raises(ImportError):
-            t_quantile(5, 0.95)
+            t_quantile(5, 0.975)
+
+    def test_tabled_level_without_scipy(self, monkeypatch):
+        """The paper's 90% level is read from the table, not SciPy."""
+        monkeypatch.setattr(ci, "_T_CACHE", {})
+        monkeypatch.setattr(ci, "_table", None)
+        monkeypatch.setitem(sys.modules, "scipy.special", None)
+        assert t_quantile(10, 0.5 + 0.90 / 2.0).hex() == "0x1.cffd73bfbf61dp+0"
+        assert t_quantile(22_884, 0.95).hex() == "0x1.a5197dc5a481bp+0"
+
+    def test_untabled_df_at_tabled_level(self):
+        """A df the table does not hold is computed by SciPy."""
+        special = pytest.importorskip("scipy.special")
+        for df in (2.5, 32_769):
+            assert t_quantile(df, 0.95) == float(special.stdtrit(df, 0.95))
 
 
 #: Sizes on both sides of NumPy's 8-lane unrolled sum and its 128-element
