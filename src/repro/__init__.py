@@ -26,65 +26,7 @@ Quickstart::
 """
 
 from repro._version import __version__
-from repro.workloads import (
-    Job,
-    Trace,
-    load_paper_workload,
-    generate_trace,
-    SyntheticWorkloadSpec,
-    compress_interarrival,
-    summarize,
-    feitelson_trace,
-)
-from repro.scheduler import validate_schedule
-from repro.predictors import (
-    SmithPredictor,
-    GibbonsPredictor,
-    DowneyPredictor,
-    ActualRuntimePredictor,
-    MaxRuntimePredictor,
-    Template,
-    PointEstimator,
-    search_templates,
-    GAConfig,
-)
-from repro.scheduler import (
-    Simulator,
-    FCFSPolicy,
-    LWFPolicy,
-    BackfillPolicy,
-    EASYBackfillPolicy,
-    Reservation,
-    forward_simulate,
-)
-from repro.waitpred import (
-    WaitTimePredictor,
-    predict_wait,
-    predict_wait_interval,
-    evaluate_wait_predictions,
-    StateBasedWaitPredictor,
-)
-from repro.predictors import (
-    warm_start,
-    OnlineMeanPredictor,
-    OnlineRegressionPredictor,
-    DecayedMeanPredictor,
-)
-from repro.experiments import (
-    ErrorModel,
-    NoisyPredictor,
-    run_misprediction_campaign,
-    run_misprediction_experiment,
-)
-from repro.core import (
-    run_wait_time_experiment,
-    run_scheduling_experiment,
-    run_runtime_prediction_experiment,
-    run_grid,
-    make_policy,
-    make_predictor,
-    format_table,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "__version__",
@@ -134,3 +76,32 @@ __all__ = [
     "make_predictor",
     "format_table",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads": (
+        "Job", "Trace", "load_paper_workload", "generate_trace", "SyntheticWorkloadSpec",
+        "compress_interarrival", "summarize", "feitelson_trace",
+    ),
+    "repro.scheduler": (
+        "validate_schedule", "Simulator", "FCFSPolicy", "LWFPolicy", "BackfillPolicy",
+        "EASYBackfillPolicy", "Reservation", "forward_simulate",
+    ),
+    "repro.predictors": (
+        "SmithPredictor", "GibbonsPredictor", "DowneyPredictor", "ActualRuntimePredictor",
+        "MaxRuntimePredictor", "Template", "PointEstimator", "search_templates", "GAConfig",
+        "warm_start", "OnlineMeanPredictor", "OnlineRegressionPredictor", "DecayedMeanPredictor",
+    ),
+    "repro.waitpred": (
+        "WaitTimePredictor", "predict_wait", "predict_wait_interval", "evaluate_wait_predictions",
+        "StateBasedWaitPredictor",
+    ),
+    "repro.experiments": (
+        "ErrorModel", "NoisyPredictor", "run_misprediction_campaign",
+        "run_misprediction_experiment",
+    ),
+    "repro.core": (
+        "run_wait_time_experiment", "run_scheduling_experiment",
+        "run_runtime_prediction_experiment", "run_grid", "make_policy", "make_predictor",
+        "format_table",
+    ),
+})

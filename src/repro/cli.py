@@ -30,14 +30,9 @@ import sys
 from typing import Sequence
 
 from repro.core.experiment import load_trace, run_runtime_prediction_experiment
-from repro.core.parallel import run_grid
 from repro.core.registry import POLICY_NAMES, PREDICTOR_NAMES
 from repro.core.tables import format_table
-from repro.experiments.misprediction import DEFAULT_ERROR_LEVELS, ERROR_KINDS
-from repro.obs.accuracy import DEFAULT_DRIFT_WINDOW
-from repro.obs.timeseries import TIMESERIES_METRICS
 from repro.workloads.archive import PAPER_WORKLOADS, load_paper_workload
-from repro.workloads.stats import summarize
 
 __all__ = ["main", "build_parser", "run_trace",
            "run_report_from_trace", "run_misprediction", "run_campaign",
@@ -82,6 +77,20 @@ def positive_int(text: str) -> int:
     return value
 
 
+def port_number(text: str, *, lowest: int = 0) -> int:
+    """``serve --port``: a TCP port in ``lowest``-65535; the default 0
+    asks the OS for one."""
+    value = int(text)
+    if not lowest <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be in {lowest}-65535, got {text!r}")
+    return value
+
+
+def server_port(text: str) -> int:
+    """``query --port``: the port of a listening server, 1-65535."""
+    return port_number(text, lowest=1)
+
+
 def ga_population(text: str) -> int:
     """``ga-search --population``: an even number >= 4, as
     :class:`~repro.predictors.ga.GAConfig` requires (pairs of parents,
@@ -93,6 +102,11 @@ def ga_population(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Imported here, not at module level, so `import repro.cli` stays light.
+    from repro.experiments.misprediction import DEFAULT_ERROR_LEVELS, ERROR_KINDS
+    from repro.obs.accuracy import DEFAULT_DRIFT_WINDOW
+    from repro.obs.timeseries import TIMESERIES_METRICS
+
     parser = argparse.ArgumentParser(
         prog="repro-sched",
         description=(
@@ -337,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         "epoch-cached analytic predictions (repro.service)",
     )
     p_srv.add_argument("--host", default="127.0.0.1")
-    p_srv.add_argument("--port", type=int, default=7099,
+    p_srv.add_argument("--port", type=port_number, default=7099,
                        help="TCP port (0 = ask the OS; the bound port is "
                        "printed on stderr)")
     p_srv.add_argument("--workload", default="ANL",
@@ -358,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         "server and/or ask it for predicted waits",
     )
     p_q.add_argument("--host", default="127.0.0.1")
-    p_q.add_argument("--port", type=int, default=7099)
+    p_q.add_argument("--port", type=server_port, default=7099)
     p_q.add_argument("--replay", type=int, default=None, metavar="N",
                      help="replay the workload's first N jobs locally, "
                      "streaming each submit/start/finish to the server; "
@@ -733,6 +747,7 @@ def run_report_from_trace(args: argparse.Namespace) -> int:
     import json
 
     from repro.obs import (
+        DEFAULT_DRIFT_WINDOW,
         ReportSchemaError,
         build_report,
         format_report,
@@ -876,6 +891,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "summarize":
+        from repro.workloads.stats import summarize
+
         rows = [
             summarize(load_paper_workload(w, n_jobs=args.n_jobs)).as_row()
             for w in PAPER_WORKLOADS
@@ -972,6 +989,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                     run_runtime_prediction_experiment(trace, predictor).as_row()
                 )
     else:
+        from repro.core.parallel import run_grid
+
         telemetry = _make_telemetry(args)
         try:
             cells = run_grid(

@@ -13,33 +13,7 @@
 - :mod:`repro.core.tables` — plain-text rendering in the paper's layout.
 """
 
-from repro.core.registry import (
-    PREDICTOR_NAMES,
-    POLICY_NAMES,
-    make_policy,
-    make_predictor,
-)
-from repro.core.parallel import (
-    CellFailure,
-    CellResult,
-    CellSpec,
-    ExperimentPlan,
-    ParallelExecutionError,
-    TableRun,
-    execute_cell,
-    run_grid,
-    run_table_parallel,
-)
-from repro.core.rounding import round_half_up
-from repro.core.experiment import (
-    SchedulingCell,
-    WaitTimeCell,
-    RuntimePredictionCell,
-    run_scheduling_experiment,
-    run_wait_time_experiment,
-    run_runtime_prediction_experiment,
-)
-from repro.core.tables import format_table
+from repro._lazy import lazy_exports
 
 __all__ = [
     "PREDICTOR_NAMES",
@@ -64,3 +38,17 @@ __all__ = [
     "round_half_up",
     "format_table",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.registry": ("PREDICTOR_NAMES", "POLICY_NAMES", "make_policy", "make_predictor"),
+    "repro.core.parallel": (
+        "CellFailure", "CellResult", "CellSpec", "ExperimentPlan", "ParallelExecutionError",
+        "TableRun", "execute_cell", "run_grid", "run_table_parallel",
+    ),
+    "repro.core.rounding": ("round_half_up",),
+    "repro.core.experiment": (
+        "SchedulingCell", "WaitTimeCell", "RuntimePredictionCell", "run_scheduling_experiment",
+        "run_wait_time_experiment", "run_runtime_prediction_experiment",
+    ),
+    "repro.core.tables": ("format_table",),
+})

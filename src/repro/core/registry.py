@@ -9,16 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.predictors.adaptive import (
-    DecayedMeanPredictor,
-    OnlineMeanPredictor,
-    OnlineRegressionPredictor,
-)
 from repro.predictors.base import RuntimePredictor
-from repro.predictors.downey import DowneyPredictor
-from repro.predictors.gibbons import GibbonsPredictor
-from repro.predictors.simple import ActualRuntimePredictor, MaxRuntimePredictor
-from repro.predictors.smith import SmithPredictor
 from repro.predictors.templates import Template
 from repro.scheduler.policies import (
     BackfillPolicy,
@@ -62,19 +53,29 @@ def make_predictor(
     """Build a fresh predictor for ``trace``.
 
     ``templates`` overrides the Smith predictor's template set (e.g. one
-    found by the genetic search); other predictors ignore it.
+    found by the genetic search); other predictors ignore it.  Each
+    branch imports its own predictor module, so a run loads only the
+    predictors it names.
     """
     if name == "actual":
+        from repro.predictors.simple import ActualRuntimePredictor
+
         return ActualRuntimePredictor()
     if name == "max":
+        from repro.predictors.simple import MaxRuntimePredictor
+
         # Per-queue maxima are derived from the whole trace, as the paper
         # does for the SDSC workloads; user-supplied maxima win when present.
         return MaxRuntimePredictor.from_trace(trace)
     if name == "smith":
+        from repro.predictors.smith import SmithPredictor
+
         if templates is not None:
             return SmithPredictor(templates)
         return SmithPredictor.for_trace(trace)
     if name == "smith-tuned":
+        from repro.predictors.smith import SmithPredictor
+
         if templates is not None:
             return SmithPredictor(templates)
         from repro.predictors.tuned import TUNED_TEMPLATES
@@ -87,17 +88,25 @@ def make_predictor(
             return SmithPredictor(tuned)
         return SmithPredictor.for_trace(trace)
     if name == "online-mean":
+        from repro.predictors.adaptive import OnlineMeanPredictor
+
         return OnlineMeanPredictor.for_trace(trace)
     if name == "online-rls":
+        from repro.predictors.adaptive import OnlineRegressionPredictor
+
         return OnlineRegressionPredictor.for_trace(trace)
     if name == "decayed-mean":
+        from repro.predictors.adaptive import DecayedMeanPredictor
+
         return DecayedMeanPredictor.for_trace(trace)
     if name == "gibbons":
+        from repro.predictors.gibbons import GibbonsPredictor
+
         return GibbonsPredictor()
-    if name == "downey-average":
-        return DowneyPredictor("average")
-    if name == "downey-median":
-        return DowneyPredictor("median")
+    if name in ("downey-average", "downey-median"):
+        from repro.predictors.downey import DowneyPredictor
+
+        return DowneyPredictor(name.removeprefix("downey-"))
     raise KeyError(f"unknown predictor {name!r}; expected one of {PREDICTOR_NAMES}")
 
 

@@ -5,15 +5,7 @@
   scheduler, and map prediction error to schedule degradation.
 """
 
-from repro.experiments.misprediction import (
-    DEFAULT_ERROR_LEVELS,
-    DegradationCurve,
-    ErrorModel,
-    MispredictionCell,
-    NoisyPredictor,
-    run_misprediction_campaign,
-    run_misprediction_experiment,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_ERROR_LEVELS",
@@ -24,3 +16,10 @@ __all__ = [
     "run_misprediction_campaign",
     "run_misprediction_experiment",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.misprediction": (
+        "DEFAULT_ERROR_LEVELS", "DegradationCurve", "ErrorModel", "MispredictionCell",
+        "NoisyPredictor", "run_misprediction_campaign", "run_misprediction_experiment",
+    ),
+})

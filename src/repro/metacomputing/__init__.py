@@ -17,15 +17,7 @@ package provides the multi-machine simulation that motivation implies:
   resulting waits per strategy.
 """
 
-from repro.metacomputing.machine import Machine
-from repro.metacomputing.routing import (
-    LeastQueuedWorkRouting,
-    PredictedWaitRouting,
-    RandomRouting,
-    RoundRobinRouting,
-    RoutingStrategy,
-)
-from repro.metacomputing.broker import MetaSimulator, MetaResult
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Machine",
@@ -37,3 +29,12 @@ __all__ = [
     "MetaSimulator",
     "MetaResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.metacomputing.machine": ("Machine",),
+    "repro.metacomputing.routing": (
+        "LeastQueuedWorkRouting", "PredictedWaitRouting", "RandomRouting", "RoundRobinRouting",
+        "RoutingStrategy",
+    ),
+    "repro.metacomputing.broker": ("MetaSimulator", "MetaResult"),
+})

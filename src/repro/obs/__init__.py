@@ -7,84 +7,7 @@ taxonomy, metric names and overhead budget, and ``repro-sched trace`` /
 ``repro-sched report`` for the user-facing entry points.
 """
 
-from repro.obs.accuracy import (
-    DEFAULT_DRIFT_WINDOW,
-    PREDICTION_KINDS,
-    AccuracyMonitor,
-    GroupStats,
-)
-from repro.obs.audit import PredictionAudit
-from repro.obs.campaign import (
-    CampaignCheckError,
-    CampaignMonitor,
-    CampaignTelemetry,
-    CellResources,
-    ProgressRenderer,
-    capture_resources,
-    check_campaign_journal,
-    read_campaign_journal,
-    resource_probe,
-    summarize_campaign,
-)
-from repro.obs.explain import (
-    WAIT_COMPONENTS,
-    explain_job,
-    format_explanation,
-    summarize_wait_components,
-)
-from repro.obs.instrument import Instrumentation
-from repro.obs.metrics import (
-    BACKFILL_DEPTH_BUCKETS,
-    CELL_DURATION_BUCKETS,
-    PASS_DURATION_BUCKETS,
-    QUERY_LATENCY_BUCKETS,
-    WAIT_TIME_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    format_histogram,
-    format_metrics,
-    format_prometheus,
-    histogram_quantile,
-    merge_snapshots,
-)
-from repro.obs.report import (
-    REPORT_SCHEMA_VERSION,
-    ReportSchemaError,
-    build_report,
-    format_report,
-    report_to_json,
-    validate_report,
-)
-from repro.obs.schema import (
-    BLOCKER_KINDS,
-    CAMPAIGN_EVENT_TYPES,
-    EVENT_TYPES,
-    PREDICTION_RESOLVED_KINDS,
-    PROVENANCE_EVENT_TYPES,
-    TraceSchemaError,
-    read_jsonl,
-    summarize_events,
-    validate_event,
-    validate_events,
-    validate_jsonl,
-)
-from repro.obs.timeseries import (
-    TIMESERIES_METRICS,
-    StateSeries,
-    format_timeseries,
-    sparkline,
-)
-from repro.obs.trace import (
-    NULL_TRACER,
-    EventSink,
-    JsonlSink,
-    ListSink,
-    NullSink,
-    Span,
-    Tracer,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Instrumentation",
@@ -150,3 +73,38 @@ __all__ = [
     "summarize_wait_components",
     "format_explanation",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.accuracy": (
+        "DEFAULT_DRIFT_WINDOW", "PREDICTION_KINDS", "AccuracyMonitor", "GroupStats",
+    ),
+    "repro.obs.audit": ("PredictionAudit",),
+    "repro.obs.campaign": (
+        "CampaignCheckError", "CampaignMonitor", "CampaignTelemetry", "CellResources",
+        "ProgressRenderer", "capture_resources", "check_campaign_journal", "read_campaign_journal",
+        "resource_probe", "summarize_campaign",
+    ),
+    "repro.obs.explain": (
+        "WAIT_COMPONENTS", "explain_job", "format_explanation", "summarize_wait_components",
+    ),
+    "repro.obs.instrument": ("Instrumentation",),
+    "repro.obs.metrics": (
+        "BACKFILL_DEPTH_BUCKETS", "CELL_DURATION_BUCKETS", "PASS_DURATION_BUCKETS",
+        "QUERY_LATENCY_BUCKETS", "WAIT_TIME_BUCKETS", "Counter", "Gauge", "Histogram",
+        "MetricsRegistry", "format_histogram", "format_metrics", "format_prometheus",
+        "histogram_quantile", "merge_snapshots",
+    ),
+    "repro.obs.report": (
+        "REPORT_SCHEMA_VERSION", "ReportSchemaError", "build_report", "format_report",
+        "report_to_json", "validate_report",
+    ),
+    "repro.obs.schema": (
+        "BLOCKER_KINDS", "CAMPAIGN_EVENT_TYPES", "EVENT_TYPES", "PREDICTION_RESOLVED_KINDS",
+        "PROVENANCE_EVENT_TYPES", "TraceSchemaError", "read_jsonl", "summarize_events",
+        "validate_event", "validate_events", "validate_jsonl",
+    ),
+    "repro.obs.timeseries": ("TIMESERIES_METRICS", "StateSeries", "format_timeseries", "sparkline"),
+    "repro.obs.trace": (
+        "NULL_TRACER", "EventSink", "JsonlSink", "ListSink", "NullSink", "Span", "Tracer",
+    ),
+})

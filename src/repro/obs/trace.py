@@ -135,6 +135,7 @@ class JsonlSink:
         self._buffer: list[str] = []
         self._buffer_lines = buffer_lines
         self.events_written = 0
+        self._closed = False
 
     def emit(self, event: dict) -> None:
         self._buffer.append(_encode_line(event))
@@ -154,9 +155,13 @@ class JsonlSink:
         self._fh.flush()
 
     def close(self) -> None:
+        """Flush, and close a path-owned handle; later calls do nothing."""
+        if self._closed:
+            return
         self.flush()
         if self._owns:
             self._fh.close()
+        self._closed = True
 
     def __enter__(self) -> "JsonlSink":
         return self

@@ -23,31 +23,7 @@ fallback chain) into the plain ``predict -> float`` estimator the
 scheduler consumes.
 """
 
-from repro.predictors.base import (
-    Prediction,
-    RuntimePredictor,
-    PointEstimator,
-    warm_start,
-)
-from repro.predictors.templates import Template, default_templates
-from repro.predictors.category import Category, DataPoint
-from repro.predictors.smith import SmithPredictor
-from repro.predictors.gibbons import GibbonsPredictor
-from repro.predictors.downey import DowneyPredictor
-from repro.predictors.simple import ActualRuntimePredictor, MaxRuntimePredictor
-from repro.predictors.adaptive import (
-    DecayedMeanPredictor,
-    OnlineMeanPredictor,
-    OnlineRegressionPredictor,
-)
-from repro.predictors.ga import GAConfig, TemplateSearch, search_templates
-from repro.predictors.replay import replay_prediction_error, ReplayReport
-from repro.predictors.prediction_workload import (
-    PredictionWorkload,
-    record_prediction_workload,
-    replay_workload_error,
-)
-from repro.predictors.tuned import TUNED_TEMPLATES, tuned_templates
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Prediction",
@@ -77,3 +53,22 @@ __all__ = [
     "TUNED_TEMPLATES",
     "tuned_templates",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.predictors.base": ("Prediction", "RuntimePredictor", "PointEstimator", "warm_start"),
+    "repro.predictors.templates": ("Template", "default_templates"),
+    "repro.predictors.category": ("Category", "DataPoint"),
+    "repro.predictors.smith": ("SmithPredictor",),
+    "repro.predictors.gibbons": ("GibbonsPredictor",),
+    "repro.predictors.downey": ("DowneyPredictor",),
+    "repro.predictors.simple": ("ActualRuntimePredictor", "MaxRuntimePredictor"),
+    "repro.predictors.adaptive": (
+        "DecayedMeanPredictor", "OnlineMeanPredictor", "OnlineRegressionPredictor",
+    ),
+    "repro.predictors.ga": ("GAConfig", "TemplateSearch", "search_templates"),
+    "repro.predictors.replay": ("replay_prediction_error", "ReplayReport"),
+    "repro.predictors.prediction_workload": (
+        "PredictionWorkload", "record_prediction_workload", "replay_workload_error",
+    ),
+    "repro.predictors.tuned": ("TUNED_TEMPLATES", "tuned_templates"),
+})

@@ -13,27 +13,7 @@ run-time estimator.  The same engine serves two roles:
   — the paper's wait-time prediction technique (§3).
 """
 
-from repro.scheduler.cluster import NodePool
-from repro.scheduler.events import EventQueue, FINISH, RES_END, RES_START, SUBMIT
-from repro.scheduler.metrics import JobRecord, ScheduleResult
-from repro.scheduler.reservations import Reservation, ReservationRecord
-from repro.scheduler.simulator import (
-    PendingReservation,
-    QueuedJob,
-    RunningJob,
-    SchedulerView,
-    Simulator,
-    SystemSnapshot,
-    forward_simulate,
-)
-from repro.scheduler.policies import (
-    BackfillPolicy,
-    EASYBackfillPolicy,
-    FCFSPolicy,
-    LWFPolicy,
-    Policy,
-)
-from repro.scheduler.validate import ValidationReport, validate_schedule
+from repro._lazy import lazy_exports
 
 __all__ = [
     "NodePool",
@@ -61,3 +41,18 @@ __all__ = [
     "ValidationReport",
     "validate_schedule",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.scheduler.cluster": ("NodePool",),
+    "repro.scheduler.events": ("EventQueue", "FINISH", "RES_END", "RES_START", "SUBMIT"),
+    "repro.scheduler.metrics": ("JobRecord", "ScheduleResult"),
+    "repro.scheduler.reservations": ("Reservation", "ReservationRecord"),
+    "repro.scheduler.simulator": (
+        "PendingReservation", "QueuedJob", "RunningJob", "SchedulerView", "Simulator",
+        "SystemSnapshot", "forward_simulate",
+    ),
+    "repro.scheduler.policies": (
+        "BackfillPolicy", "EASYBackfillPolicy", "FCFSPolicy", "LWFPolicy", "Policy",
+    ),
+    "repro.scheduler.validate": ("ValidationReport", "validate_schedule"),
+})

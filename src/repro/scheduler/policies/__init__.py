@@ -1,14 +1,6 @@
 """Scheduling policies: FCFS, least-work-first, conservative backfill."""
 
-from repro.scheduler.policies.base import Policy
-from repro.scheduler.policies.fcfs import FCFSPolicy
-from repro.scheduler.policies.lwf import LWFPolicy
-from repro.scheduler.policies.backfill import (
-    AvailabilityProfile,
-    BackfillPolicy,
-    BatchAvailabilityProfile,
-)
-from repro.scheduler.policies.easy import EASYBackfillPolicy
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Policy",
@@ -19,3 +11,13 @@ __all__ = [
     "AvailabilityProfile",
     "BatchAvailabilityProfile",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.scheduler.policies.base": ("Policy",),
+    "repro.scheduler.policies.fcfs": ("FCFSPolicy",),
+    "repro.scheduler.policies.lwf": ("LWFPolicy",),
+    "repro.scheduler.policies.backfill": (
+        "AvailabilityProfile", "BackfillPolicy", "BatchAvailabilityProfile",
+    ),
+    "repro.scheduler.policies.easy": ("EASYBackfillPolicy",),
+})

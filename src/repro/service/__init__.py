@@ -8,13 +8,7 @@ it.  ``repro-sched serve`` / ``repro-sched query`` are the CLI entry
 points.
 """
 
-from repro.service.server import (
-    PredictionServer,
-    ServiceClient,
-    job_from_wire,
-    job_to_wire,
-)
-from repro.service.service import PredictionService, SimulatorFeed, UnknownJobError
+from repro._lazy import lazy_exports
 
 __all__ = [
     "PredictionService",
@@ -25,3 +19,8 @@ __all__ = [
     "job_to_wire",
     "job_from_wire",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.service.server": ("PredictionServer", "ServiceClient", "job_from_wire", "job_to_wire"),
+    "repro.service.service": ("PredictionService", "SimulatorFeed", "UnknownJobError"),
+})

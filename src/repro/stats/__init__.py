@@ -12,19 +12,7 @@ from first principles on top of NumPy:
   variance-weighted linear regression used by Gibbons' predictor.
 """
 
-from repro.stats.ci import RunningMoments, mean_confidence_interval, t_quantile
-from repro.stats.regression import (
-    RegressionResult,
-    fit_inverse,
-    fit_linear,
-    fit_logarithmic,
-    fit_weighted_linear,
-)
-from repro.stats.bootstrap import (
-    BootstrapInterval,
-    bootstrap_mean,
-    bootstrap_mean_difference,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "RunningMoments",
@@ -39,3 +27,11 @@ __all__ = [
     "bootstrap_mean",
     "bootstrap_mean_difference",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.stats.ci": ("RunningMoments", "mean_confidence_interval", "t_quantile"),
+    "repro.stats.regression": (
+        "RegressionResult", "fit_inverse", "fit_linear", "fit_logarithmic", "fit_weighted_linear",
+    ),
+    "repro.stats.bootstrap": ("BootstrapInterval", "bootstrap_mean", "bootstrap_mean_difference"),
+})

@@ -1,15 +1,6 @@
 """Small shared utilities: deterministic RNG plumbing and time helpers."""
 
-from repro.utils.rng import spawn_rng, rng_from_seed
-from repro.utils.timeutils import (
-    MINUTE,
-    HOUR,
-    DAY,
-    WEEK,
-    format_duration,
-    minutes,
-    seconds_to_minutes,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "spawn_rng",
@@ -22,3 +13,10 @@ __all__ = [
     "minutes",
     "seconds_to_minutes",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.utils.rng": ("spawn_rng", "rng_from_seed"),
+    "repro.utils.timeutils": (
+        "MINUTE", "HOUR", "DAY", "WEEK", "format_duration", "minutes", "seconds_to_minutes",
+    ),
+})

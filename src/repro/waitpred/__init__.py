@@ -13,32 +13,7 @@ the submission time is the predicted wait.
   percentage-of-mean-wait columns).
 """
 
-from repro.waitpred.predictor import WaitTimePredictor, predict_wait
-from repro.waitpred.evaluation import WaitPredictionReport, evaluate_wait_predictions
-from repro.waitpred.fast import (
-    UnknownJobError,
-    backfill_predicted_start,
-    backfill_predicted_starts,
-    fcfs_predicted_start,
-    fcfs_predicted_starts,
-    predict_start_fast,
-)
-from repro.waitpred.manyworlds import (
-    EncodedSnapshot,
-    SweepPoint,
-    encode_snapshot,
-    predict_starts_batch,
-    sample_durations,
-    scalar_starts,
-    sweep_estimates,
-)
-from repro.waitpred.statebased import (
-    DEFAULT_STATE_TEMPLATES,
-    StateBasedWaitPredictor,
-    StateFeatures,
-    StateTemplate,
-)
-from repro.waitpred.uncertainty import WaitInterval, predict_wait_interval
+from repro._lazy import lazy_exports
 
 __all__ = [
     "WaitTimePredictor",
@@ -65,3 +40,20 @@ __all__ = [
     "scalar_starts",
     "sweep_estimates",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.waitpred.predictor": ("WaitTimePredictor", "predict_wait"),
+    "repro.waitpred.evaluation": ("WaitPredictionReport", "evaluate_wait_predictions"),
+    "repro.waitpred.fast": (
+        "UnknownJobError", "backfill_predicted_start", "backfill_predicted_starts",
+        "fcfs_predicted_start", "fcfs_predicted_starts", "predict_start_fast",
+    ),
+    "repro.waitpred.manyworlds": (
+        "EncodedSnapshot", "SweepPoint", "encode_snapshot", "predict_starts_batch",
+        "sample_durations", "scalar_starts", "sweep_estimates",
+    ),
+    "repro.waitpred.statebased": (
+        "DEFAULT_STATE_TEMPLATES", "StateBasedWaitPredictor", "StateFeatures", "StateTemplate",
+    ),
+    "repro.waitpred.uncertainty": ("WaitInterval", "predict_wait_interval"),
+})

@@ -18,26 +18,7 @@ Modules
 - :mod:`repro.workloads.stats` — Table 1-style summaries and offered load.
 """
 
-from repro.workloads.job import Job, Trace
-from repro.workloads.fields import Characteristic, FieldCatalog, WORKLOAD_FIELDS
-from repro.workloads.synthetic import SyntheticWorkloadSpec, generate_trace
-from repro.workloads.archive import (
-    ANL,
-    CTC,
-    SDSC95,
-    SDSC96,
-    PAPER_WORKLOADS,
-    load_paper_workload,
-)
-from repro.workloads.transform import (
-    compress_interarrival,
-    head,
-    filter_jobs,
-    merge,
-    shift,
-)
-from repro.workloads.stats import TraceSummary, summarize
-from repro.workloads.feitelson import feitelson_trace
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Job",
@@ -62,3 +43,15 @@ __all__ = [
     "summarize",
     "feitelson_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.job": ("Job", "Trace"),
+    "repro.workloads.fields": ("Characteristic", "FieldCatalog", "WORKLOAD_FIELDS"),
+    "repro.workloads.synthetic": ("SyntheticWorkloadSpec", "generate_trace"),
+    "repro.workloads.archive": (
+        "ANL", "CTC", "SDSC95", "SDSC96", "PAPER_WORKLOADS", "load_paper_workload",
+    ),
+    "repro.workloads.transform": ("compress_interarrival", "head", "filter_jobs", "merge", "shift"),
+    "repro.workloads.stats": ("TraceSummary", "summarize"),
+    "repro.workloads.feitelson": ("feitelson_trace",),
+})

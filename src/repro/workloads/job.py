@@ -109,6 +109,7 @@ class Job:
 
 _FIELD_INDEX = {f.name: i for i, f in enumerate(fields(Job))}
 _field_values = attrgetter(*_FIELD_INDEX)
+_submit_order = attrgetter("submit_time", "job_id")
 
 
 class Trace:
@@ -144,7 +145,7 @@ class Trace:
     ) -> None:
         if total_nodes < 1:
             raise ValueError(f"total_nodes must be >= 1, got {total_nodes}")
-        self._jobs: list[Job] = sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
+        self._jobs: list[Job] = sorted(jobs, key=_submit_order)
         seen: set[int] = set()
         for j in self._jobs:
             if j.job_id in seen:

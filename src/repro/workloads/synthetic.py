@@ -466,21 +466,24 @@ def generate_trace(
         arguments = [app.arguments[k] for app, k in zip(job_apps, arg_picks.tolist())]
 
     submit_list, rt_list, node_list = arrivals.tolist(), run_times.tolist(), nodes.tolist()
+    # Positional, in Job's field order: job_id, submit_time, run_time,
+    # nodes, user, job_type, queue, job_class, script, executable,
+    # arguments, network_adaptor, max_run_time.
     jobs = [
         Job(
-            job_id=i + 1,
-            submit_time=submit_list[i],
-            run_time=rt_list[i],
-            nodes=node_list[i],
-            user=app.user if spec.has_user else None,
-            job_type=job_types[i],
-            queue=queue_names[i],
-            job_class=app.job_class,
-            script=app.script,
-            executable=app.name if spec.has_executable else None,
-            arguments=arguments[i],
-            network_adaptor=app.network_adaptor,
-            max_run_time=max_rts[i],
+            i + 1,
+            submit_list[i],
+            rt_list[i],
+            node_list[i],
+            app.user if spec.has_user else None,
+            job_types[i],
+            queue_names[i],
+            app.job_class,
+            app.script,
+            app.name if spec.has_executable else None,
+            arguments[i],
+            app.network_adaptor,
+            max_rts[i],
         )
         for i, app in enumerate(job_apps)
     ]

@@ -110,6 +110,28 @@ class TestGridArgs:
         assert exc.value.code == 2
         assert "--population" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["serve", "--port", "99999"], ["serve", "--port", "-1"],
+         ["query", "--port", "70000", "--state"], ["query", "--port", "0", "--state"],
+         ["query", "--port", "http", "--state"]],
+        ids=["serve-high", "serve-negative", "query-high", "query-zero", "query-text"],
+    )
+    def test_bad_port_is_usage_error(self, argv, capsys):
+        """An impossible port is refused by the parser, before a bind
+        overflows or a connect is refused."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--port" in capsys.readouterr().err
+
+    def test_port_bounds(self):
+        parser = build_parser()
+        assert parser.parse_args(["serve", "--port", "0"]).port == 0
+        assert parser.parse_args(["serve", "--port", "65535"]).port == 65535
+        assert parser.parse_args(["query", "--port", "1"]).port == 1
+        assert parser.parse_args(["query", "--port", "65535"]).port == 65535
+
     def test_bad_ga_generations(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["ga-search", "--generations", "0"])

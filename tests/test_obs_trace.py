@@ -187,6 +187,21 @@ class TestJsonlBuffering:
             assert path.read_text() == ""  # still buffered inside the block
         assert validate_jsonl(str(path)) == 1
 
+    def test_close_inside_block_then_exit_is_a_no_op(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        with JsonlSink(str(path), buffer_lines=100) as sink:
+            Tracer(sink).emit("job_submitted", sim_time=0.0, job_id=1, nodes=2)
+            sink.close()
+        sink.close()
+        assert validate_jsonl(str(path)) == 1
+
+    def test_second_close_leaves_a_caller_handle_alone(self):
+        buf = io.StringIO()
+        sink = JsonlSink(buf)
+        sink.close()
+        buf.close()
+        sink.close()  # no flush of the caller's now-closed handle
+
     def test_killed_writer_leaves_only_whole_valid_lines(self, tmp_path):
         """SIGKILL mid-replay must not leave truncated JSONL lines.
 

@@ -5,6 +5,11 @@ Smith's rule asks only for 90% intervals, whose quantiles
 interpreter runs each Smith path — a wait-time cell, a Backfill
 scheduling cell and a :class:`~repro.service.PredictionService` query —
 and must end with ``scipy`` absent from ``sys.modules``.
+
+The same run checks the package import rule: package ``__init__``s
+resolve their re-exports on first use, so none of these paths loads the
+process pool, the TCP server, the campaign journal, the GA search or a
+predictor they do not name; nor does ``import repro.cli``.
 """
 
 from __future__ import annotations
@@ -59,20 +64,46 @@ assert len(query.answers) == len(trace.jobs)
 assert ci._T_CACHE, "no t quantile was asked for"
 assert {p for _, p in ci._T_CACHE} == {ci._TABLED_P}
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+unused = [
+    "multiprocessing", "concurrent.futures", "socketserver",
+    "repro.core.parallel", "repro.obs.campaign", "repro.obs.report", "repro.service.server",
+    "repro.predictors.ga", "repro.predictors.gibbons", "repro.predictors.downey",
+    "repro.predictors.adaptive", "repro.waitpred.manyworlds", "repro.waitpred.statebased",
+    "repro.experiments", "repro.metacomputing",
+]
+assert not [m for m in unused if m in sys.modules], [m for m in unused if m in sys.modules]
+"""
+
+_CLI_IMPORT = """
+import sys
+
+import repro.cli
+
+pool = [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]
+assert not pool, pool
 """
 
 
-def test_smith_paths_do_not_import_scipy():
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", _SMITH_PATHS],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         cwd=REPO_ROOT,
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def test_smith_paths_do_not_import_scipy():
+    proc = _run_fresh(_SMITH_PATHS)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_does_not_load_the_pool():
+    proc = _run_fresh(_CLI_IMPORT)
     assert proc.returncode == 0, proc.stderr
 
 
