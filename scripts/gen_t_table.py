@@ -2,8 +2,9 @@
 """Generate the committed Student-t quantile table that Smith's rule reads.
 
 Writes ``stdtrit(df, p)`` at the paper's 90% confidence
-(``p = 0.5 + 0.90 / 2``) for ``df = 1..32,768`` as a float64 ``.npy``
-next to :mod:`repro.stats.ci`, which answers those quantiles from it
+(``p = 0.5 + CONFIDENCE / 2``, with ``repro.stats.ci.CONFIDENCE = 0.90``)
+for ``df = 1..32,768`` as a float64 ``.npy`` next to
+:mod:`repro.stats.ci`, which answers those quantiles from it
 without importing SciPy.  The range covers every category of the
 largest full-scale Table 1 trace (SDSC95, 22,885 jobs).  One vectorised
 ``scipy.special.stdtrit`` call computes every entry, and the script

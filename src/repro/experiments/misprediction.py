@@ -313,8 +313,6 @@ def run_misprediction_campaign(
     kind: str = "multiplicative",
     noise_seed: int = 0,
     base_predictor: str = "actual",
-    n_jobs: int | None = None,
-    seed: int | None = None,
     max_workers: int = 1,
     telemetry=None,
 ) -> list[DegradationCurve]:
@@ -339,8 +337,6 @@ def run_misprediction_campaign(
         algorithms=algorithms,
         predictors=(base_predictor,),
         levels=levels,
-        n_jobs=n_jobs,
-        seed=seed,
         error_kind=kind,
         error_seed=noise_seed,
         max_workers=max_workers,

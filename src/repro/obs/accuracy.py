@@ -30,6 +30,7 @@ so the quantiles are exact, not histogram approximations.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Iterable, Mapping
 
@@ -47,15 +48,19 @@ DEFAULT_DRIFT_WINDOW = 200
 
 
 def _quantile(sorted_values: list[float], q: float) -> float:
-    """Exact quantile with linear interpolation (numpy's default rule)."""
-    n = len(sorted_values)
-    if n == 1:
-        return sorted_values[0]
-    pos = q * (n - 1)
+    """Exact ``q``-quantile of a non-empty sorted sample.
+
+    Linear between the two order statistics around rank ``q * (n - 1)``,
+    written ``lo + (hi - lo) * f`` so that equal neighbours return their
+    value exactly: every quantile of a constant sample is its value.
+    The run report and the campaign monitor use the same rule.
+    """
+    pos = q * (len(sorted_values) - 1)
     lo = int(pos)
-    hi = min(lo + 1, n - 1)
-    frac = pos - lo
-    return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
+    if lo + 1 == len(sorted_values):
+        return sorted_values[lo]
+    low = sorted_values[lo]
+    return low + (sorted_values[lo + 1] - low) * (pos - lo)
 
 
 class GroupStats:
@@ -73,7 +78,6 @@ class GroupStats:
         "window",
         "_abs_errors",
         "_recent",
-        "_recent_sum",
         "_keys",
     )
 
@@ -90,8 +94,7 @@ class GroupStats:
         self.exact = 0
         self.window = window
         self._abs_errors: list[float] = []
-        self._recent: deque[float] = deque()
-        self._recent_sum = 0.0
+        self._recent: deque[float] = deque(maxlen=window)
         #: key -> [n, sum_abs, under, over]
         self._keys: dict[str, list] = {}
 
@@ -109,9 +112,6 @@ class GroupStats:
             self.exact += 1
         self._abs_errors.append(abs_err)
         self._recent.append(abs_err)
-        self._recent_sum += abs_err
-        if len(self._recent) > self.window:
-            self._recent_sum -= self._recent.popleft()
         if key is not None:
             entry = self._keys.get(key)
             if entry is None:
@@ -159,8 +159,10 @@ class GroupStats:
 
     @property
     def rolling_mae(self) -> float:
-        """MAE over the last ``window`` observations."""
-        return self._recent_sum / len(self._recent) if self._recent else 0.0
+        """MAE over the last ``window`` observations, summed exactly when
+        read, so an error that left the window leaves no residue."""
+        recent = self._recent
+        return math.fsum(recent) / len(recent) if recent else 0.0
 
     @property
     def drift_ratio(self) -> float | None:

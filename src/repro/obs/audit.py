@@ -69,7 +69,6 @@ class PredictionAudit:
         *,
         predictor: str,
         source: str = "",
-        policy: str | None = None,
     ) -> None:
         """Record a submission-time run-time prediction for ``job_id``."""
         per_job = self._pending_run.setdefault(job_id, {})
@@ -82,7 +81,6 @@ class PredictionAudit:
                 "runtime_predicted",
                 sim_time=now,
                 job_id=job_id,
-                policy=policy,
                 predicted_run_s=predicted,
                 predictor=predictor,
                 **extra,
@@ -96,7 +94,6 @@ class PredictionAudit:
         *,
         predictor: str,
         source: str = "",
-        policy: str | None = None,
     ) -> None:
         """Record a submission-time wait-time prediction for ``job_id``."""
         per_job = self._pending_wait.setdefault(job_id, {})
@@ -109,7 +106,6 @@ class PredictionAudit:
                 "wait_predicted",
                 sim_time=now,
                 job_id=job_id,
-                policy=policy,
                 predicted_wait_s=predicted,
                 predictor=predictor,
                 **extra,

@@ -46,6 +46,7 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Mapping
 
+from repro.obs.accuracy import _quantile
 from repro.obs.metrics import CELL_DURATION_BUCKETS, MetricsRegistry
 from repro.obs.schema import (
     CAMPAIGN_EVENT_TYPES,
@@ -287,46 +288,35 @@ class CampaignMonitor:
         any cell finished.
 
         Read from the sorted durations, linear between the two order
-        statistics around rank ``q * (n - 1)`` (numpy's default rule), so
-        every quantile of one sample is that sample and the median
-        averages the middle pair as :meth:`median_duration` does.
+        statistics around rank ``q * (n - 1)``, by the accuracy
+        monitor's rule, so every quantile of a constant sample is its
+        value.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         durations = self._sorted_durations
         if not durations:
             return None
-        rank = q * (len(durations) - 1)
-        lo = int(rank)
-        if lo + 1 == len(durations):
-            return durations[lo]
-        return durations[lo] + (durations[lo + 1] - durations[lo]) * (rank - lo)
+        return _quantile(durations, q)
 
     def median_duration(self) -> float | None:
         """Exact running median of finished-cell durations."""
-        n = len(self._sorted_durations)
-        if n == 0:
-            return None
-        mid = n // 2
-        if n % 2:
-            return self._sorted_durations[mid]
-        return 0.5 * (self._sorted_durations[mid - 1] + self._sorted_durations[mid])
+        return self.duration_quantile(0.5)
 
-    def stragglers(self, now: float | None = None) -> list[dict]:
+    def stragglers(self) -> list[dict]:
         """Cells exceeding ``DEFAULT_STRAGGLER_FACTOR`` × the running median.
 
         Covers both finished cells whose duration blew the threshold and
-        still-running cells whose elapsed time already has (``now``
-        defaults to the latest event wall time, so offline replays are
-        deterministic).  Empty until ``MIN_STRAGGLER_SAMPLES`` cells
-        have finished — below that the median is noise.
+        still-running cells whose elapsed time already has, up to the
+        latest event wall time, so offline replays are deterministic.
+        Empty until ``MIN_STRAGGLER_SAMPLES`` cells have finished —
+        below that the median is noise.
         """
         median = self.median_duration()
         if median is None or len(self.completed) < MIN_STRAGGLER_SAMPLES:
             return []
         threshold = DEFAULT_STRAGGLER_FACTOR * median
-        if now is None:
-            now = self.last_wall if self.last_wall is not None else 0.0
+        now = self.last_wall if self.last_wall is not None else 0.0
         out = []
         for index, duration in sorted(self.completed.items()):
             if duration > threshold:
@@ -476,10 +466,8 @@ class CampaignTelemetry:
         self,
         sink: EventSink | str | None = None,
         *,
-        monitor: CampaignMonitor | None = None,
         progress: ProgressRenderer | None = None,
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
-        campaign_id: str | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if heartbeat_s <= 0:
@@ -487,12 +475,10 @@ class CampaignTelemetry:
         if isinstance(sink, (str, os.PathLike)):
             sink = JsonlSink(sink, buffer_lines=1)
         self.sink: EventSink = sink if sink is not None else NullSink()
-        self.monitor = monitor if monitor is not None else CampaignMonitor()
+        self.monitor = CampaignMonitor()
         self.progress = progress
         self.heartbeat_s = heartbeat_s
-        if campaign_id is None:
-            campaign_id = f"campaign-{os.getpid()}-{time.time_ns():x}"
-        self.campaign_id = campaign_id
+        self.campaign_id = f"campaign-{os.getpid()}-{time.time_ns():x}"
         self._clock = clock
         self._last_heartbeat: float | None = None
         self._started_monotonic: float | None = None

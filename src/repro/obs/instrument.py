@@ -54,7 +54,6 @@ class Instrumentation:
 
     def __init__(
         self,
-        registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         *,
         detail: bool = False,
@@ -62,7 +61,7 @@ class Instrumentation:
         provenance: bool | None = None,
         timeseries: "StateSeries | bool | None" = None,
     ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.detail = bool(detail)
         self.time_passes = self.tracer.enabled or self.detail

@@ -28,6 +28,9 @@ All three honor the epoch contract of :mod:`repro.predictors.base`:
 
 The contract is enforced for any conforming predictor by the property
 suite in ``tests/test_properties_epoch_contract.py``.
+
+Every interval is built at the paper's 90%,
+:data:`~repro.stats.ci.CONFIDENCE`.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Iterable
 
 from repro.predictors.base import Prediction, RuntimePredictor
 from repro.predictors.templates import Template, default_templates
-from repro.stats.ci import RunningMoments, t_quantile
+from repro.stats.ci import CONFIDENCE, RunningMoments, t_quantile
 from repro.workloads.job import Job, Trace
 
 __all__ = [
@@ -49,6 +52,12 @@ __all__ = [
 #: Minimum observations before a group serves a prediction (a variance,
 #: and hence an interval, needs two points).
 _MIN_POINTS = 2
+#: Seed of the recursive least squares' inverse Gram matrix: ``P``
+#: starts at ``(1/_RIDGE) · I``.
+_RIDGE = 1e-4
+#: The decayed mean's per-completion weight multiplier (≈ a 20-job
+#: memory).
+_DECAY = 0.95
 
 
 class _GroupedOnlinePredictor(RuntimePredictor):
@@ -68,32 +77,21 @@ class _GroupedOnlinePredictor(RuntimePredictor):
     :class:`repro.predictors.category.Category` does.
     """
 
-    def __init__(
-        self,
-        templates: Iterable[Template] | None = None,
-        *,
-        confidence: float = 0.90,
-    ) -> None:
-        if not 0 < confidence < 1:
-            raise ValueError(f"confidence must be in (0,1), got {confidence}")
+    def __init__(self, templates: Iterable[Template] | None = None) -> None:
         tpl = list(templates) if templates is not None else default_templates(None)
         if not tpl:
             raise ValueError(f"{type(self).__name__} requires at least one template")
         self.templates: tuple[Template, ...] = tuple(tpl)
-        self.confidence = confidence
         self.history_epoch = 0
         self.updates = 0
         self._groups: dict[tuple[int, tuple], object] = {}
         self._global: object = self._new_group()
 
     @classmethod
-    def for_trace(cls, trace: Trace, **kwargs) -> "_GroupedOnlinePredictor":
+    def for_trace(cls, trace: Trace) -> "_GroupedOnlinePredictor":
         """A predictor with the curated default templates for a trace."""
         has_max = any(j.max_run_time is not None for j in trace)
-        return cls(
-            default_templates(trace.available_fields, has_max_run_time=has_max),
-            **kwargs,
-        )
+        return cls(default_templates(trace.available_fields, has_max_run_time=has_max))
 
     # -- subclass surface ----------------------------------------------
     def _new_group(self) -> object:
@@ -188,25 +186,25 @@ class OnlineMeanPredictor(_GroupedOnlinePredictor):
     def _estimate(self, group: RunningMoments, job: Job) -> tuple[float, float] | None:
         if group.count < _MIN_POINTS:
             return None
-        return group.interval(self.confidence)
+        return group.interval()
 
 
 class _RLSState:
     """Recursive least squares of the datum on ``[1, log1p(nodes)]``.
 
     Sherman-Morrison updates of the inverse Gram matrix ``P`` keep each
-    completion O(d²) with d = 2; ``P`` starts at ``(1/ridge) · I``, i.e.
-    a ridge-seeded regression that stays defined before the design
+    completion O(d²) with d = 2; ``P`` starts at ``(1/_RIDGE) · I``,
+    i.e. a ridge-seeded regression that stays defined before the design
     matrix has full rank.  The accumulated *a priori* residuals feed the
     prediction interval — out-of-sample error is what the next job sees.
     """
 
     __slots__ = ("p00", "p01", "p11", "t0", "t1", "n", "rss")
 
-    def __init__(self, ridge: float = 1e-4) -> None:
-        self.p00 = 1.0 / ridge
+    def __init__(self) -> None:
+        self.p00 = 1.0 / _RIDGE
         self.p01 = 0.0
-        self.p11 = 1.0 / ridge
+        self.p11 = 1.0 / _RIDGE
         self.t0 = 0.0  # theta (coefficients)
         self.t1 = 0.0
         self.n = 0
@@ -234,7 +232,7 @@ class _RLSState:
         self.p11 -= k1 * px1
         self.n += 1
 
-    def estimate(self, job: Job, confidence: float) -> tuple[float, float] | None:
+    def estimate(self, job: Job) -> tuple[float, float] | None:
         if self.n < 3:  # 2 coefficients + 1 residual degree of freedom
             return None
         x0, x1 = self.features(job)
@@ -245,7 +243,7 @@ class _RLSState:
         px0 = self.p00 * x0 + self.p01 * x1
         px1 = self.p01 * x0 + self.p11 * x1
         leverage = max(x0 * px0 + x1 * px1, 0.0)
-        hw = t_quantile(df, 0.5 + confidence / 2.0) * math.sqrt(sigma2 * (1.0 + leverage))
+        hw = t_quantile(df, 0.5 + CONFIDENCE / 2.0) * math.sqrt(sigma2 * (1.0 + leverage))
         return est, hw
 
 
@@ -261,32 +259,20 @@ class OnlineRegressionPredictor(_GroupedOnlinePredictor):
 
     name = "online-rls"
 
-    def __init__(
-        self,
-        templates: Iterable[Template] | None = None,
-        *,
-        confidence: float = 0.90,
-        ridge: float = 1e-4,
-    ) -> None:
-        if ridge <= 0:
-            raise ValueError(f"ridge must be positive, got {ridge}")
-        self.ridge = ridge
-        super().__init__(templates, confidence=confidence)
-
     def _new_group(self) -> _RLSState:
-        return _RLSState(self.ridge)
+        return _RLSState()
 
     def _ingest(self, group: _RLSState, value: float, job: Job) -> None:
         group.update(value, job)
 
     def _estimate(self, group: _RLSState, job: Job) -> tuple[float, float] | None:
-        return group.estimate(job, self.confidence)
+        return group.estimate(job)
 
 
 class _DecayedMoments:
     """Exponentially decayed weighted mean / variance.
 
-    Every new observation multiplies all previous weights by ``decay``;
+    Every new observation multiplies all previous weights by ``_DECAY``;
     the effective sample size ``(Σw)² / Σw²`` replaces ``n`` in the
     t-interval, so a group whose history has decayed to ~k jobs is as
     uncertain as one that only ever saw k.
@@ -300,10 +286,10 @@ class _DecayedMoments:
         self.mean = 0.0
         self.s = 0.0  # weighted sum of squared deviations
 
-    def add(self, x: float, decay: float) -> None:
-        self.w_sum *= decay
-        self.w2_sum *= decay * decay
-        self.s *= decay
+    def add(self, x: float) -> None:
+        self.w_sum *= _DECAY
+        self.w2_sum *= _DECAY * _DECAY
+        self.s *= _DECAY
         self.w_sum += 1.0
         self.w2_sum += 1.0
         delta = x - self.mean
@@ -316,14 +302,14 @@ class _DecayedMoments:
             return 0.0
         return self.w_sum * self.w_sum / self.w2_sum
 
-    def interval(self, confidence: float) -> tuple[float, float] | None:
+    def interval(self) -> tuple[float, float] | None:
         n_eff = self.n_eff
         if n_eff < _MIN_POINTS:
             return None
         var = max(self.s / self.w_sum, 0.0) * n_eff / (n_eff - 1.0)
         df = max(int(n_eff) - 1, 1)
         hw = (
-            t_quantile(df, 0.5 + confidence / 2.0)
+            t_quantile(df, 0.5 + CONFIDENCE / 2.0)
             * math.sqrt(var)
             * math.sqrt(1.0 + 1.0 / n_eff)
         )
@@ -333,32 +319,19 @@ class _DecayedMoments:
 class DecayedMeanPredictor(_GroupedOnlinePredictor):
     """Recency-weighted category means: recent completions dominate.
 
-    ``decay`` is the per-completion weight multiplier (0.95 ≈ a ~20-job
-    memory); 1.0 degenerates to :class:`OnlineMeanPredictor` up to
-    interval degrees-of-freedom rounding.  This is the variant that
+    Each completion multiplies the weights of the earlier ones by
+    ``_DECAY`` (0.95 ≈ a ~20-job memory).  This is the variant that
     tracks workload drift — the regime ``AccuracyMonitor``'s
     ``drift_ratio`` flags on frozen predictors.
     """
 
     name = "decayed-mean"
 
-    def __init__(
-        self,
-        templates: Iterable[Template] | None = None,
-        *,
-        confidence: float = 0.90,
-        decay: float = 0.95,
-    ) -> None:
-        if not 0 < decay <= 1:
-            raise ValueError(f"decay must be in (0,1], got {decay}")
-        self.decay = decay
-        super().__init__(templates, confidence=confidence)
-
     def _new_group(self) -> _DecayedMoments:
         return _DecayedMoments()
 
     def _ingest(self, group: _DecayedMoments, value: float, job: Job) -> None:
-        group.add(value, self.decay)
+        group.add(value)
 
     def _estimate(self, group: _DecayedMoments, job: Job) -> tuple[float, float] | None:
-        return group.interval(self.confidence)
+        return group.interval()

@@ -10,11 +10,14 @@ Predictions come from the template's estimator:
 
 - ``mean`` — sample mean of the stored datum with a Student-t prediction
   interval (incremental moments serve the common elapsed==0 case, their
-  interval kept per confidence until the next add; the conditioned case
-  filters points whose total run time is at least the elapsed time);
+  interval kept until the next add; the conditioned case filters points
+  whose total run time is at least the elapsed time);
 - ``linear`` / ``inverse`` / ``log`` — least squares of the datum against
   the (transformed) node count, evaluated at the queried job's nodes,
   with the OLS prediction interval.
+
+Every interval is built at the paper's 90%,
+:data:`~repro.stats.ci.CONFIDENCE`.
 
 For *relative* templates the stored datum is ``run_time / max_run_time``
 and predictions are scaled back by the queried job's own maximum.
@@ -25,7 +28,7 @@ points with ``run_time >= elapsed`` are determined by their count ``k``
 the same insertion order.  A sorted side list of run times gives ``k`` by
 bisection; the unscaled statistic — ``(mean, half_width)`` for the mean,
 the :class:`~repro.stats.regression.RegressionResult` for regressions —
-is computed once per ``(k, confidence)`` and the memo is cleared on every
+is computed once per ``k`` and the memo is cleared on every
 :meth:`Category.add`.  A miss reads the columns in place through
 ``np.frombuffer`` and gathers ``values[run_times >= elapsed]``; no view
 outlives the call, since an exported buffer would block the next append.
@@ -52,7 +55,7 @@ the ``k`` qualifying values.  A side array ``_sorted_values`` is kept aligned wi
 entries.  The first bound after a mutation takes ``np.cumsum`` of the
 reversed array and of its squares, without copying it out of Python
 (``np.frombuffer`` over an ``array('d')``); every suffix is then one
-lookup.  Bounds are memoised per ``(k, confidence)``, and sums and
+lookup.  Bounds are memoised per ``k``, and sums and
 bounds are dropped with the statistics on :meth:`Category.add`.  The
 bound never exceeds the computed half-width:
 
@@ -88,7 +91,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.stats.ci import RunningMoments, mean_confidence_interval, t_quantile
+from repro.stats.ci import CONFIDENCE, RunningMoments, mean_confidence_interval, t_quantile
 from repro.stats.regression import fit_inverse, fit_linear, fit_logarithmic
 from repro.predictors.templates import Template
 from repro.workloads.job import Job
@@ -147,17 +150,17 @@ class Category:
         # entry k-1 sums the k values with the longest run times.  Built
         # on the first bound after a mutation.
         self._suffix_sums: tuple[np.ndarray, np.ndarray] | None = None
-        # (qualifying count, confidence) -> unscaled statistic, or None
-        # for a failed fit.  Valid until the next add.
-        self._memo: dict[tuple[int, float], object] = {}
-        # (qualifying count, confidence) -> unscaled half-width lower
-        # bound of a mean miss.  Valid until the next add.
-        self._bounds: dict[tuple[int, float], float] = {}
-        # confidence -> the unscaled (mean, half_width) of the running
-        # moments, for a mean lookup at elapsed 0.  Kept apart from
-        # _memo: Welford's bits differ from the two-pass statistic's at
-        # the same count.  Valid until the next add.
-        self._moments_interval: dict[float, tuple[float, float]] = {}
+        # Qualifying count -> unscaled statistic, or None for a failed
+        # fit.  Valid until the next add.
+        self._memo: dict[int, object] = {}
+        # Qualifying count -> unscaled half-width lower bound of a mean
+        # miss.  Valid until the next add.
+        self._bounds: dict[int, float] = {}
+        # The unscaled (mean, half_width) of the running moments, for a
+        # mean lookup at elapsed 0.  Kept apart from _memo: Welford's
+        # bits differ from the two-pass statistic's at the same count.
+        # Valid until the next add.
+        self._moments_interval: tuple[float, float] | None = None
         #: Elapsed-conditioned memo hits and misses, and the history
         #: points those misses scanned; plain ints, folded by
         #: SmithPredictor.obs_stats().  Unconditioned lookups (the
@@ -209,12 +212,10 @@ class Category:
         self._moments.add(value)
         self._memo.clear()
         self._bounds.clear()
-        self._moments_interval.clear()
+        self._moments_interval = None
         self._suffix_sums = None
 
-    def predict(
-        self, job: Job, elapsed: float = 0.0, confidence: float = 0.90
-    ) -> tuple[float, float] | None:
+    def predict(self, job: Job, elapsed: float = 0.0) -> tuple[float, float] | None:
         """``(estimate, interval_half_width)`` for ``job`` or ``None``.
 
         ``elapsed`` conditions the prediction on the job having already
@@ -230,10 +231,9 @@ class Category:
         if kind == "mean" and not conditioned:
             if self._moments.count < _MIN_POINTS_MEAN:
                 return None
-            stat = self._moments_interval.get(confidence)
+            stat = self._moments_interval
             if stat is None:
-                stat = self._moments.interval(confidence)
-                self._moments_interval[confidence] = stat
+                stat = self._moments_interval = self._moments.interval()
             est, hw = stat
         else:
             run_times = self._sorted_run_times
@@ -242,10 +242,9 @@ class Category:
                 k -= bisect_left(run_times, elapsed)
             if k < (_MIN_POINTS_MEAN if kind == "mean" else _MIN_POINTS_REGRESSION):
                 return None
-            key = (k, confidence)
-            stat = self._memo.get(key, _UNSET)
+            stat = self._memo.get(k, _UNSET)
             if stat is _UNSET:
-                stat = self._memo[key] = self._statistic(elapsed, confidence)
+                stat = self._memo[k] = self._statistic(elapsed)
                 self.memo_misses += conditioned
             else:
                 self.memo_hits += conditioned
@@ -254,7 +253,7 @@ class Category:
             if kind == "mean":
                 est, hw = stat
             else:
-                est, hw = stat.prediction_interval(job.nodes, confidence)
+                est, hw = stat.prediction_interval(job.nodes)
 
         if template.relative:
             assert job.max_run_time is not None
@@ -263,7 +262,7 @@ class Category:
         est = max(est, elapsed)
         return est, max(hw, 0.0)
 
-    def miss_bound(self, job: Job, elapsed: float, confidence: float) -> float | None:
+    def miss_bound(self, job: Job, elapsed: float) -> float | None:
         """A lower bound on the half-width :meth:`predict` would compute.
 
         Only for an elapsed-conditioned ``mean`` lookup that would miss
@@ -282,18 +281,17 @@ class Category:
         k = len(run_times) - bisect_left(run_times, elapsed)
         if k < _MIN_POINTS_MEAN:
             return None
-        if (k, confidence) in self._memo:
+        if k in self._memo:
             return None
-        bound = self.half_width_bound(k, confidence)
+        bound = self.half_width_bound(k)
         if template.relative:
             return bound * job.max_run_time * (1.0 - 1e-12)
         return bound
 
-    def half_width_bound(self, k: int, confidence: float) -> float:
+    def half_width_bound(self, k: int) -> float:
         """Unscaled half-width lower bound over the last ``k`` sorted
         points, memoised until the next add."""
-        key = (k, confidence)
-        bound = self._bounds.get(key)
+        bound = self._bounds.get(k)
         if bound is not None:
             return bound
         sums = self._suffix_sums
@@ -312,12 +310,12 @@ class Category:
         if not _TINY < num < math.inf:
             bound = 0.0
         else:
-            t = t_quantile(k - 1, 0.5 + confidence / 2.0)
+            t = t_quantile(k - 1, 0.5 + CONFIDENCE / 2.0)
             bound = t * math.sqrt(num / (k - 1)) * math.sqrt(1.0 + 1.0 / k) * (1.0 - 1e-9)
-        self._bounds[key] = bound
+        self._bounds[k] = bound
         return bound
 
-    def _statistic(self, elapsed: float, confidence: float):
+    def _statistic(self, elapsed: float):
         """The unscaled statistic over the points qualifying for ``elapsed``.
 
         ``values[run_times >= elapsed]``, gathered from views of the
@@ -338,7 +336,7 @@ class Category:
             values = np.array(self._values)
             nodes = np.array(self._nodes)
         if kind == "mean":
-            return mean_confidence_interval(values, confidence)
+            return mean_confidence_interval(values)
         try:
             return _FITTERS[kind](nodes, values)
         except ValueError:

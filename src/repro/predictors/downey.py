@@ -92,13 +92,10 @@ class DowneyPredictor(RuntimePredictor):
 
     KINDS = ("median", "average")
 
-    def __init__(self, kind: str = "median", *, max_history: int | None = None) -> None:
+    def __init__(self, kind: str = "median") -> None:
         if kind not in self.KINDS:
             raise ValueError(f"kind must be one of {self.KINDS}, got {kind!r}")
-        if max_history is not None and max_history < 2:
-            raise ValueError("max_history must be >= 2")
         self.kind = kind
-        self.max_history = max_history
         self.name = f"downey-{kind}"
         self._samples: dict[str, list[float]] = {}
         self._fits: dict[str, LogUniformFit | None] = {}
@@ -109,10 +106,7 @@ class DowneyPredictor(RuntimePredictor):
 
     def on_finish(self, job: Job, now: float) -> None:
         key = self._category(job)
-        bucket = self._samples.setdefault(key, [])
-        bucket.append(job.run_time)
-        if self.max_history is not None and len(bucket) > self.max_history:
-            del bucket[0]
+        self._samples.setdefault(key, []).append(job.run_time)
         self._fits.pop(key, None)  # invalidate the cached fit
 
     def predict(self, job: Job, elapsed: float = 0.0, now: float = 0.0) -> Prediction | None:

@@ -23,9 +23,12 @@ run-time variance.
 
 The traces differ in which identity field plays the role of "executable":
 ANL records a real executable name, CTC a LoadLeveler script, SDSC only a
-queue.  The constructor's ``executable_attr="auto"`` resolves, per job,
-to the first of executable / script / queue that is present, mirroring
-how Gibbons' profiler would be deployed on each system.
+queue.  The executable resolves, per job, to the first of executable /
+script / queue that is present, mirroring how Gibbons' profiler would be
+deployed on each system.
+
+A mean template answers from at least two points; a regression template
+needs at least two non-empty subcategories (a slope needs two points).
 """
 
 from __future__ import annotations
@@ -88,43 +91,25 @@ class GibbonsPredictor(RuntimePredictor):
     #: subcategory, the regression templates read all of a parent's.
     _LEVELS = ("ue", "e", "")
 
-    def __init__(
-        self,
-        *,
-        executable_attr: str = "auto",
-        min_points: int = 2,
-        min_subcategories: int = 2,
-    ) -> None:
-        if min_points < 1:
-            raise ValueError("min_points must be >= 1")
-        if min_subcategories < 2:
-            raise ValueError("min_subcategories must be >= 2 (slope needs 2 points)")
-        self.executable_attr = executable_attr
-        self.min_points = min_points
-        self.min_subcategories = min_subcategories
+    def __init__(self) -> None:
         # level -> parent key -> node bin -> subcategory
         self._store: dict[str, dict[tuple, dict[int, _SubCategory]]] = {
             lvl: defaultdict(dict) for lvl in self._LEVELS
         }
 
     # ------------------------------------------------------------------
-    def _executable(self, job: Job) -> str | None:
-        if self.executable_attr == "auto":
-            return job.executable or job.script or job.queue
-        return getattr(job, self.executable_attr)
-
-    def _parent_key(self, level: str, job: Job) -> tuple | None:
-        if level == "ue":
-            e = self._executable(job)
-            if job.user is None or e is None:
-                return None
-            return (job.user, e)
+    @staticmethod
+    def _parent_key(level: str, job: Job) -> tuple | None:
+        if not level:
+            return ()
+        e = job.executable or job.script or job.queue
+        if e is None:
+            return None
         if level == "e":
-            e = self._executable(job)
-            if e is None:
-                return None
             return (e,)
-        return ()
+        if job.user is None:
+            return None
+        return (job.user, e)
 
     # ------------------------------------------------------------------
     def on_finish(self, job: Job, now: float) -> None:
@@ -153,7 +138,7 @@ class GibbonsPredictor(RuntimePredictor):
             sub = subs.get(nbin)
             if sub is not None:
                 pts = sub.conditioned(elapsed)
-                if len(pts) >= self.min_points:
+                if len(pts) >= 2:
                     est = max(sum(pts) / len(pts), elapsed)
                     return Prediction(
                         estimate=est,
@@ -172,7 +157,7 @@ class GibbonsPredictor(RuntimePredictor):
 
     def _regress(self, subs: dict[int, _SubCategory], nodes: int) -> float | None:
         cells = [s for s in subs.values() if s.run_times]
-        if len(cells) < self.min_subcategories:
+        if len(cells) < 2:
             return None
         xs = [c.mean_nodes() for c in cells]
         ys = [c.mean_run_time() for c in cells]

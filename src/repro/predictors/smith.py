@@ -8,7 +8,8 @@ offer ``(estimate, confidence interval)``, and **the estimate with the
 smallest confidence interval wins** (§2.1 step 2(d)).  That selection
 rule is the heart of the technique: specific-but-sparse categories
 compete with generic-but-populous ones on the tightness of what they
-claim to know.
+claim to know.  Every interval is built at the paper's 90%,
+:data:`~repro.stats.ci.CONFIDENCE`.
 
 A job's categories are resolved once.  Its category keys are cached
 per job id, guarded by the identity of the :class:`Job` they were
@@ -19,7 +20,7 @@ and the tuple is rebuilt only when one of those keys gains its category.
 
 An elapsed-conditioned contest reads each category once.  A ``mean``
 category takes one bisection for its qualifying count ``k`` and one
-``(k, confidence)`` memo read; a hit is answered inline, with the
+memo read keyed by ``k``; a hit is answered inline, with the
 arithmetic of :meth:`~repro.predictors.category.Category.predict`, and
 a regression asks its category.  The ``mean`` categories that miss
 their memo wait.  A lone miss with no answer to beat is computed at
@@ -59,21 +60,13 @@ class SmithPredictor(RuntimePredictor):
 
     name = "smith"
 
-    def __init__(
-        self,
-        templates: Iterable[Template] | None = None,
-        *,
-        confidence: float = 0.90,
-    ) -> None:
+    def __init__(self, templates: Iterable[Template] | None = None) -> None:
         tpl = list(templates) if templates is not None else default_templates(None)
         if not tpl:
             raise ValueError("SmithPredictor requires at least one template")
-        if not 0 < confidence < 1:
-            raise ValueError(f"confidence must be in (0,1), got {confidence}")
         self.templates: tuple[Template, ...] = tuple(tpl)
         # Each template's Prediction.source, built once.
         self._sources: tuple[str, ...] = tuple(t.describe() for t in self.templates)
-        self.confidence = confidence
         # Categories keyed by (template index, category key).
         self._categories: dict[tuple[int, tuple], Category] = {}
         # How often each template's category won the smallest-CI contest.
@@ -88,13 +81,10 @@ class SmithPredictor(RuntimePredictor):
         self._waiting: dict[tuple[int, tuple], set[int]] = {}
 
     @classmethod
-    def for_trace(cls, trace: Trace, **kwargs) -> "SmithPredictor":
+    def for_trace(cls, trace: Trace) -> "SmithPredictor":
         """A predictor with curated default templates for a trace."""
         has_max = any(j.max_run_time is not None for j in trace)
-        return cls(
-            default_templates(trace.available_fields, has_max_run_time=has_max),
-            **kwargs,
-        )
+        return cls(default_templates(trace.available_fields, has_max_run_time=has_max))
 
     # ------------------------------------------------------------------
     def _entry(self, job: Job) -> list:
@@ -136,12 +126,11 @@ class SmithPredictor(RuntimePredictor):
         contestants = entry[2]
         if contestants is None:
             contestants = self._resolve(entry)
-        confidence = self.confidence
         best_idx = -1  # the leader's template index; -1 before any answer
         best_hw = best_est = 0.0
         if elapsed <= 0.0:
             for idx, cat, _, _ in contestants:
-                result = cat.predict(job, elapsed, confidence)
+                result = cat.predict(job, elapsed)
                 if result is None:
                     continue
                 est, hw = result
@@ -150,19 +139,18 @@ class SmithPredictor(RuntimePredictor):
         else:
             # One bisection and one memo read per mean category: a hit is
             # answered here, with Category.predict's arithmetic; a miss
-            # waits with its memo key.
-            pending: list[tuple[int, Category, float | None, tuple[int, float]]] = []
+            # waits with its qualifying count.
+            pending: list[tuple[int, Category, float | None, int]] = []
             for idx, cat, scale, mean in contestants:
                 if mean:
                     run_times = cat._sorted_run_times
                     k = len(run_times) - bisect_left(run_times, elapsed)
                     if k < 2:  # too few points for a variance
                         continue
-                    key = (k, confidence)
                     # A mean statistic is never None.
-                    stat = cat._memo.get(key)
+                    stat = cat._memo.get(k)
                     if stat is None:
-                        pending.append((idx, cat, scale, key))
+                        pending.append((idx, cat, scale, k))
                         continue
                     cat.memo_hits += 1
                     est, hw = stat
@@ -174,7 +162,7 @@ class SmithPredictor(RuntimePredictor):
                     if hw < 0.0:
                         hw = 0.0
                 else:
-                    result = cat.predict(job, elapsed, confidence)
+                    result = cat.predict(job, elapsed)
                     if result is None:
                         continue
                     est, hw = result
@@ -183,14 +171,14 @@ class SmithPredictor(RuntimePredictor):
             if best_idx < 0 and len(pending) == 1:
                 # Nothing to prune against: no bound is worth its cost.
                 best_idx, cat, _, _ = pending[0]
-                best_est, best_hw = cat.predict(job, elapsed, confidence)
+                best_est, best_hw = cat.predict(job, elapsed)
             elif pending:
                 ranked = []
                 pruned = 0
-                for idx, cat, scale, key in pending:
-                    bound = cat._bounds.get(key)
+                for idx, cat, scale, k in pending:
+                    bound = cat._bounds.get(k)
                     if bound is None:
-                        bound = cat.half_width_bound(*key)
+                        bound = cat.half_width_bound(k)
                     if scale is not None:
                         bound = bound * scale * (1.0 - 1e-12)
                     if best_idx >= 0 and bound > best_hw:
@@ -207,7 +195,7 @@ class SmithPredictor(RuntimePredictor):
                         pruned += len(ranked) - pos
                         break
                     # A pending mean lookup has at least two points: never None.
-                    est, hw = cat.predict(job, elapsed, confidence)
+                    est, hw = cat.predict(job, elapsed)
                     if best_idx < 0 or hw < best_hw or (hw == best_hw and idx < best_idx):
                         best_idx, best_hw, best_est = idx, hw, est
                 self._bound_pruned += pruned

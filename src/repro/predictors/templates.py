@@ -107,7 +107,6 @@ def default_templates(
     available: frozenset[str] | set[str] | None,
     *,
     has_max_run_time: bool = False,
-    node_range_size: int = 4,
 ) -> list[Template]:
     """A curated template set for a workload recording ``available`` fields.
 
@@ -115,7 +114,8 @@ def default_templates(
     reasonable template set is wanted: the global mean, each single
     characteristic, informative pairs, node-ranged refinements, and (when
     the trace has user maxima) relative-run-time variants — the
-    ingredients the paper reports its searches discovering.
+    ingredients the paper reports its searches discovering.  Node ranges
+    are 4 nodes wide.
     """
     avail = set(available) if available is not None else set(TEMPLATE_CHARACTERISTICS)
     avail &= set(TEMPLATE_CHARACTERISTICS)
@@ -131,7 +131,7 @@ def default_templates(
     for chars in ([("u",)] + [list(p) for p in pairs[:2]]):
         if set(chars) <= avail:
             templates.append(
-                Template(characteristics=tuple(chars), node_range_size=node_range_size)
+                Template(characteristics=tuple(chars), node_range_size=4)
             )
     if has_max_run_time:
         for chars in [("u",)] + [list(p) for p in pairs[:1]]:

@@ -115,18 +115,17 @@ class ScheduleResult:
             return 0.0
         return seconds_to_minutes(float(np.percentile(self.wait_times, p)))
 
-    def mean_bounded_slowdown(self, tau: float = 600.0) -> float:
-        """Mean bounded slowdown: max(1, (wait + run) / max(run, tau)).
+    def mean_bounded_slowdown(self) -> float:
+        """Mean bounded slowdown: max(1, (wait + run) / max(run, 600 s)).
 
         The standard companion metric to mean wait (Feitelson et al.):
-        ``tau`` shields the statistic from very short jobs dominating.
+        the 600 s bound shields the statistic from very short jobs
+        dominating.
         """
-        if tau <= 0:
-            raise ValueError(f"tau must be positive, got {tau}")
         if not self._records:
             return 0.0
         values = [
-            max(1.0, (r.wait_time + r.run_time) / max(r.run_time, tau))
+            max(1.0, (r.wait_time + r.run_time) / max(r.run_time, 600.0))
             for r in self._records
         ]
         return float(np.mean(values))

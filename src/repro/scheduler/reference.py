@@ -199,8 +199,6 @@ class ReferenceSimulator:
         policy: Policy,
         estimator: RuntimeEstimator,
         total_nodes: int,
-        *,
-        instrumentation: Instrumentation | None = None,
     ) -> None:
         self.policy = policy
         self.estimator = estimator
@@ -215,8 +213,7 @@ class ReferenceSimulator:
         self._observers: list[object] = []
         # Same registry metric names as the optimized engine, so counter
         # parity can be asserted snapshot-to-snapshot.
-        obs = instrumentation if instrumentation is not None else Instrumentation()
-        self.obs = obs
+        self.obs = obs = Instrumentation()
         reg = obs.registry
         self._c_events = reg.counter("sim.events_processed")
         self._c_passes = reg.counter("sim.schedule_passes")

@@ -196,10 +196,8 @@ class IndexedJobList:
 
     __slots__ = ("_items",)
 
-    def __init__(self, items: Iterable[Any] = ()) -> None:
+    def __init__(self) -> None:
         self._items: dict[int, Any] = {}
-        for item in items:
-            self.append(item)
 
     def append(self, item: Any) -> None:
         jid = item.job_id

@@ -29,14 +29,12 @@ class ValidationReport:
             )
 
 
-def validate_schedule(
-    trace: Trace, result: ScheduleResult, *, run_time_tolerance: float = 1e-6
-) -> ValidationReport:
+def validate_schedule(trace: Trace, result: ScheduleResult) -> ValidationReport:
     """Check completeness, causality, duration fidelity and capacity.
 
     Verifies that every trace job appears exactly once, starts no
     earlier than its submission, runs for exactly its trace run time
-    (within ``run_time_tolerance``), and that concurrent node usage
+    (within 1e-6 s), and that concurrent node usage
     never exceeds the machine.
     """
     violations: list[str] = []
@@ -63,7 +61,7 @@ def validate_schedule(
             violations.append(
                 f"job {rec.job_id}: started before submission"
             )
-        if abs(rec.run_time - job.run_time) > run_time_tolerance:
+        if abs(rec.run_time - job.run_time) > 1e-6:
             violations.append(
                 f"job {rec.job_id}: ran {rec.run_time}, trace says {job.run_time}"
             )

@@ -97,7 +97,6 @@ class PredictionService:
         total_nodes: int,
         *,
         scheduler_estimator: RuntimeEstimator | None = None,
-        instrumentation: Instrumentation | None = None,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         self.policy = policy
@@ -124,8 +123,7 @@ class PredictionService:
         # estimator's history_epoch stands still.
         self._duration_cache = EstimateMemo()
         self._estimate_cache = EstimateMemo()
-        obs = instrumentation if instrumentation is not None else Instrumentation()
-        self.obs = obs
+        self.obs = obs = Instrumentation()
         self._n_events = 0
         self._n_queries = 0
         self._n_hits = 0

@@ -15,15 +15,19 @@ rescales all widths by roughly ``sqrt(n)`` and does not change which
 category wins for same-size categories; the prediction interval is what
 makes small, tight categories beat huge, diffuse ones.)
 
+Every run-time prediction interval is built at one level, the paper's
+90% (:data:`CONFIDENCE`); no caller chooses another.
+
 Because the tightest interval picks the template, the bits of the t
 quantile decide which category predicts, and with it the printed cells of
 Tables 5-9 and 11-15.  :func:`t_quantile` therefore has one kernel on
 every host, ``scipy.special.stdtrit``, and no approximate fallback.  At
-the paper's 90% confidence (``p = 0.95``) its bits come from a committed
-table of that kernel's output for ``df = 1..32,768``
-(``t_quantile_p95.npy``, written by ``scripts/gen_t_table.py``), so a
-Smith replay never loads SciPy; any other ``(df, p)`` calls SciPy, a
-required dependency.
+:data:`CONFIDENCE` (``p = 0.95``) its bits come from a committed table of
+that kernel's output for ``df = 1..32,768`` (``t_quantile_p95.npy``,
+written by ``scripts/gen_t_table.py``), so a Smith replay never loads
+SciPy; of the library's intervals, only one over more than 32,769
+points can still call SciPy, a required dependency, as does a direct
+:func:`t_quantile` call at another ``p``.
 
 :func:`mean_confidence_interval` is called on every miss of a category's
 memo, mostly on a few hundred points, where NumPy's Python-level
@@ -42,12 +46,16 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["t_quantile", "mean_confidence_interval", "RunningMoments"]
+__all__ = ["CONFIDENCE", "t_quantile", "mean_confidence_interval", "RunningMoments"]
 
 _T_CACHE: dict[tuple[int, float], float] = {}
 
-#: The quantile level of the paper's 90% intervals, the one level tabled.
-_TABLED_P = 0.5 + 0.90 / 2.0
+#: The level of every run-time prediction interval: the paper's 90%
+#: (§2.1, step 2(d)).
+CONFIDENCE = 0.90
+#: The t quantile level of a :data:`CONFIDENCE` interval, the one level
+#: tabled.
+_TABLED_P = 0.5 + CONFIDENCE / 2.0
 _TABLE_PATH = Path(__file__).with_name("t_quantile_p95.npy")
 #: ``stdtrit(df, _TABLED_P)`` at index ``df - 1``; read on first use.
 _table: np.ndarray | None = None
@@ -90,18 +98,12 @@ def t_quantile(df: int, p: float) -> float:
     return v
 
 
-def mean_confidence_interval(
-    values: np.ndarray | list[float],
-    confidence: float = 0.90,
-    *,
-    prediction: bool = True,
-) -> tuple[float, float]:
-    """Return ``(mean, half_width)`` of the confidence interval for a sample.
+def mean_confidence_interval(values: np.ndarray | list[float]) -> tuple[float, float]:
+    """Return ``(mean, half_width)`` of a sample's prediction interval.
 
-    With ``prediction=True`` (default) the half-width is for a *prediction*
-    interval on the next observation; with ``False`` it is the interval for
-    the mean.  Requires at least two values (otherwise the variance, and
-    hence the interval, is undefined); raises :class:`ValueError` below that.
+    The interval is at :data:`CONFIDENCE`, for the next observation.
+    Requires at least two values (otherwise the variance, and hence the
+    interval, is undefined); raises :class:`ValueError` below that.
     """
     x = np.asarray(values, dtype=float)
     n = x.size
@@ -112,9 +114,8 @@ def mean_confidence_interval(
     m = float(total) / n
     d = x - total / n
     s = math.sqrt(np.add.reduce(d * d) / (n - 1))
-    t = t_quantile(n - 1, 0.5 + confidence / 2.0)
-    scale = math.sqrt(1.0 + 1.0 / n) if prediction else math.sqrt(1.0 / n)
-    return m, t * s * scale
+    t = t_quantile(n - 1, _TABLED_P)
+    return m, t * s * math.sqrt(1.0 + 1.0 / n)
 
 
 @dataclass
@@ -163,10 +164,9 @@ class RunningMoments:
     def std(self) -> float:
         return math.sqrt(self.variance)
 
-    def interval(self, confidence: float = 0.90, *, prediction: bool = True) -> tuple[float, float]:
+    def interval(self) -> tuple[float, float]:
         """``(mean, half_width)`` as in :func:`mean_confidence_interval`."""
         if self.count < 2:
             raise ValueError("confidence interval requires at least 2 values")
-        t = t_quantile(self.count - 1, 0.5 + confidence / 2.0)
-        scale = math.sqrt(1.0 + 1.0 / self.count) if prediction else math.sqrt(1.0 / self.count)
-        return self.mean, t * self.std * scale
+        t = t_quantile(self.count - 1, _TABLED_P)
+        return self.mean, t * self.std * math.sqrt(1.0 + 1.0 / self.count)

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.stats.ci import t_quantile
+from repro.stats.ci import CONFIDENCE, t_quantile
 
 __all__ = [
     "RegressionResult",
@@ -49,8 +49,9 @@ class RegressionResult:
         """Point prediction at raw regressor value ``x``."""
         return self.intercept + self.slope * self.transform(x)
 
-    def prediction_interval(self, x: float, confidence: float = 0.90) -> tuple[float, float]:
-        """``(prediction, half_width)`` of the prediction interval at ``x``.
+    def prediction_interval(self, x: float) -> tuple[float, float]:
+        """``(prediction, half_width)`` of the
+        :data:`~repro.stats.ci.CONFIDENCE` prediction interval at ``x``.
 
         The half-width uses the standard OLS prediction-variance formula
         ``s^2 * (1 + 1/n + (x - xbar)^2 / Sxx)``.  Degenerate designs
@@ -67,7 +68,7 @@ class RegressionResult:
         else:
             var = s2 * (1.0 + 1.0 / self.n)
             df = self.n - 1
-        t = t_quantile(max(df, 1), 0.5 + confidence / 2.0)
+        t = t_quantile(max(df, 1), 0.5 + CONFIDENCE / 2.0)
         return self.predict(x), t * math.sqrt(max(var, 0.0))
 
 

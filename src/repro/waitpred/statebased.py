@@ -14,7 +14,8 @@ This module implements that method with the same machinery as the
 run-time predictor: *state templates* name the features of the
 (scheduler state, job) pair that make two submission instants similar;
 observed waits accumulate in per-template categories; the prediction is
-the mean of the category with the smallest confidence interval.
+the mean of the category with the smallest 90% prediction interval
+(:data:`~repro.stats.ci.CONFIDENCE`, the run-time predictor's level).
 
 Features (all discretized):
 
@@ -35,9 +36,8 @@ used.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.obs import Instrumentation
 from repro.predictors.base import PointEstimator
@@ -136,7 +136,6 @@ class StateTemplate:
     """A similarity template over scheduler-state features."""
 
     features: tuple[str, ...] = ()
-    max_history: int | None = None
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -148,8 +147,6 @@ class StateTemplate:
             if f in seen:
                 raise ValueError(f"duplicate state feature {f!r}")
             seen.add(f)
-        if self.max_history is not None and self.max_history < 2:
-            raise ValueError("max_history must be >= 2")
 
     def describe(self) -> str:
         return "(" + ", ".join(self.features) + ")"
@@ -168,29 +165,6 @@ DEFAULT_STATE_TEMPLATES: tuple[StateTemplate, ...] = (
 )
 
 
-class _WaitCategory:
-    """Bounded history of observed waits with incremental moments."""
-
-    def __init__(self, max_history: int | None) -> None:
-        self.max_history = max_history
-        self._values: deque[float] = deque()
-        self._moments = RunningMoments()
-
-    def add(self, wait: float) -> None:
-        if self.max_history is not None and len(self._values) >= self.max_history:
-            self._moments.remove(self._values.popleft())
-        self._values.append(wait)
-        self._moments.add(wait)
-
-    def interval(self, confidence: float) -> tuple[float, float] | None:
-        if self._moments.count < 2:
-            return None
-        return self._moments.interval(confidence)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-
 class StateBasedWaitPredictor:
     """Wait-time prediction from similar past scheduler states.
 
@@ -201,26 +175,22 @@ class StateBasedWaitPredictor:
     both.
 
     ``runtime_estimator`` supplies the job's run-time estimate used as
-    the ``rt`` feature (the templates decide whether it matters).
+    the ``rt`` feature (the templates decide whether it matters).  The
+    templates are :data:`DEFAULT_STATE_TEMPLATES`.
     """
+
+    templates: tuple[StateTemplate, ...] = DEFAULT_STATE_TEMPLATES
 
     def __init__(
         self,
         runtime_estimator: PointEstimator,
         *,
-        templates: Iterable[StateTemplate] = DEFAULT_STATE_TEMPLATES,
-        confidence: float = 0.90,
         instrumentation: Instrumentation | None = None,
     ) -> None:
-        self.templates: tuple[StateTemplate, ...] = tuple(templates)
-        if not self.templates:
-            raise ValueError("at least one state template required")
-        if not 0 < confidence < 1:
-            raise ValueError("confidence must be in (0, 1)")
         self.runtime_estimator = runtime_estimator
-        self.confidence = confidence
         self.predicted_waits: dict[int, float] = {}
-        self._categories: dict[tuple[int, tuple], _WaitCategory] = {}
+        # Each category's observed waits, as incremental moments.
+        self._categories: dict[tuple[int, tuple], RunningMoments] = {}
         self._pending: dict[int, tuple[float, StateFeatures]] = {}
         self._wait_moments = RunningMoments()
         #: Per-job runtime estimates feeding the qwork/rt features, valid
@@ -285,12 +255,9 @@ class StateBasedWaitPredictor:
         best: tuple[float, float, int] | None = None  # (half width, est, idx)
         for idx, template in enumerate(self.templates):
             cat = self._categories.get((idx, features.key(template.features)))
-            if cat is None:
+            if cat is None or cat.count < 2:
                 continue
-            result = cat.interval(self.confidence)
-            if result is None:
-                continue
-            est, hw = result
+            est, hw = cat.interval()
             if best is None or hw < best[0]:
                 best = (hw, est, idx)
         if best is None:
@@ -346,7 +313,7 @@ class StateBasedWaitPredictor:
             key = (idx, features.key(template.features))
             cat = self._categories.get(key)
             if cat is None:
-                cat = self._categories[key] = _WaitCategory(template.max_history)
+                cat = self._categories[key] = RunningMoments()
             cat.add(wait)
         self._c_observations.value += 1
         self._g_categories.set(len(self._categories))

@@ -19,15 +19,18 @@ Model components:
 
 1. **Sizes** — powers of two up to the machine size carry most of the
    probability (harmonic weights ``1/rank``); with probability
-   ``other_size_prob`` the size is perturbed off the power of two.
+   ``_OTHER_SIZE_PROB`` the size is perturbed off the power of two.
 2. **Run times** — a three-stage hyper-exponential whose stage means
    scale mildly with job size (the observed size/run-time correlation).
 3. **Repeated runs** — each generated "program" is submitted
-   ``r ~ Zipf(repeat_alpha)`` times (capped), successive runs separated
-   by exponential think times; reruns share user/executable identity
-   and jitter around the program's base run time.
+   ``r ~ Zipf(_REPEAT_ALPHA)`` times (at most ``_MAX_REPEATS``),
+   successive runs separated by exponential think times; reruns share
+   user/executable identity and jitter log-normally (σ
+   ``_RERUN_JITTER``) around the program's base run time.
 4. **Arrivals** — program start times form a Poisson process spanned to
    hit a target offered load.
+5. **Maxima** — each job's user maximum is its run time times a
+   log-uniform factor in ``_MAX_RUN_TIME_FACTOR``.
 """
 
 from __future__ import annotations
@@ -42,16 +45,21 @@ from repro.workloads.job import Job, Trace
 
 __all__ = ["feitelson_trace"]
 
+_REPEAT_ALPHA = 2.5
+_MAX_REPEATS = 30
+_OTHER_SIZE_PROB = 0.2
+_RERUN_JITTER = 0.20
+_MAX_RUN_TIME_FACTOR = (1.5, 6.0)
 
-def _harmonic_size(rng: np.random.Generator, total_nodes: int,
-                   other_size_prob: float) -> int:
+
+def _harmonic_size(rng: np.random.Generator, total_nodes: int) -> int:
     max_exp = int(math.floor(math.log2(total_nodes)))
     ranks = np.arange(1, max_exp + 2, dtype=float)
     w = 1.0 / ranks
     w /= w.sum()
     exp = int(rng.choice(max_exp + 1, p=w))
     size = 2**exp
-    if size >= 4 and rng.uniform() < other_size_prob:
+    if size >= 4 and rng.uniform() < _OTHER_SIZE_PROB:
         # Perturb off the power of two, as real workloads do.
         size = int(rng.integers(size // 2 + 1, size))
     return max(1, min(size, total_nodes))
@@ -75,12 +83,6 @@ def feitelson_trace(
     total_nodes: int,
     offered_load: float = 0.6,
     seed: int | np.random.Generator = 0,
-    repeat_alpha: float = 2.5,
-    max_repeats: int = 30,
-    other_size_prob: float = 0.2,
-    rerun_jitter: float = 0.20,
-    max_run_time_factor: tuple[float, float] = (1.5, 6.0),
-    name: str = "feitelson",
 ) -> Trace:
     """Generate a Feitelson-model trace of ``n_jobs`` jobs.
 
@@ -100,12 +102,12 @@ def feitelson_trace(
     while len(runs) < n_jobs:
         user = f"user{int(rng_prog.integers(0, max(n_jobs // 40, 8))):03d}"
         app = f"{user}_prog{prog}"
-        size = _harmonic_size(rng_size, total_nodes, other_size_prob)
+        size = _harmonic_size(rng_size, total_nodes)
         base_rt = _hyperexponential_runtime(rng_rt, size, 1.0)
-        repeats = min(int(rng_rep.zipf(repeat_alpha)), max_repeats)
+        repeats = min(int(rng_rep.zipf(_REPEAT_ALPHA)), _MAX_REPEATS)
         for _ in range(repeats):
             rt = base_rt * float(
-                np.exp(rng_rt.normal(0.0, rerun_jitter))
+                np.exp(rng_rt.normal(0.0, _RERUN_JITTER))
             )
             runs.append((prog, user, app, size, max(rt, 15.0)))
             if len(runs) >= n_jobs:
@@ -130,7 +132,7 @@ def feitelson_trace(
             _, _, _, _, rt = runs[idx]
             t += rt + float(rng_arr.exponential(rt * 0.5 + 5 * MINUTE))
 
-    lo, hi = max_run_time_factor
+    lo, hi = _MAX_RUN_TIME_FACTOR
     jobs = []
     for i, (p, user, app, size, rt) in enumerate(runs):
         factor = float(np.exp(rng_rep.uniform(math.log(lo), math.log(hi))))
@@ -145,6 +147,6 @@ def feitelson_trace(
                 max_run_time=max(rt * factor, rt),
             )
         )
-    trace = Trace(jobs, total_nodes=total_nodes, name=name)
+    trace = Trace(jobs, total_nodes=total_nodes, name="feitelson")
     trace.available_fields = frozenset({"u", "e", "n"})
     return trace

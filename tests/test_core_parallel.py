@@ -337,4 +337,4 @@ class TestSerialContract:
 
     def test_unknown_algorithm_fails_the_parallel_run(self, driver):
         with pytest.raises(ParallelExecutionError, match="unknown policy"):
-            driver(["ANL"], ("nope",), n_jobs=20, max_workers=2)
+            driver(["ANL"], ("nope",), max_workers=2)

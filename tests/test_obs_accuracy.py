@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import DEFAULT_DRIFT_WINDOW, AccuracyMonitor, GroupStats
+from repro.obs.campaign import CampaignMonitor
 
 
 def make_group(**kwargs) -> GroupStats:
@@ -44,6 +47,45 @@ class TestGroupStats:
         with pytest.raises(ValueError, match="quantile"):
             g.quantile(1.5)
 
+    @given(
+        value=st.floats(0.0, 1e12, allow_nan=False),
+        n=st.integers(1, 30),
+        q=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_constant_sample_is_every_quantile(self, value, n, q):
+        g = make_group()
+        for _ in range(n):
+            g.observe(value, 0.0)
+        assert g.quantile(q) == value
+        for p in (0.5, 0.9, 0.99):
+            assert g.quantile(p) == value
+
+    def test_tied_pair_at_p90(self):
+        # lo·(1−f) + hi·f would read 189.89999999999998 here.
+        g = make_group()
+        g.observe(189.9, 0.0)
+        g.observe(189.9, 0.0)
+        assert g.quantile(0.9) == 189.9
+
+    @given(
+        values=st.lists(st.floats(0.0, 1e9, allow_nan=False), min_size=1, max_size=40),
+        q=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_campaign_monitor_quantiles_agree(self, values, q):
+        """The accuracy monitor and the campaign monitor share one rule."""
+        g = make_group()
+        m = CampaignMonitor()
+        m.observe({"type": "campaign_started", "wall_time": 0.0, "campaign_id": "c",
+                   "cells_total": len(values), "max_workers": 1})
+        for i, v in enumerate(values):
+            g.observe(v, 0.0)
+            m.observe({"type": "cell_finished", "wall_time": 1.0, "campaign_id": "c",
+                       "cell_index": i, "duration_s": v})
+        assert m.duration_quantile(q) == g.quantile(q)
+        assert m.median_duration() == g.quantile(0.5)
+
     def test_tail_ratio(self):
         g = make_group()
         for _ in range(99):
@@ -73,6 +115,13 @@ class TestGroupStats:
         assert g.rolling_mae == pytest.approx(10.0)
         assert g.drift_ratio == pytest.approx(10.0 / 5.5)
         assert g.drift_ratio > 1.0  # predictor currently worse than history
+
+    def test_rolling_mae_forgets_a_large_error_exactly(self):
+        # A running sum would cancel the 1s against 1e16 and read 0.0.
+        g = make_group(window=2)
+        for err in (1e16, 1.0, 1.0):
+            g.observe(err, 0.0)
+        assert g.rolling_mae == 1.0
 
     def test_drift_none_without_signal(self):
         g = make_group()

@@ -23,25 +23,9 @@ U = Template(characteristics=("u",))
 
 
 class TestValidation:
-    def test_confidence_bounds(self):
-        with pytest.raises(ValueError):
-            OnlineMeanPredictor([U], confidence=0.0)
-        with pytest.raises(ValueError):
-            OnlineMeanPredictor([U], confidence=1.0)
-
     def test_empty_template_set_rejected(self):
         with pytest.raises(ValueError):
             OnlineMeanPredictor([])
-
-    def test_decay_bounds(self):
-        with pytest.raises(ValueError):
-            DecayedMeanPredictor([U], decay=0.0)
-        with pytest.raises(ValueError):
-            DecayedMeanPredictor([U], decay=1.5)
-
-    def test_ridge_positive(self):
-        with pytest.raises(ValueError):
-            OnlineRegressionPredictor([U], ridge=0.0)
 
 
 class TestOnlineMean:
@@ -127,7 +111,7 @@ class TestOnlineMean:
 
 class TestOnlineRegression:
     def test_learns_exact_linear_trend_in_log_nodes(self):
-        p = OnlineRegressionPredictor([U], ridge=1e-9)
+        p = OnlineRegressionPredictor([U])
         # run_time = 50 + 100 * log1p(nodes), noiselessly.
         for nodes in (1, 2, 4, 8, 16, 32):
             p.on_finish(
@@ -137,7 +121,8 @@ class TestOnlineRegression:
             )
         pred = p.predict(make_job(user="a", nodes=64))
         assert pred.estimate == pytest.approx(50.0 + 100.0 * math.log1p(64), rel=1e-4)
-        assert pred.interval == pytest.approx(0.0, abs=1e-2)
+        # Only the ridge seed's prior residuals widen the interval.
+        assert pred.interval < 0.005 * pred.estimate
 
     def test_needs_three_points(self):
         p = OnlineRegressionPredictor([U])
@@ -151,9 +136,9 @@ class TestOnlineRegression:
 class TestDecayedMean:
     def test_recency_dominates(self):
         """A regime change: old jobs ran 100s, recent ones 1000s."""
-        decayed = DecayedMeanPredictor([U], decay=0.5)
+        decayed = DecayedMeanPredictor([U])
         plain = OnlineMeanPredictor([U])
-        for rt in [100.0] * 10 + [1000.0] * 3:
+        for rt in [100.0] * 40 + [1000.0] * 40:
             job = make_job(user="a", run_time=rt)
             decayed.on_finish(job, 0.0)
             plain.on_finish(job, 0.0)
@@ -161,25 +146,14 @@ class TestDecayedMean:
         assert decayed.predict(probe).estimate > plain.predict(probe).estimate
         assert decayed.predict(probe).estimate > 800.0
 
-    def test_decay_one_degenerates_to_plain_mean(self):
-        decayed = DecayedMeanPredictor([U], decay=1.0)
-        plain = OnlineMeanPredictor([U])
-        for rt in (100.0, 250.0, 700.0):
-            job = make_job(user="a", run_time=rt)
-            decayed.on_finish(job, 0.0)
-            plain.on_finish(job, 0.0)
-        probe = make_job(user="a")
-        assert decayed.predict(probe).estimate == pytest.approx(
-            plain.predict(probe).estimate
-        )
-
     def test_effective_sample_size(self):
         m = _DecayedMoments()
         for _ in range(5):
-            m.add(10.0, 1.0)
-        assert m.n_eff == pytest.approx(5.0)
+            m.add(10.0)
+        assert m.n_eff == pytest.approx(5.0, abs=0.05)
         d = _DecayedMoments()
-        for _ in range(50):
-            d.add(10.0, 0.5)
-        # Heavy decay: effective history is ~3 jobs no matter the count.
-        assert d.n_eff < 3.1
+        for _ in range(1000):
+            d.add(10.0)
+        # The effective history saturates at (1 + 0.95) / (1 - 0.95) = 39
+        # jobs no matter the count.
+        assert d.n_eff == pytest.approx(39.0)

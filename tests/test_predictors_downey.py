@@ -116,16 +116,5 @@ class TestPredictor:
         after = p.predict(make_job(queue="q")).estimate
         assert after > before
 
-    def test_max_history_window(self):
-        p = DowneyPredictor("median", max_history=3)
-        feed(p, [make_job(queue="q", run_time=rt) for rt in (1.0, 2.0, 1e4, 1e5, 1e6)])
-        pred = p.predict(make_job(queue="q"))
-        # Early tiny values evicted; estimate reflects the large regime.
-        assert pred.estimate > 1e3
-
-    def test_max_history_validation(self):
-        with pytest.raises(ValueError):
-            DowneyPredictor("median", max_history=1)
-
     def test_name_reflects_kind(self):
         assert DowneyPredictor("average").name == "downey-average"

@@ -148,16 +148,16 @@ class TestExecutableResolution:
         assert pred is not None
         assert pred.estimate == pytest.approx(60.0)
 
-    def test_explicit_attr(self):
-        p = GibbonsPredictor(executable_attr="script")
+    def test_executable_wins_over_script(self):
+        p = GibbonsPredictor()
         feed(
             p,
             [
-                make_job(user="a", script="s.ll", nodes=4, run_time=rt)
-                for rt in (80.0, 100.0)
+                make_job(user="a", executable=e, script="s.ll", nodes=4, run_time=rt)
+                for e, rt in (("x", 80.0), ("x", 100.0), ("y", 500.0), ("y", 700.0))
             ],
         )
-        pred = p.predict(make_job(user="a", script="s.ll", nodes=4))
+        pred = p.predict(make_job(user="a", executable="x", script="s.ll", nodes=4))
         assert pred.estimate == pytest.approx(90.0)
 
 
@@ -200,11 +200,3 @@ class TestWeightedRegression:
         # Falls through (u,e) regression to (e)... all levels share the same
         # degenerate data, so the result is either None or positive.
         assert pred is None or pred.estimate > 0
-
-    def test_min_subcategories_validation(self):
-        with pytest.raises(ValueError):
-            GibbonsPredictor(min_subcategories=1)
-
-    def test_min_points_validation(self):
-        with pytest.raises(ValueError):
-            GibbonsPredictor(min_points=0)

@@ -36,10 +36,6 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             SmithPredictor([])
 
-    def test_bad_confidence(self):
-        with pytest.raises(ValueError):
-            SmithPredictor([Template()], confidence=1.5)
-
     def test_categories_created_on_finish(self):
         p = SmithPredictor([Template(characteristics=("u",)), Template()])
         assert p.category_count == 0

@@ -18,7 +18,7 @@ from repro.predictors.gibbons import GibbonsPredictor
 from repro.predictors.simple import MaxRuntimePredictor
 from repro.predictors.smith import SmithPredictor
 from repro.predictors.templates import ESTIMATOR_KINDS, Template
-from repro.stats.ci import RunningMoments, t_quantile
+from repro.stats.ci import CONFIDENCE, RunningMoments, t_quantile
 from repro.stats.regression import fit_inverse, fit_linear, fit_logarithmic
 from repro.workloads.job import Job, Trace
 from repro.workloads.swf import job_to_swf_line, parse_swf_lines
@@ -182,7 +182,7 @@ class _FilterAndFitCategory:
         self._points.append(DataPoint(run_time=job.run_time, nodes=job.nodes, value=value))
         self._moments.add(value)
 
-    def predict(self, job: Job, elapsed: float, confidence: float):
+    def predict(self, job: Job, elapsed: float):
         if self.template.relative and job.max_run_time is None:
             return None
         if elapsed > 0.0:
@@ -194,13 +194,13 @@ class _FilterAndFitCategory:
             if pts is None:
                 if self._moments.count < 2:
                     return None
-                est, hw = self._moments.interval(confidence)
+                est, hw = self._moments.interval()
             else:
                 if len(pts) < 2:
                     return None
                 values = np.array([p.value for p in pts], dtype=float)
                 n = len(values)
-                t = t_quantile(n - 1, 0.5 + confidence / 2.0)
+                t = t_quantile(n - 1, 0.5 + CONFIDENCE / 2.0)
                 est = float(np.mean(values))
                 hw = t * float(np.std(values, ddof=1)) * math.sqrt(1.0 + 1.0 / n)
         else:
@@ -213,7 +213,7 @@ class _FilterAndFitCategory:
                 fit = self._fitters[kind](xs, ys)
             except ValueError:
                 return None
-            est, hw = fit.prediction_interval(job.nodes, confidence)
+            est, hw = fit.prediction_interval(job.nodes)
         if self.template.relative:
             est *= job.max_run_time
             hw *= job.max_run_time
@@ -249,7 +249,6 @@ _ops = st.lists(
         st.tuples(
             st.just("predict"), _elapsed, st.integers(1, 64),
             st.one_of(st.none(), st.floats(1.0, 2e5)),
-            st.sampled_from([0.90, 0.95]),
         ),
     ),
     min_size=1,
@@ -283,7 +282,7 @@ def test_property_memoised_category_matches_filter_and_fit(
             ref.add(job)
             stored.append(run_time)
             continue
-        _, (mode, arg), nodes, max_rt, confidence = op
+        _, (mode, arg), nodes, max_rt = op
         window = [p.run_time for p in ref._points]
         if mode == "zero" or not window:
             elapsed = 0.0
@@ -296,9 +295,9 @@ def test_property_memoised_category_matches_filter_and_fit(
         job = Job(job_id=10_000, submit_time=0.0, run_time=1.0, nodes=nodes,
                   user="alice", max_run_time=max_rt)
         # Twice: the second call is served from the memo.
-        want = _bits(ref.predict(job, elapsed, confidence))
-        assert _bits(cat.predict(job, elapsed, confidence)) == want
-        assert _bits(cat.predict(job, elapsed, confidence)) == want
+        want = _bits(ref.predict(job, elapsed))
+        assert _bits(cat.predict(job, elapsed)) == want
+        assert _bits(cat.predict(job, elapsed)) == want
 
 
 def test_memo_counts_hits_misses_and_scanned_points():

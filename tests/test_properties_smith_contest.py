@@ -74,11 +74,10 @@ _samples = st.one_of(
     maxima=st.lists(st.floats(1.0, 2e5), min_size=1, max_size=5),
     job_max=st.floats(1.0, 2e5),
     cut=st.integers(0, 60),
-    confidence=st.sampled_from([0.5, 0.90, 0.95, 0.99]),
 )
 @settings(max_examples=400, deadline=None)
 def test_property_bound_never_exceeds_half_width(
-    run_times, relative, maxima, job_max, cut, confidence
+    run_times, relative, maxima, job_max, cut
 ):
     cat = Category(Template(characteristics=("u",), relative=relative))
     for i, rt in enumerate(run_times):
@@ -89,19 +88,19 @@ def test_property_bound_never_exceeds_half_width(
         elapsed = min(rt for rt in run_times if rt > 0.0) if max(run_times) > 0 else 1.0
     query = _job(10_000, max_run_time=job_max)
     suffix = [p.value for p in cat.points if p.run_time >= elapsed]
-    bound = cat.miss_bound(query, elapsed, confidence)
+    bound = cat.miss_bound(query, elapsed)
     if len(suffix) < 2:
         assert bound is None
         return
     assert bound is not None and bound >= 0.0
-    _, hw = mean_confidence_interval(suffix, confidence)
+    _, hw = mean_confidence_interval(suffix)
     if relative:
         hw *= job_max
     assert bound <= hw
     # The lookup then computes, and its interval is the same half-width.
-    _, interval = cat.predict(query, elapsed, confidence)
+    _, interval = cat.predict(query, elapsed)
     assert interval == hw
-    assert cat.miss_bound(query, elapsed, confidence) is None  # now a memo hit
+    assert cat.miss_bound(query, elapsed) is None  # now a memo hit
 
 
 def test_bound_is_tight_on_spread_values():
@@ -109,8 +108,8 @@ def test_bound_is_tight_on_spread_values():
     for i, rt in enumerate([100.0, 250.0, 400.0, 900.0, 1600.0, 3000.0]):
         cat.add(_job(i + 1, rt))
     query = _job(99)
-    bound = cat.miss_bound(query, 200.0, 0.90)
-    _, hw = cat.predict(query, 200.0, 0.90)
+    bound = cat.miss_bound(query, 200.0)
+    _, hw = cat.predict(query, 200.0)
     assert hw * (1 - 1e-6) < bound <= hw
 
 
@@ -118,7 +117,7 @@ def test_bound_is_zero_when_the_variance_cancels():
     cat = Category(Template(characteristics=("u",)))
     for i in range(5):
         cat.add(_job(i + 1, 1e9))
-    assert cat.miss_bound(_job(99), 1.0, 0.90) == 0.0
+    assert cat.miss_bound(_job(99), 1.0) == 0.0
 
 
 def test_bound_is_zero_when_squares_underflow():
@@ -127,8 +126,8 @@ def test_bound_is_zero_when_squares_underflow():
     cat = Category(Template(characteristics=("u",)))
     for i, rt in enumerate([6.7e-161, 5.2e-161]):
         cat.add(_job(i + 1, rt))
-    assert cat.miss_bound(_job(99), 5.2e-161, 0.90) == 0.0
-    assert cat.predict(_job(99), 5.2e-161, 0.90)[1] > 0.0
+    assert cat.miss_bound(_job(99), 5.2e-161) == 0.0
+    assert cat.predict(_job(99), 5.2e-161)[1] > 0.0
 
 
 def test_no_bound_outside_conditioned_mean_misses():
@@ -140,10 +139,10 @@ def test_no_bound_outside_conditioned_mean_misses():
         mean.add(_job(i + 1, rt))
         relative.add(_job(i + 1, rt, max_run_time=60.0))
         linear.add(_job(i + 1, rt, nodes=i + 1))
-    assert mean.miss_bound(query, 0.0, 0.90) is None  # unconditioned
-    assert mean.miss_bound(query, 25.0, 0.90) is None  # one qualifying point
-    assert relative.miss_bound(query, 5.0, 0.90) is None  # no job maximum
-    assert linear.miss_bound(query, 5.0, 0.90) is None  # a regression
+    assert mean.miss_bound(query, 0.0) is None  # unconditioned
+    assert mean.miss_bound(query, 25.0) is None  # one qualifying point
+    assert relative.miss_bound(query, 5.0) is None  # no job maximum
+    assert linear.miss_bound(query, 5.0) is None  # a regression
 
 
 # ---------------------------------------------------------------------
@@ -169,7 +168,7 @@ def test_property_sorted_values_track_the_window(entries, max_history):
         # Building the suffix sums must not pin the array: the next add
         # resizes it.
         if len(cat) >= 2:
-            cat.miss_bound(_job(10_000, max_run_time=1.0), 1e-9, 0.90)
+            cat.miss_bound(_job(10_000, max_run_time=1.0), 1e-9)
 
 
 # ---------------------------------------------------------------------
@@ -185,7 +184,7 @@ class UnprunedSmith(SmithPredictor):
             cat = self._categories.get(full_key)
             if cat is None:
                 continue
-            result = cat.predict(job, elapsed, self.confidence)
+            result = cat.predict(job, elapsed)
             if result is None:
                 continue
             est, hw = result
@@ -247,13 +246,12 @@ def _bits(prediction):
 @given(
     picks=st.lists(st.integers(0, len(_TEMPLATE_POOL) - 1), min_size=1, max_size=6),
     ops=_contest_ops,
-    confidence=st.sampled_from([0.90, 0.95]),
 )
 @settings(max_examples=300, deadline=None)
-def test_property_pruned_contest_matches_full_contest(picks, ops, confidence):
+def test_property_pruned_contest_matches_full_contest(picks, ops):
     templates = [_TEMPLATE_POOL[i] for i in picks]
-    pruned = SmithPredictor(templates, confidence=confidence)
-    full = UnprunedSmith(templates, confidence=confidence)
+    pruned = SmithPredictor(templates)
+    full = UnprunedSmith(templates)
     job_id = 0
     for op, (user, exe, time, nodes, max_rt) in ops:
         job_id += 1
@@ -317,7 +315,6 @@ class TwoPhaseSmith(SmithPredictor):
     def predict(self, job, elapsed=0.0, now=0.0):
         best = None  # (interval, idx)
         best_est = 0.0
-        confidence = self.confidence
         conditioned = elapsed > 0.0
         pending = []  # (bound, idx, category)
         for full_key in self._category_keys(job):
@@ -326,11 +323,11 @@ class TwoPhaseSmith(SmithPredictor):
                 continue
             idx = full_key[0]
             if conditioned:
-                bound = cat.miss_bound(job, elapsed, confidence)
+                bound = cat.miss_bound(job, elapsed)
                 if bound is not None:
                     pending.append((bound, idx, cat))
                     continue
-            result = cat.predict(job, elapsed, confidence)
+            result = cat.predict(job, elapsed)
             if result is None:
                 continue
             est, hw = result
@@ -342,7 +339,7 @@ class TwoPhaseSmith(SmithPredictor):
             if best is not None and bound > best[0]:
                 self._bound_pruned += len(pending) - pos
                 break
-            est, hw = cat.predict(job, elapsed, confidence)
+            est, hw = cat.predict(job, elapsed)
             if best is None or (hw, idx) < best:
                 best = (hw, idx)
                 best_est = est
@@ -413,13 +410,12 @@ def _elapsed_for(spec, history):
     picks=st.lists(st.integers(0, len(_ONE_READ_POOL) - 1), min_size=1, max_size=7),
     live=st.lists(_finished, min_size=4, max_size=4),
     ops=_one_read_ops,
-    confidence=st.sampled_from([0.90, 0.95]),
 )
 @settings(max_examples=300, deadline=None)
-def test_property_one_read_contest_matches_two_phase(picks, live, ops, confidence):
+def test_property_one_read_contest_matches_two_phase(picks, live, ops):
     templates = [_ONE_READ_POOL[i] for i in picks]
-    new = SmithPredictor(templates, confidence=confidence)
-    old = TwoPhaseSmith(templates, confidence=confidence)
+    new = SmithPredictor(templates)
+    old = TwoPhaseSmith(templates)
     job_id = 0
 
     def make(user, exe, run_time, nodes, max_rt):
@@ -552,4 +548,4 @@ def test_property_columns_equal_points(entries, max_history, relative, estimator
         query = _job(10_000, nodes=4, max_run_time=1.0)
         for elapsed in probes:
             cat.predict(query, elapsed)
-            cat.miss_bound(query, elapsed, 0.90)
+            cat.miss_bound(query, elapsed)

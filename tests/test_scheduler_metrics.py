@@ -123,17 +123,13 @@ class TestExtendedMetrics:
         # job1: (0+1000)/max(1000,600)=1.0; job2: (600+100)/600=7/6;
         # job3: (1200+10)/600 ≈ 2.0167 -> mean ≈ 1.394
         expected = (1.0 + 7.0 / 6.0 + 1210.0 / 600.0) / 3.0
-        assert res.mean_bounded_slowdown(600.0) == pytest.approx(expected)
+        assert res.mean_bounded_slowdown() == pytest.approx(expected)
 
     def test_bounded_slowdown_floor_one(self):
         res = ScheduleResult(
             [rec(job_id=1, submit=0.0, start=0.0, finish=10.0)], total_nodes=8
         )
         assert res.mean_bounded_slowdown() == 1.0
-
-    def test_bounded_slowdown_validation(self):
-        with pytest.raises(ValueError):
-            self._result().mean_bounded_slowdown(0.0)
 
     def test_per_class_mean_wait(self):
         res = self._result()

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stats import ci
-from repro.stats.ci import RunningMoments, mean_confidence_interval, t_quantile
+from repro.stats.ci import CONFIDENCE, RunningMoments, mean_confidence_interval, t_quantile
 
 #: p = (1 + c) / 2 for the confidence levels c = 0.1, 0.5, 0.8, 0.9, 0.95, 0.99.
 _P_LEVELS = (0.55, 0.75, 0.9, 0.95, 0.975, 0.995)
@@ -53,7 +53,7 @@ class TestTQuantile:
 
     def test_rejects_full_confidence(self):
         with pytest.raises(ValueError, match="p must be in"):
-            mean_confidence_interval([1.0, 2.0, 3.0], confidence=1.0)
+            t_quantile(2, 1.0)
 
     def test_bits_match_scipy_stats(self, monkeypatch):
         """``t_quantile`` returns ``scipy.stats.t.ppf``'s bits (the oracle)."""
@@ -135,18 +135,6 @@ class TestMeanConfidenceInterval:
         _, wide = mean_confidence_interval([1.0, 19.0, 10.0])
         assert wide > tight
 
-    def test_prediction_wider_than_mean_ci(self):
-        data = [1.0, 2.0, 3.0, 4.0, 5.0]
-        _, pred = mean_confidence_interval(data, prediction=True)
-        _, mean = mean_confidence_interval(data, prediction=False)
-        assert pred > mean
-
-    def test_higher_confidence_wider(self):
-        data = [1.0, 3.0, 7.0, 2.0]
-        _, w90 = mean_confidence_interval(data, 0.90)
-        _, w99 = mean_confidence_interval(data, 0.99)
-        assert w99 > w90
-
     def test_prediction_width_shrinks_slowly_with_n(self):
         # Prediction interval converges to t*s, not 0, as n grows.
         rng = np.random.default_rng(0)
@@ -157,16 +145,16 @@ class TestMeanConfidenceInterval:
         _, hw_small = mean_confidence_interval(small)
         assert hw_small > 0
 
-    @given(_samples(), st.sampled_from((0.5, 0.9, 0.95, 0.99)), st.booleans())
+    @given(_samples())
     @settings(max_examples=300)
-    def test_property_bits_match_numpy_mean_and_std(self, x, confidence, prediction):
+    def test_property_bits_match_numpy_mean_and_std(self, x):
         """The kernel is ``x.mean()`` and ``x.std(ddof=1)`` to the bit."""
         n = x.size
-        t = t_quantile(n - 1, 0.5 + confidence / 2.0)
-        scale = math.sqrt(1.0 + 1.0 / n) if prediction else math.sqrt(1.0 / n)
+        t = t_quantile(n - 1, 0.5 + CONFIDENCE / 2.0)
+        scale = math.sqrt(1.0 + 1.0 / n)
         want = _bits((float(x.mean()), t * float(x.std(ddof=1)) * scale))
-        assert _bits(mean_confidence_interval(x, confidence, prediction=prediction)) == want
-        assert _bits(mean_confidence_interval(x.tolist(), confidence, prediction=prediction)) == want
+        assert _bits(mean_confidence_interval(x)) == want
+        assert _bits(mean_confidence_interval(x.tolist())) == want
 
 
 class TestRunningMoments:
@@ -216,8 +204,8 @@ class TestRunningMoments:
         rm = RunningMoments()
         for x in data:
             rm.add(x)
-        m1, hw1 = rm.interval(0.9)
-        m2, hw2 = mean_confidence_interval(data, 0.9)
+        m1, hw1 = rm.interval()
+        m2, hw2 = mean_confidence_interval(data)
         assert m1 == pytest.approx(m2)
         assert hw1 == pytest.approx(hw2)
 

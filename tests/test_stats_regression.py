@@ -57,7 +57,7 @@ class TestLinear:
         fit = fit_linear(x, y)
         hits = 0
         for xq in np.linspace(2, 48, 40):
-            est, hw = fit.prediction_interval(xq, 0.90)
+            est, hw = fit.prediction_interval(xq)
             draw = 2.0 + 3.0 * xq  # noise-free truth is well inside
             if abs(draw - est) <= hw:
                 hits += 1

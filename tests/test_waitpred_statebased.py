@@ -126,16 +126,8 @@ class TestStateTemplate:
     def test_describe(self):
         assert StateTemplate(("qlen", "tod")).describe() == "(qlen, tod)"
 
-    def test_bad_history(self):
-        with pytest.raises(ValueError):
-            StateTemplate((), max_history=1)
-
 
 class TestPredictor:
-    def test_requires_templates(self):
-        with pytest.raises(ValueError):
-            StateBasedWaitPredictor(estimator(), templates=())
-
     def test_ramp_up_uses_running_mean(self):
         p = StateBasedWaitPredictor(estimator())
         # No observations at all: predicts 0.
@@ -144,9 +136,7 @@ class TestPredictor:
 
     def test_learns_congestion_signal(self):
         """Jobs submitted into a long queue must inherit long waits."""
-        p = StateBasedWaitPredictor(
-            estimator(), templates=(StateTemplate(("qlen",)),)
-        )
+        p = StateBasedWaitPredictor(estimator())
 
         class ViewStub:
             def __init__(self, now, queued, free):
@@ -178,31 +168,6 @@ class TestPredictor:
         )
         assert probe_short == pytest.approx(10.0)
         assert probe_long == pytest.approx(5000.0)
-
-    def test_max_history_window(self):
-        p = StateBasedWaitPredictor(
-            estimator(), templates=(StateTemplate((), max_history=2),)
-        )
-
-        class ViewStub:
-            now = 0.0
-            queued = []
-            free_nodes = 1
-            total_nodes = 1
-
-        from repro.scheduler.simulator import QueuedJob
-
-        for i, wait in enumerate((1000.0, 10.0, 20.0)):
-            job = make_job(job_id=i + 1)
-            view = ViewStub()
-            view.queued = [QueuedJob(job)]
-            p.on_submit(view, QueuedJob(job))
-            done = ViewStub()
-            done.now = wait
-            p.on_start(done, job)
-        f = StateFeatures(0, 0, 3, 1, 1, 0, 0)
-        # Only the last two observations (10, 20) remain.
-        assert p.predict_from_features(f) == pytest.approx(15.0)
 
     def test_end_to_end_on_trace(self, anl_trace):
         """Full replay: produces a prediction for every job and a sane error."""
